@@ -40,7 +40,6 @@ from .generation import (
     InstructionResponsePair,
     Label,
     Numeric,
-    OfflineRules,
     generate_dataset,
     read_pairs_jsonl,
     verify_pairs,
@@ -101,7 +100,6 @@ __all__ = [
     "InstructionResponsePair",
     "Label",
     "Numeric",
-    "OfflineRules",
     "generate_dataset",
     "read_pairs_jsonl",
     "verify_pairs",

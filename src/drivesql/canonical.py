@@ -1,20 +1,45 @@
-"""Canonical JSON helpers used wherever byte determinism matters."""
+"""Canonical JSON writing, where byte determinism matters, and JSONL reading."""
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from pathlib import Path
+from typing import Any, Callable, TypeVar
+
+from .errors import DriveSqlError
+
+T = TypeVar("T")
 
 
 def canonical_dumps(obj: Any) -> str:
     """Serialize with sorted keys and compact separators.
 
     Floats go through ``repr``, which round-trips exactly, so re-serializing
-    a loaded document reproduces the original bytes.
+    a loaded document reproduces the original bytes. NaN and infinity are
+    not JSON and raise ``ValueError``.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def canonical_jsonl(rows: list[Any]) -> str:
     """One canonical JSON object per line, with a trailing newline."""
     return "".join(canonical_dumps(row) + "\n" for row in rows)
+
+
+def read_jsonl(path: str | Path, convert: Callable[[Any], T]) -> list[T]:
+    """Convert each non-blank line of a JSONL file.
+
+    A line that is not JSON or does not convert raises ``DriveSqlError``
+    reading ``<path>:<line>: <missing field or reason>``.
+    """
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append(convert(json.loads(line)))
+        except KeyError as err:
+            raise DriveSqlError(f"{path}:{lineno}: missing field {err.args[0]!r}") from None
+        except (TypeError, ValueError, AttributeError) as err:
+            raise DriveSqlError(f"{path}:{lineno}: {err}") from None
+    return rows

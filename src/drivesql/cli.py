@@ -28,7 +28,6 @@ from .evaluation import evaluate, read_predictions_jsonl, split_dataset
 from .generation import (
     ExternalClient,
     GenerationConfig,
-    OfflineRules,
     generate_dataset,
     read_pairs_jsonl,
     verify_pairs,
@@ -280,17 +279,17 @@ def _generation_config(args: argparse.Namespace) -> GenerationConfig:
     subtasks = frozenset(Subtask)
     if args.subtasks:
         subtasks = _parse_subtasks(args.subtasks)
-    verifier: OfflineRules | ExternalClient = OfflineRules()
-    if args.verifier:
-        verifier = ExternalClient(endpoint=args.verifier)
     return GenerationConfig(
         master_seed=args.seed,
         windows_per_scene=args.windows,
         max_instances_per_subtask=args.max_instances,
         thresholds=thresholds,
         enabled_subtasks=subtasks,
-        verifier=verifier,
     )
+
+
+def _client(args: argparse.Namespace) -> ExternalClient | None:
+    return ExternalClient(endpoint=args.verifier) if args.verifier else None
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -300,8 +299,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     config = _generation_config(args)
     pairs, diag = generate_dataset(db, config, jobs=args.jobs)
     dropped = 0
-    if isinstance(config.verifier, ExternalClient):
-        result = verify_pairs(pairs, config, db)
+    client = _client(args)
+    if client is not None:
+        result = verify_pairs(pairs, client, db)
         dropped = len(result.rejected)
         pairs = result.kept
     out = Path(args.output)
@@ -309,7 +309,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     inputs = [src] + ([Path(args.thresholds)] if args.thresholds else [])
     _write_manifest(
         "generate",
-        {"config_digest": config.digest(), "jobs": args.jobs},
+        {
+            "config_digest": config.digest(),
+            "jobs": args.jobs,
+            "verifier": args.verifier or "offline",
+        },
         inputs,
         [out],
         started,
@@ -327,11 +331,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     src = Path(args.pairs)
     pairs = read_pairs_jsonl(src)
     db = load_database(Path(args.db)) if args.db else None
-    verifier: OfflineRules | ExternalClient = OfflineRules()
-    if args.verifier:
-        verifier = ExternalClient(endpoint=args.verifier)
-    config = GenerationConfig(verifier=verifier)
-    result = verify_pairs(pairs, config, db)
+    result = verify_pairs(pairs, _client(args), db)
     out = Path(args.output)
     write_pairs_jsonl(result.kept, out)
     report = {

@@ -8,7 +8,6 @@ rounds out the toolbox.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import Counter
@@ -16,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from .canonical import canonical_jsonl, read_jsonl
 from .errors import UndefinedScore
 from .generation import (
     DetectionList,
@@ -78,13 +78,10 @@ class MaeResult:
     failed: int
 
 
-def mae(predictions: Sequence[str], references: Sequence[Sequence[float]]) -> MaeResult:
-    """Mean absolute error between extracted numbers and references.
-
-    Per pair, the first k extracted numbers align with the k reference
-    values. Pairs with fewer numbers are excluded and counted into the
-    extraction failure rate. With nothing scorable the MAE is undefined.
-    """
+def _abs_errors(
+    predictions: Sequence[str], references: Sequence[Sequence[float]]
+) -> tuple[list[float], int]:
+    """Per-pair mean absolute errors of the scorable pairs, plus the failures."""
     if len(predictions) != len(references):
         raise ValueError("predictions and references must align one to one")
     per_pair: list[float] = []
@@ -100,12 +97,22 @@ def mae(predictions: Sequence[str], references: Sequence[Sequence[float]]) -> Ma
         per_pair.append(
             sum(abs(p - r) for p, r in zip(found, refs)) / len(refs)
         )
+    return per_pair, failed
+
+
+def mae(predictions: Sequence[str], references: Sequence[Sequence[float]]) -> MaeResult:
+    """Mean absolute error between extracted numbers and references.
+
+    Per pair, the first k extracted numbers align with the k reference
+    values. Pairs with fewer numbers are excluded and counted into the
+    extraction failure rate. With nothing scorable the MAE is undefined.
+    """
+    per_pair, failed = _abs_errors(predictions, references)
     if not per_pair:
         raise UndefinedScore("no pair yielded enough numbers to score")
-    total = len(predictions)
     return MaeResult(
         value=sum(per_pair) / len(per_pair),
-        extraction_failure_rate=failed / total,
+        extraction_failure_rate=failed / len(predictions),
         scored=len(per_pair),
         failed=failed,
     )
@@ -462,18 +469,16 @@ def evaluate(
             bleu_refs.append(truth.text)
 
     per_subtask: dict[Subtask, float] = {}
+    errors: dict[Subtask, list[float]] = {}
     failures = 0
-    mae_pair_count = 0
+    for subtask, texts in mae_texts.items():
+        errors[subtask], failed = _abs_errors(texts, mae_refs[subtask])
+        failures += failed
+    mae_pair_count = sum(len(texts) for texts in mae_texts.values())
 
     for subtask in Subtask:
-        if subtask in mae_texts:
-            mae_pair_count += len(mae_texts[subtask])
-            try:
-                result = mae(mae_texts[subtask], mae_refs[subtask])
-                per_subtask[subtask] = result.value
-                failures += result.failed
-            except UndefinedScore:
-                failures += len(mae_texts[subtask])
+        if errors.get(subtask):
+            per_subtask[subtask] = sum(errors[subtask]) / len(errors[subtask])
         if subtask in acc_texts:
             per_subtask[subtask] = accuracy(
                 acc_texts[subtask], acc_refs[subtask], _BUILTIN_LABELS[subtask]
@@ -486,18 +491,15 @@ def evaluate(
         per_subtask[Subtask.PLANNING_WITH_REASONING] = bleu(bleu_cands, bleu_refs)
 
     groups: dict[str, float | None] = {}
-    groups["perception_mae"] = _pooled_mae(
-        mae_texts, mae_refs, lambda s: _GROUP_OF[s] == "perception_mae"
-    )
-    groups["prediction_mae"] = _pooled_mae(
-        mae_texts, mae_refs, lambda s: _GROUP_OF[s] == "prediction_mae"
-    )
-    groups["perception_acc"] = _pooled_accuracy(
-        acc_texts, acc_refs, lambda s: _GROUP_OF[s] == "perception_acc"
-    )
-    groups["prediction_acc"] = _pooled_accuracy(
-        acc_texts, acc_refs, lambda s: _GROUP_OF[s] == "prediction_acc"
-    )
+    for group in ("perception_mae", "prediction_mae"):
+        pooled = [e for s, errs in errors.items() if _GROUP_OF[s] == group for e in errs]
+        groups[group] = sum(pooled) / len(pooled) if pooled else None
+    for group in ("perception_acc", "prediction_acc"):
+        members = [s for s in acc_texts if _GROUP_OF[s] == group]
+        # Each pair is judged with its own subtask's label set, then pooled.
+        total = sum(len(acc_texts[s]) for s in members)
+        weighted = sum(per_subtask[s] * len(acc_texts[s]) for s in members)
+        groups[group] = weighted / total if total else None
     try:
         groups["risk_map"] = map_score(det_preds, det_refs, iou_threshold)
     except UndefinedScore:
@@ -508,36 +510,6 @@ def evaluate(
     return MetricReport(
         per_subtask=per_subtask, groups=groups, extraction_failure_rate=rate
     )
-
-
-def _pooled_mae(texts, refs, selector) -> float | None:
-    pooled_texts: list[str] = []
-    pooled_refs: list[list[float]] = []
-    for subtask, items in texts.items():
-        if selector(subtask):
-            pooled_texts.extend(items)
-            pooled_refs.extend(refs[subtask])
-    if not pooled_texts:
-        return None
-    try:
-        return mae(pooled_texts, pooled_refs).value
-    except UndefinedScore:
-        return None
-
-
-def _pooled_accuracy(texts, refs, selector) -> float | None:
-    """Pairs are judged with their own subtask's label set, then pooled."""
-    total = 0
-    weighted = 0.0
-    for subtask, items in texts.items():
-        if not selector(subtask):
-            continue
-        score = accuracy(items, refs[subtask], _BUILTIN_LABELS[subtask])
-        weighted += score * len(items)
-        total += len(items)
-    if total == 0:
-        return None
-    return weighted / total
 
 
 def predictions_from_pairs(pairs: Iterable[InstructionResponsePair]) -> list[Prediction]:
@@ -563,30 +535,26 @@ def predictions_from_pairs(pairs: Iterable[InstructionResponsePair]) -> list[Pre
 # ----------------------------------------------------------------- file I/O
 
 
-def read_predictions_jsonl(path: str | Path) -> list[Prediction]:
-    preds = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        detections = None
-        if "detections" in doc and doc["detections"] is not None:
-            detections = tuple(
-                DetectionPred(
-                    view=View(d["view"]),
-                    bbox=BBox2D(*[float(c) for c in d["bbox"]]),
-                    score=float(d["score"]),
-                )
-                for d in doc["detections"]
+def _prediction_from_dict(doc: Mapping[str, Any]) -> Prediction:
+    detections = None
+    if "detections" in doc and doc["detections"] is not None:
+        detections = tuple(
+            DetectionPred(
+                view=View(d["view"]),
+                bbox=BBox2D(*[float(c) for c in d["bbox"]]),
+                score=float(d["score"]),
             )
-        preds.append(
-            Prediction(
-                pair_id=str(doc["pair_id"]),
-                response_text=str(doc["response_text"]),
-                detections=detections,
-            )
+            for d in doc["detections"]
         )
-    return preds
+    return Prediction(
+        pair_id=str(doc["pair_id"]),
+        response_text=str(doc["response_text"]),
+        detections=detections,
+    )
+
+
+def read_predictions_jsonl(path: str | Path) -> list[Prediction]:
+    return read_jsonl(path, _prediction_from_dict)
 
 
 def write_predictions_jsonl(preds: Iterable[Prediction], path: str | Path) -> None:
@@ -599,6 +567,4 @@ def write_predictions_jsonl(preds: Iterable[Prediction], path: str | Path) -> No
                 for d in pred.detections
             ]
         rows.append(doc)
-    from .canonical import canonical_jsonl
-
     Path(path).write_text(canonical_jsonl(rows), encoding="utf-8")

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .canonical import canonical_dumps
+from .canonical import canonical_dumps, read_jsonl
 from .errors import TemplateError, VerifierProtocolError
-from .geometry import Vec3, planar_norm
+from .geometry import planar_norm
 from .scene_db import (
     IMAGE_HEIGHT,
     IMAGE_WIDTH,
@@ -39,18 +39,14 @@ from .task_sql import (
     PlanningResult,
     RiskThresholds,
     Subtask,
+    Task,
     closest,
-    detect_risk,
     distance,
     instance_number,
-    motion_ego,
-    motion_others,
-    planning_with_reasoning,
     same_road,
     speeds,
     status,
-    status_ego,
-    status_others,
+    window_context,
 )
 from .textutil import count_mentions, extract_numbers, tokenize
 
@@ -108,11 +104,6 @@ class InstructionResponsePair:
 
 
 @dataclass(frozen=True)
-class OfflineRules:
-    """Marker config: verify with the built-in format rules only."""
-
-
-@dataclass(frozen=True)
 class ExternalClient:
     """Config for the HTTP reviewing service used after the offline rules."""
 
@@ -128,7 +119,6 @@ class GenerationConfig:
     max_instances_per_subtask: int = 3
     thresholds: RiskThresholds = field(default_factory=RiskThresholds)
     enabled_subtasks: frozenset[Subtask] = frozenset(Subtask)
-    verifier: OfflineRules | ExternalClient = field(default_factory=OfflineRules)
 
     def digest(self) -> str:
         doc = {
@@ -137,7 +127,6 @@ class GenerationConfig:
             "max_instances_per_subtask": self.max_instances_per_subtask,
             "thresholds": self.thresholds.as_dict(),
             "enabled_subtasks": sorted(s.value for s in self.enabled_subtasks),
-            "verifier": dataclasses.asdict(self.verifier),
         }
         return hashlib.sha256(canonical_dumps(doc).encode("utf-8")).hexdigest()
 
@@ -365,33 +354,8 @@ def _nearest_first(infos: Iterable[InstanceInfo], cap: int) -> list[InstanceInfo
     return ranked[:cap]
 
 
-def _make_pair(
-    scene_id: str,
-    window: tuple[str, str, str],
-    subtask: Subtask,
-    target: str,
-    views_used: tuple[View, ...],
-    instruction: str,
-    response: str,
-    ground_truth: GroundTruth,
-    thresholds: RiskThresholds | None = None,
-) -> InstructionResponsePair:
-    return InstructionResponsePair(
-        pair_id=_pair_id(scene_id, window, subtask, target),
-        scene_id=scene_id,
-        frame_ids=window,
-        task=subtask.task.value,
-        subtask=subtask,
-        views_used=views_used,
-        instruction=instruction,
-        response=response,
-        ground_truth=ground_truth,
-        thresholds_used=thresholds,
-    )
-
-
-def _instance_views(info: InstanceInfo) -> tuple[View, ...]:
-    return (_grounding_view(info),)
+# Risk and planning pairs record the thresholds their detections used.
+_THRESHOLD_TASKS = (Task.RISK, Task.PLANNING_WITH_REASONING)
 
 
 def _pairs_for_window(
@@ -401,39 +365,50 @@ def _pairs_for_window(
     config: GenerationConfig,
     diag: GenerationDiagnostics,
 ) -> list[InstructionResponsePair]:
-    frame_prev, frame_i, frame_next = window
+    frame_i = window[1]
     cap = config.max_instances_per_subtask
     enabled = config.enabled_subtasks
+    ctx = window_context(db, *window)
+    current = ctx.current
     pairs: list[InstructionResponsePair] = []
 
-    def grounded_instruction(subtask: Subtask, info: InstanceInfo) -> tuple[str, View]:
+    def emit(
+        subtask: Subtask, target: str, views: tuple[View, ...], instruction: str, result: Any
+    ) -> None:
+        response, truth = render_response(subtask, result)
+        pairs.append(
+            InstructionResponsePair(
+                pair_id=_pair_id(scene_id, window, subtask, target),
+                scene_id=scene_id,
+                frame_ids=window,
+                task=subtask.task.value,
+                subtask=subtask,
+                views_used=views,
+                instruction=instruction,
+                response=response,
+                ground_truth=truth,
+                thresholds_used=config.thresholds if subtask.task in _THRESHOLD_TASKS else None,
+            )
+        )
+
+    def emit_grounded(subtask: Subtask, info: InstanceInfo, result: Any) -> None:
         view = _grounding_view(info)
-        text = render_instruction(
+        instruction = render_instruction(
             subtask, {"grounding": format_grounding(view, info.camera_pos[view])}
         )
-        return text, view
+        emit(subtask, info.info_id, (view,), instruction, result)
 
-    current = list(db.instances_in_frame(frame_i))
     selected = _nearest_first(current, cap)
-
     per_instance_perception = (
         (Subtask.DISTANCE, lambda info: distance(db, info.info_id)),
         (Subtask.SPEEDS, lambda info: speeds(db, info.info_id)),
         (Subtask.STATUS, lambda info: status(db, info.info_id)),
         (Subtask.SAME_ROAD, lambda info: same_road(db, info.info_id, frame_i)),
     )
-
     for subtask, op in per_instance_perception:
-        if subtask not in enabled:
-            continue
-        for info in selected:
-            instruction, view = grounded_instruction(subtask, info)
-            response, truth = render_response(subtask, op(info))
-            pairs.append(
-                _make_pair(
-                    scene_id, window, subtask, info.info_id, (view,), instruction, response, truth
-                )
-            )
+        if subtask in enabled:
+            for info in selected:
+                emit_grounded(subtask, info, op(info))
 
     if Subtask.CLOSEST in enabled:
         nearest = closest(db, frame_i)
@@ -442,13 +417,8 @@ def _pairs_for_window(
             if info is None:
                 continue
             instruction = render_instruction(Subtask.CLOSEST, {"view_phrase": _view_phrase(view)})
-            response, truth = render_response(Subtask.CLOSEST, (view, info))
             views = _all_views_seen(current) if view is View.ALL else (view,)
-            pairs.append(
-                _make_pair(
-                    scene_id, window, Subtask.CLOSEST, view.value, views, instruction, response, truth
-                )
-            )
+            emit(Subtask.CLOSEST, view.value, views, instruction, (view, info))
 
     if Subtask.INSTANCE_NUMBER in enabled:
         counts = instance_number(db, frame_i)
@@ -459,134 +429,65 @@ def _pairs_for_window(
                     Subtask.INSTANCE_NUMBER,
                     {"category": _category_phrase(category), "view_phrase": _view_phrase(view)},
                 )
-                response, truth = render_response(
-                    Subtask.INSTANCE_NUMBER, (view, category, per_view[category])
-                )
                 views = _all_views_seen(current) if view is View.ALL else (view,)
-                pairs.append(
-                    _make_pair(
-                        scene_id,
-                        window,
-                        Subtask.INSTANCE_NUMBER,
-                        f"{view.value}:{category}",
-                        views,
-                        instruction,
-                        response,
-                        truth,
-                    )
-                )
+                target = f"{view.value}:{category}"
+                result = (view, category, per_view[category])
+                emit(Subtask.INSTANCE_NUMBER, target, views, instruction, result)
 
-    shared_motion = motion_others(db, frame_i, frame_next)
-    prediction_enabled = enabled & {Subtask.MOTION_OTHERS, Subtask.STATUS_OTHERS}
-    if prediction_enabled:
-        diag.skipped_instances += len(current) - len(shared_motion)
+    if enabled & {Subtask.MOTION_OTHERS, Subtask.STATUS_OTHERS}:
+        diag.skipped_instances += len(current) - len(ctx.followers)
+    movers = _nearest_first((info for info in current if info.info_id in ctx.followers), cap)
 
     if Subtask.MOTION_EGO in enabled:
         instruction = render_instruction(Subtask.MOTION_EGO, {})
-        response, truth = render_response(Subtask.MOTION_EGO, motion_ego(db, frame_i, frame_next))
-        pairs.append(
-            _make_pair(
-                scene_id, window, Subtask.MOTION_EGO, "ego", (View.FRONT,), instruction, response, truth
-            )
-        )
+        emit(Subtask.MOTION_EGO, "ego", (View.FRONT,), instruction, ctx.ego_motion)
 
     if Subtask.MOTION_OTHERS in enabled:
-        candidates = _nearest_first(
-            (db.instances[i] for i in shared_motion), cap
-        )
-        for info in candidates:
-            instruction, view = grounded_instruction(Subtask.MOTION_OTHERS, info)
-            response, truth = render_response(Subtask.MOTION_OTHERS, shared_motion[info.info_id])
-            pairs.append(
-                _make_pair(
-                    scene_id, window, Subtask.MOTION_OTHERS, info.info_id, (view,), instruction, response, truth
-                )
-            )
+        for info in movers:
+            emit_grounded(Subtask.MOTION_OTHERS, info, ctx.followers[info.info_id][1])
 
     if Subtask.STATUS_EGO in enabled:
         instruction = render_instruction(Subtask.STATUS_EGO, {})
-        response, truth = render_response(Subtask.STATUS_EGO, status_ego(db, frame_i, frame_next))
-        pairs.append(
-            _make_pair(
-                scene_id, window, Subtask.STATUS_EGO, "ego", (View.FRONT,), instruction, response, truth
-            )
-        )
+        result = (ctx.ego_speed_delta, ctx.ego_motion)
+        emit(Subtask.STATUS_EGO, "ego", (View.FRONT,), instruction, result)
 
     if Subtask.STATUS_OTHERS in enabled:
-        deltas, motions = status_others(db, frame_i, frame_next)
-        candidates = _nearest_first((db.instances[i] for i in motions), cap)
-        for info in candidates:
-            follower = db.instance_at_frame(info.instance_id, frame_next)
-            assert follower is not None
-            instruction, view = grounded_instruction(Subtask.STATUS_OTHERS, info)
-            response, truth = render_response(
-                Subtask.STATUS_OTHERS,
-                (deltas[info.info_id], motions[info.info_id], follower.attribute),
-            )
-            pairs.append(
-                _make_pair(
-                    scene_id, window, Subtask.STATUS_OTHERS, info.info_id, (view,), instruction, response, truth
-                )
-            )
+        for info in movers:
+            follower, motion = ctx.followers[info.info_id]
+            result = (follower.velocity - info.velocity, motion, follower.attribute)
+            emit_grounded(Subtask.STATUS_OTHERS, info, result)
 
     risk_enabled = [k for k in RISK_SUBTASKS if k in enabled]
-    if risk_enabled or Subtask.PLANNING_WITH_REASONING in enabled:
-        full_window = sum(
-            1
-            for info in current
-            if db.instance_at_frame(info.instance_id, frame_prev) is None
-            or db.instance_at_frame(info.instance_id, frame_next) is None
-        )
-        diag.skipped_instances += full_window
+    if not risk_enabled and Subtask.PLANNING_WITH_REASONING not in enabled:
+        return pairs
+    diag.skipped_instances += len(current) - ctx.full_window_rows
+    plan = ctx.plan(config.thresholds)
 
     for kind in risk_enabled:
-        hits = detect_risk(db, kind, frame_prev, frame_i, frame_next, config.thresholds)
         items = tuple(
             DetectionRef(
                 view=_grounding_view(info),
                 bbox=info.camera_pos[_grounding_view(info)],
                 instance_id=info.instance_id,
             )
-            for info in hits
+            for info in plan.risks[kind]
         )
-        instruction = render_instruction(kind, {})
-        response, truth = render_response(kind, items)
         views = tuple(dict.fromkeys(d.view for d in items)) or (View.FRONT,)
-        pairs.append(
-            _make_pair(
-                scene_id, window, kind, "risk", views, instruction, response, truth, config.thresholds
-            )
-        )
+        emit(kind, "risk", views, render_instruction(kind, {}), items)
 
     if Subtask.PLANNING_WITH_REASONING in enabled:
-        result = planning_with_reasoning(db, frame_prev, frame_i, frame_next, config.thresholds)
-        instruction = render_instruction(Subtask.PLANNING_WITH_REASONING, {})
-        response, truth = render_response(Subtask.PLANNING_WITH_REASONING, result)
         contributing = tuple(
             dict.fromkeys(
-                _grounding_view(info)
-                for kind in RISK_SUBTASKS
-                for info in result.risks[kind]
+                _grounding_view(info) for kind in RISK_SUBTASKS for info in plan.risks[kind]
             )
         ) or (View.FRONT,)
-        pairs.append(
-            _make_pair(
-                scene_id,
-                window,
-                Subtask.PLANNING_WITH_REASONING,
-                "plan",
-                contributing,
-                instruction,
-                response,
-                truth,
-                config.thresholds,
-            )
-        )
+        instruction = render_instruction(Subtask.PLANNING_WITH_REASONING, {})
+        emit(Subtask.PLANNING_WITH_REASONING, "plan", contributing, instruction, plan)
 
     return pairs
 
 
-def _all_views_seen(infos: list[InstanceInfo]) -> tuple[View, ...]:
+def _all_views_seen(infos: tuple[InstanceInfo, ...]) -> tuple[View, ...]:
     seen = [v for v in View if any(v in info.camera_pos for info in infos)]
     return tuple(seen) or (View.FRONT,)
 
@@ -745,11 +646,7 @@ def write_pairs_jsonl(pairs: Iterable[InstructionResponsePair], path: str | Path
 
 
 def read_pairs_jsonl(path: str | Path) -> list[InstructionResponsePair]:
-    pairs = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            pairs.append(pair_from_dict(json.loads(line)))
-    return pairs
+    return read_jsonl(path, pair_from_dict)
 
 
 # --------------------------------------------------------------------------
@@ -892,10 +789,10 @@ def _apply_verdict(
 
 def verify_pairs(
     pairs: Iterable[InstructionResponsePair],
-    config: GenerationConfig,
+    client: ExternalClient | None = None,
     db: SceneDatabase | None = None,
 ) -> VerificationResult:
-    """Apply offline format rules, then the external reviewer if configured.
+    """Apply offline format rules, then the external reviewer if one is given.
 
     A pair that fails an offline rule is rejected with a reason. When the
     external service stays unreachable through all retries the pair is kept
@@ -910,7 +807,6 @@ def verify_pairs(
         else:
             result.rejected.append((pair.pair_id, f"format contract: {reason}"))
 
-    client = config.verifier if isinstance(config.verifier, ExternalClient) else None
     for pair in survivors:
         if client is None:
             result.kept.append(pair)

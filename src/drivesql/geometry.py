@@ -35,10 +35,6 @@ class Vec3:
     def as_list(self) -> list[float]:
         return [self.x, self.y, self.z]
 
-    @staticmethod
-    def zero() -> "Vec3":
-        return Vec3(0.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class Quaternion:

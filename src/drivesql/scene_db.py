@@ -11,6 +11,7 @@ worker processes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -208,7 +209,13 @@ def _as_str(value: Any, path: str) -> str:
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise AnnotationSchemaError(path, "expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise AnnotationSchemaError(path, f"expected a finite number, got {number!r}")
+    return number
 
 
 def _as_vec3(value: Any, path: str) -> Vec3:
@@ -259,6 +266,8 @@ def _as_camera_pos(value: Any, path: str) -> dict[View, BBox2D]:
         if view is View.ALL:
             raise AnnotationSchemaError(f"{path}[{key}]", "the union view cannot carry a box")
         out[view] = _as_bbox(item, f"{path}[{key}]")
+    if not out:
+        raise AnnotationSchemaError(path, "an instance must be visible in at least one view")
     return out
 
 

@@ -3,7 +3,9 @@
 Each public function answers one subtask for a window of up to three
 consecutive keyframes (previous, current, next). Perception subtasks read
 the current frame, prediction subtasks relate the current frame to the next
-one, and risk detection relates all three.
+one, and risk detection relates all three. ``window_context`` computes a
+window's motions, risk inputs and ego move once; the risk predicates and
+planning read them from there.
 """
 
 from __future__ import annotations
@@ -392,6 +394,87 @@ _PREDICATES_LITERAL = {
 _NEEDS_NEXT = {kind: kind is not Subtask.LANE_CHANGING for kind in RISK_SUBTASKS}
 
 
+@dataclass(frozen=True)
+class WindowContext:
+    """Facts of one (previous, current, next) window, computed once.
+
+    ``followers`` maps each current info id with an appearance at the next
+    frame to that row and the displacement toward it; ``risk_rows`` pairs
+    each current row that has a previous appearance with its predicate
+    inputs. Both keep the current frame's row order.
+    """
+
+    current: tuple[InstanceInfo, ...]
+    followers: dict[str, tuple[InstanceInfo, Vec3]]
+    risk_rows: tuple[tuple[InstanceInfo, _RiskContext], ...]
+    ego_speed_delta: float
+    ego_motion: Vec3
+
+    @property
+    def full_window_rows(self) -> int:
+        """Current rows that appear at all three frames."""
+        return sum(1 for _, c in self.risk_rows if c.m_next is not None)
+
+    def risk_hits(
+        self, kind: Subtask, thresholds: RiskThresholds, *, literal: bool
+    ) -> list[InstanceInfo]:
+        """Rows matching one risk kind, in the current frame's order."""
+        predicate = (_PREDICATES_LITERAL if literal else _PREDICATES)[kind]
+        return [
+            info
+            for info, c in self.risk_rows
+            if not (_NEEDS_NEXT[kind] and c.m_next is None) and predicate(c, thresholds)
+        ]
+
+    def plan(self, thresholds: RiskThresholds) -> PlanningResult:
+        """All six risk hit lists plus the ego's own next move."""
+        risks = {
+            kind: tuple(self.risk_hits(kind, thresholds, literal=False))
+            for kind in RISK_SUBTASKS
+        }
+        return PlanningResult(
+            risks=risks, ego_speed_delta=self.ego_speed_delta, ego_motion=self.ego_motion
+        )
+
+
+def window_context(
+    db: SceneDatabase, frame_prev: str, frame_i: str, frame_next: str
+) -> WindowContext:
+    """Build the shared facts of a window of three consecutive keyframes."""
+    _check_window(db, frame_prev, frame_i, frame_next)
+    ego_prev, ego_i, ego_next = (db.ego_in_frame(f) for f in (frame_prev, frame_i, frame_next))
+    current = db.instances_in_frame(frame_i)
+    followers: dict[str, tuple[InstanceInfo, Vec3]] = {}
+    risk_rows: list[tuple[InstanceInfo, _RiskContext]] = []
+    for info in current:
+        follower = db.instance_at_frame(info.instance_id, frame_next)
+        m_next = None
+        if follower is not None:
+            m_next = relative_motion(info.global_t, info.global_r, follower.global_t)
+            followers[info.info_id] = (follower, m_next)
+        prev = db.instance_at_frame(info.instance_id, frame_prev)
+        if prev is None:
+            continue
+        risk = _RiskContext(
+            m_prev=relative_motion(info.global_t, info.global_r, prev.global_t),
+            m_next=m_next,
+            l_i=planar_norm(info.local_t),
+            l_prev=planar_norm(prev.local_t),
+            v_i=info.velocity,
+            v_prev=prev.velocity,
+            same_now=info.road_info == ego_i.road_info,
+            same_prev=prev.road_info == ego_prev.road_info,
+        )
+        risk_rows.append((info, risk))
+    return WindowContext(
+        current=current,
+        followers=followers,
+        risk_rows=tuple(risk_rows),
+        ego_speed_delta=ego_next.velocity - ego_i.velocity,
+        ego_motion=relative_motion(ego_i.pose, ego_i.rotation, ego_next.pose),
+    )
+
+
 def detect_risk(
     db: SceneDatabase,
     kind: Subtask,
@@ -409,37 +492,8 @@ def detect_risk(
     """
     if kind not in RISK_SUBTASKS:
         raise ValueError(f"{kind} is not a risk kind")
-    _check_window(db, frame_prev, frame_i, frame_next)
-    predicate = (_PREDICATES_LITERAL if literal else _PREDICATES)[kind]
-    m_prev_map = motion_others(db, frame_i, frame_prev)
-    m_next_map = motion_others(db, frame_i, frame_next)
-    ego_road_prev = db.ego_in_frame(frame_prev).road_info
-    ego_road_i = db.ego_in_frame(frame_i).road_info
-
-    hits: list[InstanceInfo] = []
-    for info in db.instances_in_frame(frame_i):
-        prev = db.instance_at_frame(info.instance_id, frame_prev)
-        if prev is None:
-            continue
-        m_prev = m_prev_map.get(info.info_id)
-        if m_prev is None:
-            continue
-        m_next = m_next_map.get(info.info_id)
-        if _NEEDS_NEXT[kind] and m_next is None:
-            continue
-        ctx = _RiskContext(
-            m_prev=m_prev,
-            m_next=m_next,
-            l_i=planar_norm(info.local_t),
-            l_prev=planar_norm(prev.local_t),
-            v_i=info.velocity,
-            v_prev=prev.velocity,
-            same_now=info.road_info == ego_road_i,
-            same_prev=prev.road_info == ego_road_prev,
-        )
-        if predicate(ctx, thresholds):
-            hits.append(info)
-    return hits
+    ctx = window_context(db, frame_prev, frame_i, frame_next)
+    return ctx.risk_hits(kind, thresholds, literal=literal)
 
 
 def planning_with_reasoning(
@@ -450,9 +504,4 @@ def planning_with_reasoning(
     thresholds: RiskThresholds = RiskThresholds(),
 ) -> PlanningResult:
     """Combine all six risk detections with the ego's own next move."""
-    risks = {
-        kind: tuple(detect_risk(db, kind, frame_prev, frame_i, frame_next, thresholds))
-        for kind in RISK_SUBTASKS
-    }
-    dv, motion = status_ego(db, frame_i, frame_next)
-    return PlanningResult(risks=risks, ego_speed_delta=dv, ego_motion=motion)
+    return window_context(db, frame_prev, frame_i, frame_next).plan(thresholds)

@@ -244,3 +244,48 @@ def test_module_entry_point_reports_version():
     )
     assert proc.returncode == 0
     assert "0.1.0" in proc.stdout
+
+
+def _jsonl_with_bad_line_2(path, docs, bad_line):
+    lines = [canonical_dumps(doc) for doc in docs]
+    lines[1] = bad_line
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _without(doc, key):
+    return canonical_dumps({k: v for k, v in doc.items() if k != key})
+
+
+def _assert_line_2_error(code, capsys, field):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert ":2:" in err and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "mangle, reason",
+    [
+        (lambda doc: _without(doc, "frame_ids"), "frame_ids"),
+        (lambda doc: '{"pair_id": ', "Expecting value"),
+        (lambda doc: canonical_dumps({**doc, "ground_truth": []}), "no attribute"),
+    ],
+)
+def test_verify_names_line_of_bad_pair(tmp_path, demo_pairs, capsys, mangle, reason):
+    docs = [pair_to_dict(p) for p in demo_pairs[:3]]
+    pairs = tmp_path / "pairs.jsonl"
+    _jsonl_with_bad_line_2(pairs, docs, mangle(docs[1]))
+    code = run(["verify", str(pairs), "-o", str(tmp_path / "kept.jsonl")])
+    _assert_line_2_error(code, capsys, reason)
+
+
+def test_eval_names_line_of_prediction_missing_a_field(tmp_path, demo_pairs, capsys):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(canonical_dumps(pair_to_dict(p)) + "\n" for p in demo_pairs))
+    preds = tmp_path / "preds.jsonl"
+    write_predictions_jsonl(predictions_from_pairs(demo_pairs), preds)
+    docs = [json.loads(line) for line in preds.read_text().splitlines()]
+    _jsonl_with_bad_line_2(preds, docs, _without(docs[1], "response_text"))
+    code = run(["eval", str(pairs), str(preds), "-o", str(tmp_path / "report.json")])
+    _assert_line_2_error(code, capsys, "response_text")
+

@@ -23,7 +23,8 @@ from drivesql.evaluation import (
     split_dataset,
     write_predictions_jsonl,
 )
-from drivesql.generation import DetectionList, Numeric
+from drivesql.evaluation import _BUILTIN_LABELS
+from drivesql.generation import DetectionList, Label, Numeric
 from drivesql.scene_db import BBox2D, View
 from drivesql.task_sql import RISK_SUBTASKS, Subtask
 from drivesql.textutil import extract_numbers
@@ -449,3 +450,60 @@ def test_report_as_dict(demo_pairs):
     }
     assert all(isinstance(k, str) for k in doc["per_subtask"])
     assert isinstance(report, MetricReport)
+
+
+def _corrupted_predictions(pairs, seed):
+    """Echoes with dropped or shifted numbers and wrong or doubled labels."""
+    rng = random.Random(seed)
+    preds = []
+    for pred, pair in zip(predictions_from_pairs(pairs), pairs):
+        text = pred.response_text
+        truth = pair.ground_truth
+        roll = rng.random()
+        if isinstance(truth, Numeric):
+            if roll < 0.25:
+                text = "I cannot tell."
+            elif roll < 0.6:
+                text = " ".join(f"{v + rng.uniform(-2, 2):.1f}" for v in truth.values)
+        elif isinstance(truth, Label):
+            other = "stationary" if truth.value != "stationary" else "moving"
+            if roll < 0.3:
+                text = f"It is {other}."
+            elif roll < 0.5:
+                text = f"It is {truth.value} or {other}."
+        preds.append(Prediction(pair.pair_id, text, pred.detections))
+    return preds
+
+
+def test_pooled_groups_equal_metrics_over_pooled_lists(demo_pairs):
+    preds = {p.pair_id: p for p in _corrupted_predictions(demo_pairs, seed=5)}
+    report = evaluate(demo_pairs, list(preds.values()))
+
+    # Pooled lists are grouped by subtask, subtasks in order of first appearance.
+    by_subtask = {}
+    for pair in demo_pairs:
+        by_subtask.setdefault(pair.subtask, []).append(pair)
+    for group, members in (
+        ("perception_mae", {Subtask.DISTANCE, Subtask.SPEEDS, Subtask.INSTANCE_NUMBER}),
+        ("prediction_mae", {Subtask.MOTION_EGO, Subtask.MOTION_OTHERS}),
+    ):
+        pooled = [p for s, ps in by_subtask.items() if s in members for p in ps]
+        texts = [preds[p.pair_id].response_text for p in pooled]
+        expected = mae(texts, [p.ground_truth.values for p in pooled]).value
+        assert report.groups[group] == expected
+    for group, members in (
+        ("perception_acc", {Subtask.CLOSEST, Subtask.STATUS, Subtask.SAME_ROAD}),
+        ("prediction_acc", {Subtask.STATUS_EGO, Subtask.STATUS_OTHERS}),
+    ):
+        weighted = 0.0
+        total = 0
+        for subtask, ps in by_subtask.items():
+            if subtask not in members:
+                continue
+            texts = [preds[p.pair_id].response_text for p in ps]
+            score = accuracy(texts, [p.ground_truth.value for p in ps], _BUILTIN_LABELS[subtask])
+            weighted += score * len(ps)
+            total += len(ps)
+        assert report.groups[group] == weighted / total
+    assert 0.0 < report.groups["perception_acc"] < 1.0
+    assert 0.0 < report.extraction_failure_rate < 1.0

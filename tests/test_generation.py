@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 from collections import Counter
 
 import pytest
 
+from drivesql import task_sql
 from drivesql.canonical import canonical_dumps
 from drivesql.errors import IneligibleScene, TemplateError
 from drivesql.generation import (
@@ -11,6 +13,7 @@ from drivesql.generation import (
     DetectionList,
     FreeText,
     GenerationConfig,
+    GenerationDiagnostics,
     InstructionResponsePair,
     Label,
     Numeric,
@@ -23,9 +26,10 @@ from drivesql.generation import (
     render_instruction,
     render_response,
     sample_window,
+    _pairs_for_window,
     write_pairs_jsonl,
 )
-from drivesql.geometry import Vec3, planar_norm
+from drivesql.geometry import Vec3, planar_norm, relative_motion
 from drivesql.scene_db import BBox2D, SceneRecord, View, build_database
 from drivesql.synth import ScenarioScript, Waypoint, demo_corpus, random_corpus, synth_scene
 from drivesql.task_sql import (
@@ -382,3 +386,31 @@ def test_windows_deduped(demo_db):
 def test_grounding_format():
     text = format_grounding(View.BACK_LEFT, BBox2D(0.25, 1.0, 10.75, 20.5))
     assert text == "<back left, 0.2, 1.0, 10.8, 20.5>"
+
+
+# Measured before the per-window facts moved into one window context; any
+# drift in the generated bytes or the skip count shows here.
+GOLDEN_DEMO_SHA256 = "92da29c33b3f143544dd65e16f38de9b5d87e208e5cdd7a041aa113a8e434782"
+
+
+def test_demo_output_matches_golden_digest(demo_db):
+    pairs, diag = generate_dataset(demo_db, GenerationConfig(master_seed=3, windows_per_scene=2))
+    text = "".join(canonical_dumps(pair_to_dict(p)) + "\n" for p in pairs)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_DEMO_SHA256
+    assert len(pairs) == 512
+    assert diag.skipped_instances == 13
+
+
+def test_each_window_computes_each_motion_once(demo_db, monkeypatch):
+    calls = []
+    counted = lambda *args: calls.append(args) or relative_motion(*args)  # noqa: E731
+    monkeypatch.setattr(task_sql, "relative_motion", counted)
+    config = GenerationConfig()
+    for scene in demo_db.scenes.values():
+        for start in range(len(scene.frame_ids) - 2):
+            window = tuple(scene.frame_ids[start : start + 3])
+            calls.clear()
+            diag = GenerationDiagnostics()
+            pairs = _pairs_for_window(demo_db, scene.scene_id, window, config, diag)
+            assert pairs[-1].subtask is Subtask.PLANNING_WITH_REASONING
+            assert len(calls) <= 2 * len(demo_db.instances_in_frame(window[1])) + 1

@@ -1,9 +1,12 @@
 import copy
+import json
 import math
 import random
 
 import pytest
 
+from drivesql.canonical import canonical_dumps
+from drivesql.cli import run
 from drivesql.errors import AnnotationSchemaError, RecordNotFound
 from drivesql.geometry import Vec3
 from drivesql.scene_db import (
@@ -236,3 +239,40 @@ def test_view_enum_contract():
         "all",
     ]
     assert View.FRONT_LEFT.phrase == "front left"
+
+
+def _set_velocity_nan(row):
+    row["velocity"] = math.nan
+    return "velocity"
+
+
+def _set_local_t_nan(row):
+    row["local_t"][0] = math.nan
+    return "local_t[0]"
+
+
+def _clear_camera_pos(row):
+    row["camera_pos"] = {}
+    return "camera_pos"
+
+
+@pytest.mark.parametrize("corrupt", [_set_velocity_nan, _set_local_t_nan, _clear_camera_pos])
+def test_bad_instance_row_is_refused_with_its_path(small_annotations, corrupt, tmp_path, capsys):
+    ann = copy.deepcopy(small_annotations)
+    row = ann["instances"][0]
+    field = corrupt(row)
+    with pytest.raises(AnnotationSchemaError) as err:
+        build_database(ann)
+    assert err.value.path == f"instances[id={row['info_id']}].{field}"
+
+    src = tmp_path / "annotations.json"
+    src.write_text(json.dumps(ann), encoding="utf-8")
+    assert run(["build-db", str(src), "-o", str(tmp_path / "db.json")]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "db.json").exists()
+
+
+def test_canonical_dumps_refuses_non_finite_numbers():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            canonical_dumps({"x": value})

@@ -10,7 +10,6 @@ from drivesql.generation import (
     DetectionList,
     ExternalClient,
     FreeText,
-    GenerationConfig,
     Label,
     Numeric,
     offline_check,
@@ -124,7 +123,7 @@ def test_planning_text_must_match_truth(samples):
 
 def test_offline_rejections_are_prefixed(demo_pairs):
     broken = dataclasses.replace(demo_pairs[0], response="no values here")
-    result = verify_pairs([broken], GenerationConfig())
+    result = verify_pairs([broken])
     assert result.kept == []
     assert len(result.rejected) == 1
     pair_id, reason = result.rejected[0]
@@ -133,7 +132,7 @@ def test_offline_rejections_are_prefixed(demo_pairs):
 
 
 def test_offline_keeps_clean_pairs(demo_pairs):
-    result = verify_pairs(demo_pairs, GenerationConfig())
+    result = verify_pairs(demo_pairs)
     assert [p.pair_id for p in result.kept] == [p.pair_id for p in demo_pairs]
     assert result.rejected == []
     assert result.unverified == set()
@@ -175,14 +174,14 @@ def mock_reviewer(route):
         thread.join(timeout=2)
 
 
-def _config(url, **kwargs):
-    return GenerationConfig(verifier=ExternalClient(endpoint=url, **kwargs))
+def _client(url, **kwargs):
+    return ExternalClient(endpoint=url, **kwargs)
 
 
 def test_external_keep_and_payload_shape(demo_pairs):
     subset = demo_pairs[:5]
     with mock_reviewer(lambda payload: {"verdict": "keep"}) as (server, url):
-        result = verify_pairs(subset, _config(url))
+        result = verify_pairs(subset, _client(url))
     assert [p.pair_id for p in result.kept] == [p.pair_id for p in subset]
     assert result.unverified == set()
     assert len(server.requests) == len(subset)
@@ -203,7 +202,7 @@ def test_external_drop_records_reason(demo_pairs):
         return {"verdict": "keep"}
 
     with mock_reviewer(route) as (_, url):
-        result = verify_pairs(subset, _config(url))
+        result = verify_pairs(subset, _client(url))
     assert victim not in {p.pair_id for p in result.kept}
     assert (victim, "sounds wrong") in result.rejected
     assert len(result.kept) == 3
@@ -219,7 +218,7 @@ def test_external_revise_updates_planning_truth(demo_pairs, samples):
         return {"verdict": "keep"}
 
     with mock_reviewer(route) as (_, url):
-        result = verify_pairs([pair], _config(url))
+        result = verify_pairs([pair], _client(url))
     assert result.revised == {pair.pair_id}
     (kept,) = result.kept
     assert kept.response == new_text
@@ -231,7 +230,7 @@ def test_external_revise_keeps_structured_truth(samples):
     with mock_reviewer(
         lambda payload: {"verdict": "revise", "revised_response": pair.response + " exactly"}
     ) as (_, url):
-        result = verify_pairs([pair], _config(url))
+        result = verify_pairs([pair], _client(url))
     (kept,) = result.kept
     assert kept.response.endswith("exactly")
     assert kept.ground_truth == pair.ground_truth
@@ -241,7 +240,7 @@ def test_external_revise_keeps_structured_truth(samples):
 def test_external_unknown_verdict_keeps_unverified(samples):
     pair = samples["label"]
     with mock_reviewer(lambda payload: {"verdict": "maybe"}) as (_, url):
-        result = verify_pairs([pair], _config(url))
+        result = verify_pairs([pair], _client(url))
     assert [p.pair_id for p in result.kept] == [pair.pair_id]
     assert result.unverified == {pair.pair_id}
 
@@ -249,7 +248,7 @@ def test_external_unknown_verdict_keeps_unverified(samples):
 def test_external_revise_without_text_keeps_unverified(samples):
     pair = samples["label"]
     with mock_reviewer(lambda payload: {"verdict": "revise"}) as (_, url):
-        result = verify_pairs([pair], _config(url))
+        result = verify_pairs([pair], _client(url))
     assert [p.pair_id for p in result.kept] == [pair.pair_id]
     assert result.unverified == {pair.pair_id}
     assert result.kept[0].response == pair.response
@@ -257,10 +256,8 @@ def test_external_revise_without_text_keeps_unverified(samples):
 
 def test_external_unreachable_keeps_all_unverified(demo_pairs):
     subset = demo_pairs[:3]
-    config = GenerationConfig(
-        verifier=ExternalClient(endpoint="http://127.0.0.1:9/review", timeout_s=0.2, retries=1)
-    )
-    result = verify_pairs(subset, config)
+    client = ExternalClient(endpoint="http://127.0.0.1:9/review", timeout_s=0.2, retries=1)
+    result = verify_pairs(subset, client)
     assert [p.pair_id for p in result.kept] == [p.pair_id for p in subset]
     assert result.unverified == {p.pair_id for p in subset}
 
@@ -268,7 +265,7 @@ def test_external_unreachable_keeps_all_unverified(demo_pairs):
 def test_offline_rejection_skips_external_call(demo_pairs):
     broken = dataclasses.replace(demo_pairs[0], response="no numbers")
     with mock_reviewer(lambda payload: {"verdict": "keep"}) as (server, url):
-        result = verify_pairs([broken], _config(url))
+        result = verify_pairs([broken], _client(url))
     assert server.requests == []
     assert result.kept == []
     assert result.rejected[0][1].startswith("format contract: ")
