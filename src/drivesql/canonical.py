@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import secrets
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
@@ -24,6 +26,23 @@ def canonical_dumps(obj: Any) -> str:
 def canonical_jsonl(rows: list[Any]) -> str:
     """One canonical JSON object per line, with a trailing newline."""
     return "".join(canonical_dumps(row) + "\n" for row in rows)
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 through a temporary file beside ``path`` and a rename.
+
+    A reader sees the old file or the complete new one; a failed write
+    leaves the old file as it was and removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_jsonl(path: str | Path, convert: Callable[[Any], T]) -> list[T]:

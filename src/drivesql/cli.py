@@ -17,12 +17,11 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .canonical import canonical_dumps
+from .canonical import canonical_dumps, write_atomic
 from .errors import DriveSqlError
 from .evaluation import evaluate, read_predictions_jsonl, split_dataset
 from .generation import (
@@ -75,18 +74,6 @@ def _sha256_file(path: Path) -> str:
     return _sha256_bytes(path.read_bytes())
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
-
-
 def _write_manifest(
     command: str,
     config: dict[str, Any],
@@ -104,7 +91,7 @@ def _write_manifest(
     }
     primary = outputs[0]
     target = primary / "manifest.json" if primary.is_dir() else Path(f"{primary}.manifest.json")
-    _write_atomic(target, canonical_dumps(manifest) + "\n")
+    write_atomic(target, canonical_dumps(manifest) + "\n")
     return target
 
 
@@ -341,7 +328,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "revised": sorted(result.revised),
     }
     report_path = Path(f"{out}.report.json")
-    _write_atomic(report_path, canonical_dumps(report) + "\n")
+    write_atomic(report_path, canonical_dumps(report) + "\n")
     inputs = [src] + ([Path(args.db)] if args.db else [])
     _write_manifest(
         "verify",
@@ -397,7 +384,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     db = load_database(db_path)
     stats = compute_stats(pairs, db)
     out = Path(args.output)
-    _write_atomic(out, canonical_dumps(stats.as_dict()) + "\n")
+    write_atomic(out, canonical_dumps(stats.as_dict()) + "\n")
     csv_path = Path(f"{out}.views.csv")
     view_percent_csv(stats, csv_path)
     _write_manifest("stats", {}, [pairs_path, db_path], [out, csv_path], started)
@@ -416,7 +403,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     preds = read_predictions_jsonl(preds_path)
     report = evaluate(pairs, preds)
     out = Path(args.output)
-    _write_atomic(out, canonical_dumps(report.as_dict()) + "\n")
+    write_atomic(out, canonical_dumps(report.as_dict()) + "\n")
     _write_manifest("eval", {}, [pairs_path, preds_path], [out], started)
     undefined = [name for name, value in report.groups.items() if value is None]
     for name, value in report.groups.items():
@@ -435,7 +422,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     request = _load_json(src, "synth scripts")
     annotations = _synth_from_request(request, src)
     out = Path(args.output)
-    out.write_text(canonical_dumps(annotations) + "\n", encoding="utf-8")
+    write_atomic(out, canonical_dumps(annotations) + "\n")
     _write_manifest("synth", {}, [src], [out], started)
     print(
         f"synthesized {len(annotations['scenes'])} scenes, "
@@ -472,7 +459,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--thresholds", default=_env("THRESHOLDS", None))
     p.add_argument("--subtasks", default=_env("SUBTASKS", None))
     p.add_argument("--verifier", default=_env("VERIFIER", None))
-    p.add_argument("--jobs", type=int, default=_env("JOBS", str(os.cpu_count() or 1)))
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=_env("JOBS", "1"),
+        help="worker processes for generation (default 1)",
+    )
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("verify", help="filter pairs through the format rules")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .canonical import canonical_jsonl, read_jsonl
+from .canonical import canonical_jsonl, read_jsonl, write_atomic
 from .errors import UndefinedScore
 from .generation import (
     DetectionList,
@@ -23,6 +23,7 @@ from .generation import (
     InstructionResponsePair,
     Label,
     Numeric,
+    _truth_fits_subtask,
 )
 from .scene_db import BBox2D, View
 from .task_sql import RISK_SUBTASKS, Subtask
@@ -416,12 +417,18 @@ def evaluate(
 
     A missing prediction counts as an extraction failure, an incorrect
     label, no detections, or an empty plan, depending on the family.
-    Duplicate or unknown prediction ids are rejected.
+    Duplicate or unknown prediction ids, and pairs whose ground truth type
+    does not fit their subtask, are rejected.
     """
     by_id: dict[str, InstructionResponsePair] = {}
     for pair in pairs:
         if pair.pair_id in by_id:
             raise ValueError(f"duplicate pair id {pair.pair_id!r} in the dataset")
+        if not _truth_fits_subtask(pair):
+            raise ValueError(
+                f"pair {pair.pair_id!r}: ground truth type does not fit subtask "
+                f"{pair.subtask.value}"
+            )
         by_id[pair.pair_id] = pair
     pred_map: dict[str, Prediction] = {}
     for pred in predictions:
@@ -567,4 +574,4 @@ def write_predictions_jsonl(preds: Iterable[Prediction], path: str | Path) -> No
                 for d in pred.detections
             ]
         rows.append(doc)
-    Path(path).write_text(canonical_jsonl(rows), encoding="utf-8")
+    write_atomic(path, canonical_jsonl(rows))

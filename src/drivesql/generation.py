@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .canonical import canonical_dumps, read_jsonl
+from .canonical import canonical_dumps, read_jsonl, write_atomic
 from .errors import TemplateError, VerifierProtocolError
 from .geometry import planar_norm
 from .scene_db import (
@@ -516,8 +516,20 @@ def _generate_scene(
     return pairs, diag
 
 
-def _scene_job(args: tuple[SceneDatabase, str, GenerationConfig]):
-    return _generate_scene(*args)
+# A pool worker's database and config, set once by ``_init_worker``.
+_worker_inputs: tuple[SceneDatabase, GenerationConfig] | None = None
+
+
+def _init_worker(db: SceneDatabase, config: GenerationConfig) -> None:
+    global _worker_inputs
+    _worker_inputs = (db, config)
+
+
+def _worker_scene(
+    scene_id: str,
+) -> tuple[list[InstructionResponsePair], GenerationDiagnostics]:
+    db, config = _worker_inputs  # type: ignore[misc]
+    return _generate_scene(db, scene_id, config)
 
 
 def generate_dataset(
@@ -527,8 +539,12 @@ def generate_dataset(
 
     Scenes are processed independently, each from its own derived seed, so
     any worker count yields the same pair list: scenes in sorted order,
-    windows in sampling order, subtasks in declaration order.
+    windows in sampling order, subtasks in declaration order. With
+    ``jobs > 1`` a process pool receives the database once per worker
+    (inherited under ``fork``, pickled once under ``spawn``), never per scene.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if config.windows_per_scene < 1:
         raise ValueError("windows_per_scene must be at least 1")
     if config.max_instances_per_subtask < 1:
@@ -542,11 +558,15 @@ def generate_dataset(
             diag.ineligible_scenes += 1
 
     results: list[tuple[list[InstructionResponsePair], GenerationDiagnostics]]
-    if jobs <= 1 or len(eligible) <= 1:
+    if jobs == 1 or len(eligible) <= 1:
         results = [_generate_scene(db, scene_id, config) for scene_id in eligible]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scene_job, [(db, s, config) for s in eligible]))
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(eligible)),
+            initializer=_init_worker,
+            initargs=(db, config),
+        ) as pool:
+            results = list(pool.map(_worker_scene, eligible))
 
     pairs: list[InstructionResponsePair] = []
     for scene_pairs, scene_diag in results:
@@ -641,8 +661,7 @@ def pair_from_dict(doc: Mapping[str, Any]) -> InstructionResponsePair:
 
 
 def write_pairs_jsonl(pairs: Iterable[InstructionResponsePair], path: str | Path) -> None:
-    lines = "".join(canonical_dumps(pair_to_dict(p)) + "\n" for p in pairs)
-    Path(path).write_text(lines, encoding="utf-8")
+    write_atomic(path, "".join(canonical_dumps(pair_to_dict(p)) + "\n" for p in pairs))
 
 
 def read_pairs_jsonl(path: str | Path) -> list[InstructionResponsePair]:
@@ -681,16 +700,17 @@ _FAMILY_OF_TRUTH = {
 }
 
 
+def _truth_fits_subtask(pair: InstructionResponsePair) -> bool:
+    return pair.subtask in _FAMILY_OF_TRUTH.get(type(pair.ground_truth), ())
+
+
 def offline_check(pair: InstructionResponsePair, db: SceneDatabase | None = None) -> str | None:
     """Reason the pair breaks a format rule, or None when it is clean."""
     if len(pair.frame_ids) != 3:
         return "pair must reference exactly three frames"
-    truth = pair.ground_truth
-    family = next(
-        (kinds for cls, kinds in _FAMILY_OF_TRUTH.items() if isinstance(truth, cls)), ()
-    )
-    if pair.subtask not in family:
+    if not _truth_fits_subtask(pair):
         return f"ground truth type does not fit subtask {pair.subtask.value}"
+    truth = pair.ground_truth
     if isinstance(truth, Numeric):
         if any(not math.isfinite(v) for v in truth.values):
             return "ground truth contains a non-finite value"

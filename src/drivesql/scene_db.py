@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
 
-from .canonical import canonical_dumps
+from .canonical import canonical_dumps, write_atomic
 from .errors import AnnotationSchemaError, RecordNotFound
 from .geometry import Quaternion, Vec3, planar_norm
 
@@ -512,7 +512,7 @@ def database_to_document(db: SceneDatabase) -> dict[str, Any]:
 
 
 def save_database(db: SceneDatabase, path: str | Path) -> None:
-    Path(path).write_text(canonical_dumps(database_to_document(db)) + "\n", encoding="utf-8")
+    write_atomic(path, canonical_dumps(database_to_document(db)) + "\n")
 
 
 def load_database(path: str | Path) -> SceneDatabase:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from .canonical import write_atomic
 from .generation import InstructionResponsePair
 from .scene_db import REAL_VIEWS, SceneDatabase, View
 from .task_sql import Subtask, Task
@@ -125,5 +126,5 @@ def view_percent_csv(stats: DatasetStats, path: str | Path | None = None) -> str
         )
     text = buffer.getvalue()
     if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
+        write_atomic(path, text)
     return text

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,9 @@ import pytest
 
 from drivesql.cli import run
 from drivesql.evaluation import predictions_from_pairs, write_predictions_jsonl
-from drivesql.generation import pair_to_dict, read_pairs_jsonl
+from drivesql.generation import pair_to_dict, read_pairs_jsonl, write_pairs_jsonl
+from drivesql.scene_db import save_database
+from drivesql.stats import compute_stats, view_percent_csv
 from drivesql.canonical import canonical_dumps
 
 
@@ -289,3 +292,52 @@ def test_eval_names_line_of_prediction_missing_a_field(tmp_path, demo_pairs, cap
     code = run(["eval", str(pairs), str(preds), "-o", str(tmp_path / "report.json")])
     _assert_line_2_error(code, capsys, "response_text")
 
+
+
+def test_generate_rejects_jobs_below_one(pipeline, capsys):
+    tmp_path, _, db, _ = pipeline
+    out = tmp_path / "none.jsonl"
+    assert run(["generate", str(db), "-o", str(out), "--jobs", "0"]) == 1
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_pair_whose_truth_does_not_fit_its_subtask(tmp_path, demo_pairs, capsys):
+    docs = [pair_to_dict(p) for p in demo_pairs]
+    relabelled = next(d for d in docs if d["subtask"] == "status")
+    relabelled["subtask"] = "distance"
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(canonical_dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    preds = tmp_path / "preds.jsonl"
+    write_predictions_jsonl(predictions_from_pairs(demo_pairs), preds)
+    code = run(["eval", str(pairs), str(preds), "-o", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert relabelled["pair_id"] in err and "does not fit subtask distance" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda db, pairs, path: write_pairs_jsonl(pairs, path),
+        lambda db, pairs, path: save_database(db, path),
+        lambda db, pairs, path: view_percent_csv(compute_stats(pairs, db), path),
+        lambda db, pairs, path: write_predictions_jsonl(predictions_from_pairs(pairs), path),
+    ],
+    ids=["pairs", "database", "stats_csv", "predictions"],
+)
+def test_failed_write_keeps_previous_file_and_leaves_no_temporary(
+    tmp_path, demo_db, demo_pairs, monkeypatch, write
+):
+    target = tmp_path / "output"
+    target.write_text("previous\n", encoding="utf-8")
+
+    def disk_full(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", disk_full)
+    with pytest.raises(OSError):
+        write(demo_db, demo_pairs, target)
+    assert target.read_text(encoding="utf-8") == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["output"]

@@ -30,7 +30,7 @@ from drivesql.generation import (
     write_pairs_jsonl,
 )
 from drivesql.geometry import Vec3, planar_norm, relative_motion
-from drivesql.scene_db import BBox2D, SceneRecord, View, build_database
+from drivesql.scene_db import BBox2D, SceneDatabase, SceneRecord, View, build_database
 from drivesql.synth import ScenarioScript, Waypoint, demo_corpus, random_corpus, synth_scene
 from drivesql.task_sql import (
     RISK_SUBTASKS,
@@ -224,6 +224,28 @@ def test_parallel_jobs_equal_serial(demo_db):
     parallel, parallel_diag = generate_dataset(demo_db, config, jobs=4)
     assert serial == parallel
     assert serial_diag.as_dict() == parallel_diag.as_dict()
+
+
+def test_pool_pickles_the_database_at_most_once_per_worker(demo_db, monkeypatch):
+    config = GenerationConfig(master_seed=4, windows_per_scene=2)
+    serial, _ = generate_dataset(demo_db, config, jobs=1)
+    pickles = []
+    original = SceneDatabase.__reduce_ex__
+
+    def counted(self, protocol):
+        pickles.append(protocol)
+        return original(self, protocol)
+
+    monkeypatch.setattr(SceneDatabase, "__reduce_ex__", counted)
+    pooled, _ = generate_dataset(demo_db, config, jobs=2)
+    assert len(demo_db.scenes) > 2
+    assert len(pickles) <= 2
+    assert pooled == serial
+
+
+def test_jobs_below_one_rejected(demo_db):
+    with pytest.raises(ValueError, match="jobs"):
+        generate_dataset(demo_db, GenerationConfig(), jobs=0)
 
 
 EMISSION_ORDER = (
