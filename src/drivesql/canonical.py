@@ -59,6 +59,6 @@ def read_jsonl(path: str | Path, convert: Callable[[Any], T]) -> list[T]:
             rows.append(convert(json.loads(line)))
         except KeyError as err:
             raise DriveSqlError(f"{path}:{lineno}: missing field {err.args[0]!r}") from None
-        except (TypeError, ValueError, AttributeError) as err:
+        except (TypeError, ValueError, AttributeError, OverflowError) as err:
             raise DriveSqlError(f"{path}:{lineno}: {err}") from None
     return rows

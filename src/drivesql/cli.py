@@ -27,6 +27,7 @@ from .evaluation import evaluate, read_predictions_jsonl, split_dataset
 from .generation import (
     ExternalClient,
     GenerationConfig,
+    VerificationResult,
     generate_dataset,
     read_pairs_jsonl,
     verify_pairs,
@@ -80,8 +81,9 @@ def _write_manifest(
     inputs: Iterable[Path],
     outputs: Sequence[Path],
     started: float,
+    reviewer: VerificationResult | None = None,
 ) -> Path:
-    manifest = {
+    manifest: dict[str, Any] = {
         "command": command,
         "config_digest": _sha256_bytes(canonical_dumps(config).encode("utf-8")),
         "input_digests": {str(p): _sha256_file(p) for p in inputs},
@@ -89,6 +91,12 @@ def _write_manifest(
         "tool_version": TOOL_VERSION,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
+    if reviewer is not None:
+        manifest["reviewer"] = {
+            "requests": reviewer.requests,
+            "retries": reviewer.retries,
+            "unverified": len(reviewer.unverified),
+        }
     primary = outputs[0]
     target = primary / "manifest.json" if primary.is_dir() else Path(f"{primary}.manifest.json")
     write_atomic(target, canonical_dumps(manifest) + "\n")
@@ -287,6 +295,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     pairs, diag = generate_dataset(db, config, jobs=args.jobs)
     dropped = 0
     client = _client(args)
+    result = None
     if client is not None:
         result = verify_pairs(pairs, client, db)
         dropped = len(result.rejected)
@@ -304,6 +313,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         inputs,
         [out],
         started,
+        reviewer=result,
     )
     note = f", dropped {dropped} in verification" if dropped else ""
     print(
@@ -318,7 +328,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     src = Path(args.pairs)
     pairs = read_pairs_jsonl(src)
     db = load_database(Path(args.db)) if args.db else None
-    result = verify_pairs(pairs, _client(args), db)
+    client = _client(args)
+    result = verify_pairs(pairs, client, db)
     out = Path(args.output)
     write_pairs_jsonl(result.kept, out)
     report = {
@@ -336,6 +347,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         inputs,
         [out, report_path],
         started,
+        reviewer=result if client is not None else None,
     )
     print(
         f"kept {len(result.kept)}/{len(pairs)} pairs "

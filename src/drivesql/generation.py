@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import http.client
 import json
 import math
 import random
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .canonical import canonical_dumps, read_jsonl, write_atomic
 from .errors import TemplateError, VerifierProtocolError
@@ -53,6 +55,14 @@ from .textutil import count_mentions, extract_numbers, tokenize
 # Ego displacement (meters per window step) above which the ego counts as
 # moving when a status label has to be derived from motion alone.
 EGO_MOVING_DISPLACEMENT = 0.5
+
+# Reviewer requests in flight at once. The stdlib ``socketserver`` listen
+# backlog is 5; above it a stdlib reviewer stalls connections.
+MAX_IN_FLIGHT = 4
+
+# First pause before re-sending a failed reviewer request; each later pause
+# doubles it (0.05 s, 0.1 s, 0.2 s, ...).
+RETRY_BACKOFF_S = 0.05
 
 
 # --------------------------------------------------------------------------
@@ -678,6 +688,9 @@ class VerificationResult:
     rejected: list[tuple[str, str]]
     unverified: set[str] = field(default_factory=set)
     revised: set[str] = field(default_factory=set)
+    # Reviewer POSTs made, and how many of them re-sent a failed one.
+    requests: int = 0
+    retries: int = 0
 
 
 _FAMILY_OF_TRUTH = {
@@ -759,7 +772,7 @@ def offline_check(pair: InstructionResponsePair, db: SceneDatabase | None = None
     return None
 
 
-def _post_json(url: str, payload: dict[str, Any], timeout_s: float) -> dict[str, Any]:
+def _post_json(url: str, payload: dict[str, Any], timeout_s: float) -> Any:
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
         url, data=body, headers={"Content-Type": "application/json"}, method="POST"
@@ -768,9 +781,9 @@ def _post_json(url: str, payload: dict[str, Any], timeout_s: float) -> dict[str,
         return json.loads(response.read().decode("utf-8"))
 
 
-def _consult_external(
-    client: ExternalClient, pair: InstructionResponsePair
-) -> dict[str, Any] | None:
+def _consult_external(client: ExternalClient, pair: InstructionResponsePair) -> tuple[Any, int]:
+    """The reviewer's parsed reply, or None once every attempt failed, and
+    the number of attempts made."""
     payload = {
         "pair_id": pair.pair_id,
         "instruction": pair.instruction,
@@ -780,17 +793,44 @@ def _consult_external(
     }
     for attempt in range(client.retries + 1):
         try:
-            return _post_json(client.endpoint, payload, client.timeout_s)
-        except (urllib.error.URLError, TimeoutError, OSError, ValueError):
+            return _post_json(client.endpoint, payload, client.timeout_s), attempt + 1
+        except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError):
             if attempt < client.retries:
-                time.sleep(0.05)
-    return None
+                time.sleep(RETRY_BACKOFF_S * 2**attempt)
+    return None, client.retries + 1
+
+
+def _consult_in_order(
+    client: ExternalClient, pairs: list[InstructionResponsePair]
+) -> Iterator[tuple[InstructionResponsePair, Any, int]]:
+    """Each pair with its ``_consult_external`` reply and attempt count, in
+    input order, with up to ``MAX_IN_FLIGHT`` requests in flight.
+
+    At most ``4 * MAX_IN_FLIGHT`` requests are queued or waiting to be read,
+    so memory does not grow with the number of pairs.
+    """
+    with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
+        pending: deque[tuple[InstructionResponsePair, Future[tuple[Any, int]]]] = deque()
+        for pair in pairs:
+            if len(pending) == 4 * MAX_IN_FLIGHT:
+                done, future = pending.popleft()
+                yield done, *future.result()
+            pending.append((pair, pool.submit(_consult_external, client, pair)))
+        while pending:
+            done, future = pending.popleft()
+            yield done, *future.result()
 
 
 def _apply_verdict(
-    pair: InstructionResponsePair, reply: Mapping[str, Any]
+    pair: InstructionResponsePair, reply: Any
 ) -> tuple[InstructionResponsePair | None, bool]:
-    """Returns the surviving pair (None for drop) and a revised flag."""
+    """Returns the surviving pair (None for drop) and a revised flag.
+
+    A reply outside the wire contract, including one that is not a JSON
+    object, raises ``VerifierProtocolError``.
+    """
+    if not isinstance(reply, Mapping):
+        raise VerifierProtocolError(f"reply is {type(reply).__name__}, not an object")
     verdict = reply.get("verdict")
     if verdict == "keep":
         return pair, False
@@ -814,9 +854,11 @@ def verify_pairs(
 ) -> VerificationResult:
     """Apply offline format rules, then the external reviewer if one is given.
 
-    A pair that fails an offline rule is rejected with a reason. When the
-    external service stays unreachable through all retries the pair is kept
-    and flagged unverified.
+    A pair that fails an offline rule is rejected with a reason. The
+    reviewer gets up to ``MAX_IN_FLIGHT`` requests at once, but verdicts are
+    applied in input order, so the result does not depend on reply timing.
+    A pair whose reply breaks the wire contract, or whose reviewer stays
+    unreachable through all retries, is kept and flagged unverified.
     """
     result = VerificationResult(kept=[], rejected=[])
     survivors: list[InstructionResponsePair] = []
@@ -826,17 +868,16 @@ def verify_pairs(
             survivors.append(pair)
         else:
             result.rejected.append((pair.pair_id, f"format contract: {reason}"))
+    if client is None:
+        result.kept = survivors
+        return result
 
-    for pair in survivors:
-        if client is None:
-            result.kept.append(pair)
-            continue
-        reply = _consult_external(client, pair)
-        if reply is None:
-            result.unverified.add(pair.pair_id)
-            result.kept.append(pair)
-            continue
+    for pair, reply, attempts in _consult_in_order(client, survivors):
+        result.requests += attempts
+        result.retries += attempts - 1
         try:
+            # An unreachable reviewer leaves the reply None, which is refused
+            # like any other reply that is not an object.
             updated, revised = _apply_verdict(pair, reply)
         except VerifierProtocolError:
             result.unverified.add(pair.pair_id)

@@ -519,6 +519,8 @@ def load_database(path: str | Path) -> SceneDatabase:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     doc = _expect_mapping(doc, "database")
     radius = _as_float(_field(doc, "important_radius", "database"), "database.important_radius")
+    if radius <= 0:
+        raise AnnotationSchemaError("database.important_radius", "expected a positive number")
     return build_database(doc, important_radius=radius)
 
 

@@ -3,9 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from _reviewer import mock_reviewer
+from drivesql import generation
 from drivesql.cli import run
 from drivesql.evaluation import predictions_from_pairs, write_predictions_jsonl
 from drivesql.generation import pair_to_dict, read_pairs_jsonl, write_pairs_jsonl
@@ -100,6 +104,7 @@ def test_manifest_contents(pipeline):
     assert manifest["input_digests"] == {str(db): digest}
     assert manifest["wall_time_s"] >= 0
     assert len(manifest["config_digest"]) == 64
+    assert "reviewer" not in manifest
 
 
 def test_env_defaults_and_cli_precedence(pipeline, monkeypatch):
@@ -341,3 +346,84 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temporary(
         write(demo_db, demo_pairs, target)
     assert target.read_text(encoding="utf-8") == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["output"]
+
+
+def _manifest(path):
+    return json.loads(path.with_name(path.name + ".manifest.json").read_text())
+
+
+def _verify_http(pairs, out, url, capsys):
+    code = run(["verify", str(pairs), "-o", str(out), "--verifier", url])
+    assert "Traceback" not in capsys.readouterr().err
+    return code
+
+
+def test_verify_with_reviewer_matches_one_request_at_a_time(
+    tmp_path, demo_pairs, monkeypatch, capsys
+):
+    subset = demo_pairs[:24]
+    pairs = tmp_path / "pairs.jsonl"
+    write_pairs_jsonl(subset, pairs)
+    rank = {p.pair_id: i for i, p in enumerate(subset)}
+
+    def route(payload):
+        # Earlier pairs answer later, and verdicts vary by pair.
+        time.sleep(0.001 * (len(subset) - rank[payload["pair_id"]]))
+        bucket = rank[payload["pair_id"]] % 3
+        if bucket == 0:
+            return {"verdict": "drop", "reason": "no"}
+        if bucket == 1:
+            return {"verdict": "revise", "revised_response": payload["response"] + "!"}
+        return {"verdict": "keep"}
+
+    pooled, serial = tmp_path / "pooled.jsonl", tmp_path / "serial.jsonl"
+    with mock_reviewer(route) as (_, url):
+        assert _verify_http(pairs, pooled, url, capsys) == 0
+        monkeypatch.setattr(generation, "MAX_IN_FLIGHT", 1)
+        assert _verify_http(pairs, serial, url, capsys) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+    pooled_report = Path(f"{pooled}.report.json").read_bytes()
+    assert pooled_report == Path(f"{serial}.report.json").read_bytes()
+    report = json.loads(pooled_report)
+    assert set(report) == {"kept", "rejected", "unverified", "revised"}
+    assert (report["kept"], len(report["rejected"]), len(report["revised"])) == (16, 8, 8)
+    manifest = _manifest(pooled)
+    assert manifest["reviewer"] == {"requests": 24, "retries": 0, "unverified": 0}
+
+
+@pytest.mark.parametrize("reply", [["keep"], "keep", None, 3])
+def test_verify_survives_a_reply_that_is_not_an_object(tmp_path, demo_pairs, capsys, reply):
+    pairs = tmp_path / "pairs.jsonl"
+    write_pairs_jsonl(demo_pairs[:3], pairs)
+    kept = tmp_path / "kept.jsonl"
+    with mock_reviewer(lambda payload: reply) as (_, url):
+        assert _verify_http(pairs, kept, url, capsys) == 0
+    assert kept.read_bytes() == pairs.read_bytes()
+    report = json.loads(Path(f"{kept}.report.json").read_text())
+    assert report["unverified"] == sorted(p.pair_id for p in demo_pairs[:3])
+    assert _manifest(kept)["reviewer"] == {"requests": 3, "retries": 0, "unverified": 3}
+
+
+def test_verify_manifest_counts_retries_to_an_unreachable_reviewer(tmp_path, demo_pairs, capsys):
+    pairs = tmp_path / "pairs.jsonl"
+    write_pairs_jsonl(demo_pairs[:3], pairs)
+    kept = tmp_path / "kept.jsonl"
+    assert _verify_http(pairs, kept, "http://127.0.0.1:9/review", capsys) == 0
+    # The default client makes three attempts per pair.
+    assert _manifest(kept)["reviewer"] == {"requests": 9, "retries": 6, "unverified": 3}
+
+    offline = tmp_path / "offline.jsonl"
+    assert run(["verify", str(pairs), "-o", str(offline)]) == 0
+    assert "reviewer" not in _manifest(offline)
+
+
+def test_generate_with_reviewer_records_its_counts(pipeline, capsys):
+    tmp_path, _, db, pairs = pipeline
+    n = len(read_pairs_jsonl(pairs))
+    out = tmp_path / "reviewed.jsonl"
+    with mock_reviewer(lambda payload: {"verdict": "keep"}) as (server, url):
+        args = ["generate", str(db), "-o", str(out), "--seed", "3", "--verifier", url]
+        assert run(args) == 0
+    assert len(server.requests) == n
+    assert out.read_bytes() == pairs.read_bytes()
+    assert _manifest(out)["reviewer"] == {"requests": n, "retries": 0, "unverified": 0}

@@ -1,0 +1,217 @@
+"""Every loader, given any JSON value, returns a typed result or raises
+DriveSqlError, and nothing else.
+
+Each boundary gets two properties: an arbitrary JSON value in place of the
+whole input, and a valid input with one node replaced by an arbitrary JSON
+value (or removed), which reaches the deeper field checks.
+"""
+
+import json
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drivesql import generation
+from drivesql.errors import AnnotationSchemaError, DriveSqlError
+from drivesql.evaluation import (
+    Prediction,
+    predictions_from_pairs,
+    read_predictions_jsonl,
+    write_predictions_jsonl,
+)
+from drivesql.generation import (
+    ExternalClient,
+    InstructionResponsePair,
+    Numeric,
+    pair_to_dict,
+    read_pairs_jsonl,
+    verify_pairs,
+)
+from drivesql.scene_db import SceneDatabase, build_database, database_to_document, load_database
+from drivesql.synth import demo_corpus
+
+# Any value ``json.loads`` can return, NaN, the infinities and integers too
+# large for a float included.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+# Values that sit on a boundary of some check, drawn more often than
+# ``json_values`` would draw them.
+edge_values = st.sampled_from(
+    [10**400, float("nan"), float("inf"), -1, 0, "", "x", None, True, [], {}, [0.0] * 5]
+)
+
+_REMOVE = object()
+
+
+def _node_paths(doc, prefix=()):
+    """Key paths to every node below the root of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    """A deep copy of ``doc`` with the node at ``path`` replaced or removed."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _REMOVE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _mutations(doc):
+    paths = list(_node_paths(doc))
+    value = edge_values | json_values | st.just(_REMOVE)
+    return st.tuples(st.sampled_from(paths), value).map(
+        lambda pv: _mutated(doc, *pv)
+    )
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("loaders")
+
+
+@pytest.fixture(scope="module")
+def database_doc():
+    return database_to_document(build_database(demo_corpus(1, seed=2), important_radius=30.0))
+
+
+def _load_database_text(path, text):
+    path.write_text(text, encoding="utf-8")
+    try:
+        assert isinstance(load_database(path), SceneDatabase)
+    except DriveSqlError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=json_values)
+def test_load_database_on_any_json_value(workdir, value):
+    _load_database_text(workdir / "any.db.json", json.dumps(value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_load_database_on_a_mutated_database(workdir, database_doc, data):
+    doc = data.draw(_mutations(database_doc))
+    _load_database_text(workdir / "mutated.db.json", json.dumps(doc))
+
+
+@pytest.mark.parametrize("radius", [0, 0.0, -1.5])
+def test_load_database_names_a_radius_that_is_not_positive(tmp_path, database_doc, radius):
+    path = tmp_path / "db.json"
+    path.write_text(json.dumps({**database_doc, "important_radius": radius}), encoding="utf-8")
+    with pytest.raises(AnnotationSchemaError) as err:
+        load_database(path)
+    assert err.value.path == "database.important_radius"
+
+
+def _read_line(reader, path, line, expected_type):
+    path.write_text(line + "\n", encoding="utf-8")
+    try:
+        rows = reader(path)
+    except DriveSqlError as err:
+        assert str(err).startswith(f"{path}:1: ")
+    else:
+        assert len(rows) == 1 and isinstance(rows[0], expected_type)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=json_values)
+def test_read_pairs_on_any_json_line(workdir, value):
+    path = workdir / "any.pairs.jsonl"
+    _read_line(read_pairs_jsonl, path, json.dumps(value), InstructionResponsePair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_read_pairs_on_a_mutated_pair(workdir, demo_pairs, data):
+    doc = pair_to_dict(data.draw(st.sampled_from(demo_pairs[:40])))
+    line = json.dumps(data.draw(_mutations(doc)))
+    _read_line(read_pairs_jsonl, workdir / "mutated.pairs.jsonl", line, InstructionResponsePair)
+
+
+def test_read_pairs_names_a_number_too_large_for_a_float(workdir, demo_pairs):
+    doc = pair_to_dict(next(p for p in demo_pairs if isinstance(p.ground_truth, Numeric)))
+    doc["ground_truth"]["values"][0] = 10**400
+    path = workdir / "huge.pairs.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    with pytest.raises(DriveSqlError, match="too large"):
+        read_pairs_jsonl(path)
+
+
+@pytest.fixture(scope="module")
+def prediction_docs(demo_pairs, tmp_path_factory):
+    path = tmp_path_factory.mktemp("preds") / "preds.jsonl"
+    write_predictions_jsonl(predictions_from_pairs(demo_pairs[:40]), path)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=json_values)
+def test_read_predictions_on_any_json_line(workdir, value):
+    _read_line(read_predictions_jsonl, workdir / "any.preds.jsonl", json.dumps(value), Prediction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_read_predictions_on_a_mutated_prediction(workdir, prediction_docs, data):
+    doc = data.draw(st.sampled_from([d for d in prediction_docs if len(d) > 2]))
+    line = json.dumps(data.draw(_mutations(doc)))
+    _read_line(read_predictions_jsonl, workdir / "mutated.preds.jsonl", line, Prediction)
+
+
+def test_read_predictions_names_a_number_too_large_for_a_float(workdir, prediction_docs):
+    doc = next(d for d in prediction_docs if d.get("detections"))
+    doc = _mutated(doc, ("detections", 0, "score"), 10**400)
+    path = workdir / "huge.preds.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    with pytest.raises(DriveSqlError, match="too large"):
+        read_predictions_jsonl(path)
+
+
+replies = json_values | st.fixed_dictionaries(
+    {"verdict": st.sampled_from(["keep", "drop", "revise", "maybe"]) | json_values},
+    optional={"reason": json_values, "revised_response": st.text(max_size=8) | json_values},
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reply=replies)
+def test_any_reviewer_reply_keeps_rejects_or_flags_the_pair(demo_pairs, reply):
+    pair = demo_pairs[0]
+    with mock.patch.object(generation, "_consult_external", lambda client, p: (reply, 1)):
+        result = verify_pairs([pair], ExternalClient(endpoint="http://127.0.0.1:9/review"))
+    kept_ids = [p.pair_id for p in result.kept]
+    rejected_ids = [pid for pid, _ in result.rejected]
+    assert sorted(kept_ids + rejected_ids) == [pair.pair_id]
+    assert all(isinstance(reason, str) for _, reason in result.rejected)
+    verdict = reply.get("verdict") if isinstance(reply, dict) else None
+    if verdict in ("keep", "drop"):
+        assert result.unverified == set()
+    elif verdict != "revise":
+        assert result.unverified == {pair.pair_id} and result.kept == [pair]
+    assert result.requests == 1

@@ -1,11 +1,12 @@
 import dataclasses
-import json
+import socketserver
 import threading
-from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
 
 import pytest
 
+from _reviewer import mock_reviewer
+from drivesql import generation
 from drivesql.generation import (
     DetectionList,
     ExternalClient,
@@ -142,38 +143,6 @@ def test_offline_keeps_clean_pairs(demo_pairs):
 # --------------------------------------------------------- external service
 
 
-class _Handler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", "0"))
-        payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        self.server.requests.append(payload)
-        reply = self.server.route(payload)
-        body = json.dumps(reply).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *_args):
-        pass
-
-
-@contextmanager
-def mock_reviewer(route):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    server.route = route
-    server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server, f"http://127.0.0.1:{server.server_address[1]}/review"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=2)
-
-
 def _client(url, **kwargs):
     return ExternalClient(endpoint=url, **kwargs)
 
@@ -184,8 +153,13 @@ def test_external_keep_and_payload_shape(demo_pairs):
         result = verify_pairs(subset, _client(url))
     assert [p.pair_id for p in result.kept] == [p.pair_id for p in subset]
     assert result.unverified == set()
+    # Requests overlap, so they may arrive in any order: match each payload
+    # to its pair by id, exactly one request per pair.
+    sent_by_id = {sent["pair_id"]: sent for sent in server.requests}
     assert len(server.requests) == len(subset)
-    for sent, pair in zip(server.requests, subset):
+    assert set(sent_by_id) == {p.pair_id for p in subset}
+    for pair in subset:
+        sent = sent_by_id[pair.pair_id]
         assert set(sent) == {"pair_id", "instruction", "response", "subtask", "ground_truth"}
         assert sent["pair_id"] == pair.pair_id
         assert sent["subtask"] == pair.subtask.value
@@ -269,3 +243,96 @@ def test_offline_rejection_skips_external_call(demo_pairs):
     assert server.requests == []
     assert result.kept == []
     assert result.rejected[0][1].startswith("format contract: ")
+
+
+def _mixed_verdicts(payload):
+    """Drop, revise or keep by the pair id's last hex digit."""
+    digit = int(payload["pair_id"][-1], 16)
+    if digit % 3 == 0:
+        return {"verdict": "drop", "reason": f"drop {payload['pair_id']}"}
+    if digit % 3 == 1:
+        return {"verdict": "revise", "revised_response": payload["response"] + " (revised)"}
+    return {"verdict": "keep"}
+
+
+def test_external_results_keep_input_order_when_replies_finish_out_of_order(demo_pairs):
+    subset = demo_pairs[:24]
+    with mock_reviewer(_mixed_verdicts) as (_, url):
+        reference = [verify_pairs([pair], _client(url)) for pair in subset]
+    rank = {pair.pair_id: i for i, pair in enumerate(subset)}
+    finished = []
+
+    def slow_early_pairs(payload):
+        # Earlier pairs wait longer, so later ones overtake them.
+        time.sleep(0.002 * (len(subset) - rank[payload["pair_id"]]))
+        finished.append(rank[payload["pair_id"]])
+        return _mixed_verdicts(payload)
+
+    with mock_reviewer(slow_early_pairs) as (_, url):
+        result = verify_pairs(subset, _client(url))
+    assert finished != sorted(finished)
+    assert result.kept == [k for r in reference for k in r.kept]
+    assert result.rejected == [x for r in reference for x in r.rejected]
+    assert result.revised == set().union(*(r.revised for r in reference))
+    assert result.unverified == set()
+    assert result.kept and result.rejected and result.revised
+
+
+def test_external_in_flight_requests_are_bounded(demo_pairs):
+    subset = demo_pairs[:4 * generation.MAX_IN_FLIGHT]
+
+    def slow_keep(payload):
+        time.sleep(0.02)
+        return {"verdict": "keep"}
+
+    with mock_reviewer(slow_keep) as (server, url):
+        result = verify_pairs(subset, _client(url))
+    assert 1 < server.inflight_max <= generation.MAX_IN_FLIGHT
+    assert len(server.requests) == len(subset)
+    assert (result.requests, result.retries) == (len(subset), 0)
+
+
+def test_external_retries_back_off_on_a_fixed_schedule(monkeypatch, samples):
+    delays = []
+    monkeypatch.setattr(generation.time, "sleep", delays.append)
+    client = ExternalClient(endpoint="http://127.0.0.1:9/review", timeout_s=0.2, retries=2)
+    result = verify_pairs([samples["label"]], client)
+    assert delays == [0.05, 0.1]
+    assert (result.requests, result.retries) == (3, 2)
+    assert result.unverified == {samples["label"].pair_id}
+
+
+@pytest.mark.parametrize("reply", [["keep"], "keep", None, 3, 2.5, True])
+def test_external_non_object_reply_keeps_unverified(samples, reply):
+    pair = samples["label"]
+    with mock_reviewer(lambda payload: reply) as (server, url):
+        result = verify_pairs([pair], _client(url))
+    assert [p.pair_id for p in result.kept] == [pair.pair_id]
+    assert result.kept[0] == pair
+    assert result.unverified == {pair.pair_id}
+    assert result.rejected == []
+    assert len(server.requests) == 1
+
+
+def test_external_malformed_http_reply_keeps_unverified(samples):
+    pair = samples["label"]
+
+    class Garbage(socketserver.StreamRequestHandler):
+        def handle(self):
+            self.rfile.readline()
+            self.wfile.write(b"not an http status line\r\n\r\n")
+
+    with socketserver.ThreadingTCPServer(("127.0.0.1", 0), Garbage) as server:
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
+        thread.start()
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}/review"
+            result = verify_pairs([pair], _client(url, retries=1))
+        finally:
+            server.shutdown()
+            thread.join(timeout=2)
+    assert [p.pair_id for p in result.kept] == [pair.pair_id]
+    assert result.unverified == {pair.pair_id}
+    assert (result.requests, result.retries) == (2, 1)
