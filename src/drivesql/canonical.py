@@ -1,4 +1,5 @@
-"""Canonical JSON writing, where byte determinism matters, and JSONL reading."""
+"""Canonical JSON writing, where byte determinism matters, and JSON and JSONL
+reading that names the file in every error."""
 
 from __future__ import annotations
 
@@ -45,6 +46,23 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; undecodable bytes raise ``DriveSqlError`` naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise DriveSqlError(f"{path}: not UTF-8: {err}") from None
+
+
+def read_json(path: str | Path) -> Any:
+    """A whole JSON file's value; bad bytes or bad JSON raise ``DriveSqlError`` naming the path."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as err:
+        raise DriveSqlError(f"{path}: invalid JSON: {err}") from None
+
+
 def read_jsonl(path: str | Path, convert: Callable[[Any], T]) -> list[T]:
     """Convert each non-blank line of a JSONL file.
 
@@ -52,7 +70,7 @@ def read_jsonl(path: str | Path, convert: Callable[[Any], T]) -> list[T]:
     reading ``<path>:<line>: <missing field or reason>``.
     """
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

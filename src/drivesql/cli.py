@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .canonical import canonical_dumps, write_atomic
+from .canonical import canonical_dumps, read_json, read_text, write_atomic
 from .errors import DriveSqlError
 from .evaluation import evaluate, read_predictions_jsonl, split_dataset
 from .generation import (
@@ -110,7 +109,7 @@ def _parse_thresholds_file(path: Path) -> RiskThresholds:
     """Read ``key=value`` lines; keys are dis, dis_x, dis_y, s."""
     values: dict[str, float] = {}
     known = {"dis", "dis_x", "dis_y", "s"}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -155,13 +154,6 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     except ValueError:
         raise CliUsageError(f"--ratios contains a non-number: {text!r}") from None
     return (a, b, c)
-
-
-def _load_json(path: Path, what: str) -> Any:
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise CliUsageError(f"{path}: invalid JSON for {what}: {err}") from None
 
 
 # ------------------------------------------------------------- synth loader
@@ -431,7 +423,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     started = time.monotonic()
     src = Path(args.scripts)
-    request = _load_json(src, "synth scripts")
+    request = read_json(src)
     annotations = _synth_from_request(request, src)
     out = Path(args.output)
     write_atomic(out, canonical_dumps(annotations) + "\n")

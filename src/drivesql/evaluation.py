@@ -26,7 +26,7 @@ from .generation import (
     _truth_fits_subtask,
 )
 from .scene_db import BBox2D, View
-from .task_sql import RISK_SUBTASKS, Subtask
+from .task_sql import RISK_SUBTASKS, Subtask, Task
 from .textutil import count_mentions, extract_numbers, tokenize
 
 __all__ = [
@@ -61,11 +61,6 @@ _BUILTIN_LABELS: dict[Subtask, frozenset[str]] = {
     Subtask.STATUS_OTHERS: frozenset({"moving", "stopped", "parked", "standing", "sitting"}),
     Subtask.CLOSEST: frozenset(),
 }
-
-_MAE_SUBTASKS = frozenset(
-    {Subtask.DISTANCE, Subtask.INSTANCE_NUMBER, Subtask.SPEEDS, Subtask.MOTION_EGO, Subtask.MOTION_OTHERS}
-)
-_ACC_SUBTASKS = frozenset(_BUILTIN_LABELS)
 
 
 # ------------------------------------------------------------------- numbers
@@ -383,31 +378,6 @@ class MetricReport:
         }
 
 
-GROUP_NAMES = (
-    "perception_mae",
-    "perception_acc",
-    "prediction_mae",
-    "prediction_acc",
-    "risk_map",
-    "reasoning_bleu",
-)
-
-_GROUP_OF: dict[Subtask, str] = {
-    Subtask.DISTANCE: "perception_mae",
-    Subtask.SPEEDS: "perception_mae",
-    Subtask.INSTANCE_NUMBER: "perception_mae",
-    Subtask.CLOSEST: "perception_acc",
-    Subtask.STATUS: "perception_acc",
-    Subtask.SAME_ROAD: "perception_acc",
-    Subtask.MOTION_EGO: "prediction_mae",
-    Subtask.MOTION_OTHERS: "prediction_mae",
-    Subtask.STATUS_EGO: "prediction_acc",
-    Subtask.STATUS_OTHERS: "prediction_acc",
-    **{kind: "risk_map" for kind in RISK_SUBTASKS},
-    Subtask.PLANNING_WITH_REASONING: "reasoning_bleu",
-}
-
-
 def evaluate(
     pairs: Sequence[InstructionResponsePair],
     predictions: Sequence[Prediction],
@@ -497,21 +467,20 @@ def evaluate(
     if bleu_cands:
         per_subtask[Subtask.PLANNING_WITH_REASONING] = bleu(bleu_cands, bleu_refs)
 
+    # Groups reuse the per-subtask numbers, so each score is computed once.
     groups: dict[str, float | None] = {}
-    for group in ("perception_mae", "prediction_mae"):
-        pooled = [e for s, errs in errors.items() if _GROUP_OF[s] == group for e in errs]
-        groups[group] = sum(pooled) / len(pooled) if pooled else None
-    for group in ("perception_acc", "prediction_acc"):
-        members = [s for s in acc_texts if _GROUP_OF[s] == group]
+    for task in (Task.PERCEPTION, Task.PREDICTION):
+        pooled = [e for s, errs in errors.items() if s.task is task for e in errs]
+        groups[f"{task.value}_mae"] = sum(pooled) / len(pooled) if pooled else None
+    for task in (Task.PERCEPTION, Task.PREDICTION):
+        members = [s for s in acc_texts if s.task is task]
         # Each pair is judged with its own subtask's label set, then pooled.
         total = sum(len(acc_texts[s]) for s in members)
         weighted = sum(per_subtask[s] * len(acc_texts[s]) for s in members)
-        groups[group] = weighted / total if total else None
-    try:
-        groups["risk_map"] = map_score(det_preds, det_refs, iou_threshold)
-    except UndefinedScore:
-        groups["risk_map"] = None
-    groups["reasoning_bleu"] = bleu(bleu_cands, bleu_refs) if bleu_cands else None
+        groups[f"{task.value}_acc"] = weighted / total if total else None
+    aps = [per_subtask[kind] for kind in RISK_SUBTASKS if kind in per_subtask]
+    groups["risk_map"] = sum(aps) / len(aps) if aps else None
+    groups["reasoning_bleu"] = per_subtask.get(Subtask.PLANNING_WITH_REASONING)
 
     rate = failures / mae_pair_count if mae_pair_count else 0.0
     return MetricReport(

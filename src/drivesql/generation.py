@@ -104,13 +104,16 @@ class InstructionResponsePair:
     pair_id: str
     scene_id: str
     frame_ids: tuple[str, str, str]
-    task: str
     subtask: Subtask
     views_used: tuple[View, ...]
     instruction: str
     response: str
     ground_truth: GroundTruth
     thresholds_used: RiskThresholds | None = None
+
+    @property
+    def task(self) -> str:
+        return self.subtask.task.value
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,8 @@ def sample_window(scene: SceneRecord, rng: random.Random) -> tuple[str, str, str
 
 
 def derive_scene_seed(master_seed: int, scene_id: str) -> int:
-    """Stable per-scene seed so worker order cannot change the output."""
+    """Stable seed for one named scene, so worker order cannot change the
+    output; the synthesizer seeds its scenes with it too."""
     digest = hashlib.sha256(f"{master_seed}:{scene_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -391,7 +395,6 @@ def _pairs_for_window(
                 pair_id=_pair_id(scene_id, window, subtask, target),
                 scene_id=scene_id,
                 frame_ids=window,
-                task=subtask.task.value,
                 subtask=subtask,
                 views_used=views,
                 instruction=instruction,
@@ -656,12 +659,14 @@ def pair_from_dict(doc: Mapping[str, Any]) -> InstructionResponsePair:
     frame_ids = tuple(str(f) for f in doc["frame_ids"])
     if len(frame_ids) != 3:
         raise ValueError(f"pair {doc.get('pair_id')!r} must reference exactly 3 frames")
+    subtask = Subtask(doc["subtask"])
+    if doc["task"] != subtask.task.value:
+        raise ValueError(f"task {doc['task']!r} does not match subtask {subtask.value}")
     return InstructionResponsePair(
         pair_id=str(doc["pair_id"]),
         scene_id=str(doc["scene_id"]),
         frame_ids=frame_ids,  # type: ignore[arg-type]
-        task=str(doc["task"]),
-        subtask=Subtask(doc["subtask"]),
+        subtask=subtask,
         views_used=tuple(View(v) for v in doc["views_used"]),
         instruction=str(doc["instruction"]),
         response=str(doc["response"]),

@@ -10,14 +10,13 @@ worker processes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
 
-from .canonical import canonical_dumps, write_atomic
+from .canonical import canonical_dumps, read_json, write_atomic
 from .errors import AnnotationSchemaError, RecordNotFound
 from .geometry import Quaternion, Vec3, planar_norm
 
@@ -516,7 +515,7 @@ def save_database(db: SceneDatabase, path: str | Path) -> None:
 
 
 def load_database(path: str | Path) -> SceneDatabase:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path)
     doc = _expect_mapping(doc, "database")
     radius = _as_float(_field(doc, "important_radius", "database"), "database.important_radius")
     if radius <= 0:
@@ -526,7 +525,7 @@ def load_database(path: str | Path) -> SceneDatabase:
 
 def load_annotations(path: str | Path) -> dict[str, Any]:
     """Read a canonical annotations JSON document."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise AnnotationSchemaError("annotations", "top level must be an object")
     return doc

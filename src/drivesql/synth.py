@@ -9,12 +9,12 @@ attribute from speed. Scenes are deterministic in their inputs and seed.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
 from typing import Any
 
+from .generation import derive_scene_seed
 from .geometry import Quaternion, Vec3, planar_norm, rotate, rotate_inverse
 from .scene_db import IMAGE_HEIGHT, IMAGE_WIDTH, REAL_VIEWS, View
 from .task_sql import Subtask
@@ -152,7 +152,7 @@ def synth_scene(
     """
     if n_frames < 1:
         raise ValueError("a scene needs at least one frame")
-    rng = random.Random(_derive_seed(seed, scene_id))
+    rng = random.Random(derive_scene_seed(seed, scene_id))
     ego_rot = Quaternion.from_yaw(ego_yaw)
     heading = rotate(ego_rot, Vec3(1.0, 0.0, 0.0))
 
@@ -226,11 +226,6 @@ def merge_scenes(scene_docs: list[dict[str, Any]]) -> dict[str, Any]:
         for key in merged:
             merged[key].extend(doc[key])
     return merged
-
-
-def _derive_seed(seed: int, name: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{name}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 # --------------------------------------------------------------------------
@@ -435,7 +430,7 @@ _CATEGORIES = (
 
 def random_scene(seed: int, *, scene_id: str, n_frames: int | None = None) -> dict[str, Any]:
     """A scene full of random waypoint tracks around a straight ego path."""
-    rng = random.Random(_derive_seed(seed, f"random:{scene_id}"))
+    rng = random.Random(derive_scene_seed(seed, f"random:{scene_id}"))
     frames = n_frames if n_frames is not None else rng.randint(3, 6)
     ego_speed = rng.uniform(0.0, 12.0)
     ego_yaw = rng.uniform(-math.pi, math.pi)

@@ -5,7 +5,8 @@ consecutive keyframes (previous, current, next). Perception subtasks read
 the current frame, prediction subtasks relate the current frame to the next
 one, and risk detection relates all three. ``window_context`` computes a
 window's motions, risk inputs and ego move once; the risk predicates and
-planning read them from there.
+planning read them from there. The prediction operations and the context
+share one follower sweep (``_followers``) and one ego move (``status_ego``).
 """
 
 from __future__ import annotations
@@ -177,11 +178,23 @@ def same_road(db: SceneDatabase, instance_info_id: str, frame_id: str) -> bool:
 # ---------------------------------------------------------------- prediction
 
 
+def _followers(
+    db: SceneDatabase, rows: tuple[InstanceInfo, ...], frame_next: str
+) -> dict[str, tuple[InstanceInfo, Vec3]]:
+    """Each row with an appearance at ``frame_next``: that appearance and the
+    displacement toward it in the row's own frame, keyed by info id in row order."""
+    out: dict[str, tuple[InstanceInfo, Vec3]] = {}
+    for info in rows:
+        target = db.instance_at_frame(info.instance_id, frame_next)
+        if target is not None:
+            motion = relative_motion(info.global_t, info.global_r, target.global_t)
+            out[info.info_id] = (target, motion)
+    return out
+
+
 def motion_ego(db: SceneDatabase, frame_i: str, frame_next: str) -> Vec3:
     """Ego displacement to the target frame, in the current ego frame."""
-    ego_i = db.ego_in_frame(frame_i)
-    ego_next = db.ego_in_frame(frame_next)
-    return relative_motion(ego_i.pose, ego_i.rotation, ego_next.pose)
+    return status_ego(db, frame_i, frame_next)[1]
 
 
 def motion_others(db: SceneDatabase, frame_i: str, frame_next: str) -> dict[str, Vec3]:
@@ -190,19 +203,16 @@ def motion_others(db: SceneDatabase, frame_i: str, frame_next: str) -> dict[str,
     Keys are the instance info ids at ``frame_i``. Instances with no
     appearance at the target frame are omitted.
     """
-    out: dict[str, Vec3] = {}
-    for info in db.instances_in_frame(frame_i):
-        target = db.instance_at_frame(info.instance_id, frame_next)
-        if target is None:
-            continue
-        out[info.info_id] = relative_motion(info.global_t, info.global_r, target.global_t)
-    return out
+    followers = _followers(db, db.instances_in_frame(frame_i), frame_next)
+    return {info_id: motion for info_id, (_, motion) in followers.items()}
 
 
 def status_ego(db: SceneDatabase, frame_i: str, frame_next: str) -> tuple[float, Vec3]:
-    """Ego speed change and displacement toward the target frame."""
-    dv = db.ego_in_frame(frame_next).velocity - db.ego_in_frame(frame_i).velocity
-    return dv, motion_ego(db, frame_i, frame_next)
+    """Ego speed change and displacement toward the target frame, in the
+    current ego frame."""
+    ego_i, ego_next = db.ego_in_frame(frame_i), db.ego_in_frame(frame_next)
+    motion = relative_motion(ego_i.pose, ego_i.rotation, ego_next.pose)
+    return ego_next.velocity - ego_i.velocity, motion
 
 
 def status_others(
@@ -213,14 +223,9 @@ def status_others(
     Both maps are keyed by the ``frame_i`` info id and always hold exactly
     the same keys.
     """
-    motions = motion_others(db, frame_i, frame_next)
-    deltas: dict[str, float] = {}
-    for info_id in motions:
-        info = db.instances[info_id]
-        target = db.instance_at_frame(info.instance_id, frame_next)
-        assert target is not None  # guaranteed by the motion map
-        deltas[info_id] = target.velocity - info.velocity
-    return deltas, motions
+    followers = _followers(db, db.instances_in_frame(frame_i), frame_next)
+    deltas = {i: target.velocity - db.instances[i].velocity for i, (target, _) in followers.items()}
+    return deltas, {i: motion for i, (_, motion) in followers.items()}
 
 
 # ---------------------------------------------------------------------- risk
@@ -442,22 +447,18 @@ def window_context(
 ) -> WindowContext:
     """Build the shared facts of a window of three consecutive keyframes."""
     _check_window(db, frame_prev, frame_i, frame_next)
-    ego_prev, ego_i, ego_next = (db.ego_in_frame(f) for f in (frame_prev, frame_i, frame_next))
+    ego_prev, ego_i = db.ego_in_frame(frame_prev), db.ego_in_frame(frame_i)
     current = db.instances_in_frame(frame_i)
-    followers: dict[str, tuple[InstanceInfo, Vec3]] = {}
+    followers = _followers(db, current, frame_next)
     risk_rows: list[tuple[InstanceInfo, _RiskContext]] = []
     for info in current:
-        follower = db.instance_at_frame(info.instance_id, frame_next)
-        m_next = None
-        if follower is not None:
-            m_next = relative_motion(info.global_t, info.global_r, follower.global_t)
-            followers[info.info_id] = (follower, m_next)
         prev = db.instance_at_frame(info.instance_id, frame_prev)
         if prev is None:
             continue
+        follower = followers.get(info.info_id)
         risk = _RiskContext(
             m_prev=relative_motion(info.global_t, info.global_r, prev.global_t),
-            m_next=m_next,
+            m_next=None if follower is None else follower[1],
             l_i=planar_norm(info.local_t),
             l_prev=planar_norm(prev.local_t),
             v_i=info.velocity,
@@ -466,12 +467,13 @@ def window_context(
             same_prev=prev.road_info == ego_prev.road_info,
         )
         risk_rows.append((info, risk))
+    ego_speed_delta, ego_motion = status_ego(db, frame_i, frame_next)
     return WindowContext(
         current=current,
         followers=followers,
         risk_rows=tuple(risk_rows),
-        ego_speed_delta=ego_next.velocity - ego_i.velocity,
-        ego_motion=relative_motion(ego_i.pose, ego_i.rotation, ego_next.pose),
+        ego_speed_delta=ego_speed_delta,
+        ego_motion=ego_motion,
     )
 
 

@@ -277,6 +277,7 @@ def _assert_line_2_error(code, capsys, field):
         (lambda doc: _without(doc, "frame_ids"), "frame_ids"),
         (lambda doc: '{"pair_id": ', "Expecting value"),
         (lambda doc: canonical_dumps({**doc, "ground_truth": []}), "no attribute"),
+        (lambda doc: canonical_dumps({**doc, "task": "risk"}), "does not match subtask"),
     ],
 )
 def test_verify_names_line_of_bad_pair(tmp_path, demo_pairs, capsys, mangle, reason):
@@ -285,6 +286,41 @@ def test_verify_names_line_of_bad_pair(tmp_path, demo_pairs, capsys, mangle, rea
     _jsonl_with_bad_line_2(pairs, docs, mangle(docs[1]))
     code = run(["verify", str(pairs), "-o", str(tmp_path / "kept.jsonl")])
     _assert_line_2_error(code, capsys, reason)
+
+
+def _unreadable_input_cases():
+    whole_json = {
+        "build-db": lambda bad, db, pairs, out: ["build-db", bad, "-o", out],
+        "generate": lambda bad, db, pairs, out: ["generate", bad, "-o", out],
+        "verify-db": lambda bad, db, pairs, out: ["verify", pairs, "-o", out, "--db", bad],
+        "stats-db": lambda bad, db, pairs, out: ["stats", pairs, bad, "-o", out],
+    }
+    for name, argv in whole_json.items():
+        yield pytest.param(argv, b"not json", id=f"{name}-not-json")
+        yield pytest.param(argv, b'{"scenes": "\xff"}', id=f"{name}-not-utf8")
+    other_text = {
+        "synth": lambda bad, db, pairs, out: ["synth", bad, "-o", out],
+        "verify-pairs": lambda bad, db, pairs, out: ["verify", bad, "-o", out],
+        "stats-pairs": lambda bad, db, pairs, out: ["stats", bad, db, "-o", out],
+        "eval-predictions": lambda bad, db, pairs, out: ["eval", pairs, bad, "-o", out],
+        "thresholds": lambda bad, db, pairs, out: ["generate", db, "-o", out, "--thresholds", bad],
+    }
+    for name, argv in other_text.items():
+        yield pytest.param(argv, b"\xff\n", id=f"{name}-not-utf8")
+
+
+@pytest.mark.parametrize("argv, content", _unreadable_input_cases())
+def test_unreadable_input_file_is_named(pipeline, capsys, argv, content):
+    tmp_path, _, db, pairs = pipeline
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    code = run([str(a) for a in argv(bad, db, pairs, out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {bad}")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_eval_names_line_of_prediction_missing_a_field(tmp_path, demo_pairs, capsys):

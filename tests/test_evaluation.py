@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from drivesql import evaluation
 from drivesql.errors import UndefinedScore
 from drivesql.evaluation import (
     DetectionPred,
@@ -507,3 +508,31 @@ def test_pooled_groups_equal_metrics_over_pooled_lists(demo_pairs):
         assert report.groups[group] == weighted / total
     assert 0.0 < report.groups["perception_acc"] < 1.0
     assert 0.0 < report.extraction_failure_rate < 1.0
+
+
+def test_evaluate_scores_each_risk_kind_and_the_plans_once(demo_pairs, monkeypatch):
+    subtask_of = {p.pair_id: p.subtask for p in demo_pairs}
+    ap_kinds = []
+    bleu_calls = []
+
+    def counted_ap(detections, references, *args):
+        ap_kinds.append(subtask_of[references[0].pair_id])
+        return average_precision(detections, references, *args)
+
+    def counted_bleu(*args):
+        bleu_calls.append(args)
+        return bleu(*args)
+
+    monkeypatch.setattr(evaluation, "average_precision", counted_ap)
+    monkeypatch.setattr(evaluation, "bleu", counted_bleu)
+    report = evaluate(demo_pairs, _corrupted_predictions(demo_pairs, seed=5))
+
+    with_refs = {
+        p.subtask for p in demo_pairs if p.subtask in RISK_SUBTASKS and p.ground_truth.items
+    }
+    assert len(with_refs) >= 2
+    assert sorted(ap_kinds, key=RISK_SUBTASKS.index) == sorted(with_refs, key=RISK_SUBTASKS.index)
+    assert len(bleu_calls) == 1
+    aps = [report.per_subtask[kind] for kind in RISK_SUBTASKS if kind in with_refs]
+    assert report.groups["risk_map"] == sum(aps) / len(aps)
+    assert report.groups["reasoning_bleu"] == report.per_subtask[Subtask.PLANNING_WITH_REASONING]

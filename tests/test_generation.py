@@ -26,6 +26,7 @@ from drivesql.generation import (
     render_instruction,
     render_response,
     sample_window,
+    _pair_id,
     _pairs_for_window,
     write_pairs_jsonl,
 )
@@ -316,18 +317,40 @@ def test_per_instance_cap_nearest_first(demo_db):
         assert (x, y) == (nearest.local_t.x, nearest.local_t.y)
 
 
+def _pair_instance(db, pair):
+    """The current-frame row whose info id a grounded pair's id was hashed from."""
+    rows = [
+        info
+        for info in db.instances_in_frame(pair.frame_ids[1])
+        if _pair_id(pair.scene_id, pair.frame_ids, pair.subtask, info.info_id) == pair.pair_id
+    ]
+    assert len(rows) == 1
+    return rows[0]
+
+
 def _expected_truth(db, pair, thresholds):
     subtask = pair.subtask
     f_prev, f_i, f_next = pair.frame_ids
     if subtask is Subtask.DISTANCE:
-        return None  # checked via cap test; target id is hashed away
+        x, y, _ = distance(db, _pair_instance(db, pair).info_id)
+        return Numeric((x, y))
     if subtask is Subtask.MOTION_EGO:
         vec = motion_ego(db, f_i, f_next)
+        return Numeric((vec.x, vec.y))
+    if subtask is Subtask.MOTION_OTHERS:
+        vec = motion_others(db, f_i, f_next)[_pair_instance(db, pair).info_id]
         return Numeric((vec.x, vec.y))
     if subtask is Subtask.STATUS_EGO:
         _, vec = status_ego(db, f_i, f_next)
         label = "moving" if planar_norm(vec) > EGO_MOVING_DISPLACEMENT else "stationary"
         return Label(label)
+    if subtask is Subtask.STATUS_OTHERS:
+        # The label is the next appearance's attribute, which exists exactly
+        # when status_others reports the instance.
+        info = _pair_instance(db, pair)
+        deltas, motions = status_others(db, f_i, f_next)
+        assert info.info_id in deltas and info.info_id in motions
+        return Label(db.instance_at_frame(info.instance_id, f_next).attribute)
     if subtask in RISK_SUBTASKS:
         hits = detect_risk(db, subtask, f_prev, f_i, f_next, thresholds)
         return {info.instance_id for info in hits}
@@ -339,7 +362,7 @@ def _expected_truth(db, pair, thresholds):
 def test_ground_truth_fidelity(demo_db, demo_pairs):
     """Re-running the matching retrieval op reproduces each ground truth."""
     thresholds = RiskThresholds()
-    checked = 0
+    checked = Counter()
     for pair in demo_pairs:
         want = _expected_truth(demo_db, pair, thresholds)
         if want is None:
@@ -349,8 +372,10 @@ def test_ground_truth_fidelity(demo_db, demo_pairs):
             assert got == want
         else:
             assert pair.ground_truth == want
-        checked += 1
-    assert checked > 50
+        checked[pair.subtask] += 1
+    assert sum(checked.values()) > 50
+    for subtask in (Subtask.DISTANCE, Subtask.MOTION_OTHERS, Subtask.STATUS_OTHERS):
+        assert checked[subtask] > 10
 
 
 def test_risk_pairs_carry_thresholds(demo_pairs):
