@@ -4,6 +4,7 @@ reading that names the file in every error."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 from pathlib import Path
@@ -63,18 +64,63 @@ def read_json(path: str | Path) -> Any:
         raise DriveSqlError(f"{path}: invalid JSON: {err}") from None
 
 
+def json_text(value: Any, field: str) -> str:
+    """``value`` if it is a string; anything else raises ``ValueError`` naming ``field``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field}: expected a string, got {type(value).__name__}")
+    return value
+
+
+def json_number(value: Any, field: str) -> float:
+    """``value`` as a float if it is a finite int or float, not a bool;
+    anything else raises ``ValueError`` naming ``field``."""
+    # An exact type test: JSON decodes to plain int and float, and it keeps
+    # bool, an int subclass, out in one comparison.
+    if type(value) not in (int, float):
+        raise ValueError(f"{field}: expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{field}: number too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{field}: expected a finite number, got {number!r}")
+    return number
+
+
+def json_array(values: Any, field: str, item: Callable[[Any, str], T]) -> list[T]:
+    """Each item of the JSON array ``values`` through ``item``; a bad item
+    raises ``ValueError`` naming ``field[i]``."""
+    if not isinstance(values, list):
+        raise ValueError(f"{field}: expected an array, got {type(values).__name__}")
+    try:
+        return [item(value, field) for value in values]
+    except ValueError:
+        # Format the index only on failure: check again, naming each item.
+        for i, value in enumerate(values):
+            item(value, f"{field}[{i}]")
+        raise
+
+
+def _refuse_constant(name: str) -> Any:
+    raise ValueError(f"{name} is not a finite number")
+
+
+_JSONL_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def read_jsonl(path: str | Path, convert: Callable[[Any], T]) -> list[T]:
     """Convert each non-blank line of a JSONL file.
 
-    A line that is not JSON or does not convert raises ``DriveSqlError``
-    reading ``<path>:<line>: <missing field or reason>``.
+    A line that is not JSON, holds ``NaN`` or an infinity, or does not
+    convert raises ``DriveSqlError`` reading
+    ``<path>:<line>: <missing field or reason>``.
     """
     rows = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rows.append(convert(json.loads(line)))
+            rows.append(convert(_JSONL_DECODER.decode(line)))
         except KeyError as err:
             raise DriveSqlError(f"{path}:{lineno}: missing field {err.args[0]!r}") from None
         except (TypeError, ValueError, AttributeError, OverflowError) as err:

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .canonical import canonical_dumps, read_json, read_text, write_atomic
+from .canonical import canonical_dumps, json_number, read_json, read_text, write_atomic
 from .errors import DriveSqlError
 from .evaluation import evaluate, read_predictions_jsonl, split_dataset
 from .generation import (
@@ -37,6 +38,7 @@ from .scene_db import (
     build_database,
     load_annotations,
     load_database,
+    naming_file,
     save_database,
 )
 from .stats import compute_stats, view_percent_csv
@@ -123,9 +125,14 @@ def _parse_thresholds_file(path: Path) -> RiskThresholds:
                 + ", ".join(sorted(known))
             )
         try:
-            values[key] = float(value.strip())
+            number = float(value.strip())
         except ValueError:
             raise CliUsageError(f"{path}:{lineno}: {value.strip()!r} is not a number") from None
+        if not (math.isfinite(number) and number > 0):
+            raise CliUsageError(
+                f"{path}:{lineno}: threshold {key} must be a positive finite number, got {number!r}"
+            )
+        values[key] = number
     return RiskThresholds(**values)
 
 
@@ -179,10 +186,14 @@ def _script_from_doc(doc: dict[str, Any], where: str) -> ScenarioScript:
         try:
             waypoints.append(
                 Waypoint(
-                    t=float(wp["t"]),
-                    pos=Vec3(float(wp["x"]), float(wp["y"]), float(wp.get("z", 0.0))),
-                    yaw=float(wp.get("yaw", 0.0)),
-                    speed=float(wp.get("speed", 0.0)),
+                    t=json_number(wp["t"], "t"),
+                    pos=Vec3(
+                        json_number(wp["x"], "x"),
+                        json_number(wp["y"], "y"),
+                        json_number(wp.get("z", 0.0), "z"),
+                    ),
+                    yaw=json_number(wp.get("yaw", 0.0), "yaw"),
+                    speed=json_number(wp.get("speed", 0.0), "speed"),
                     lane=None if wp.get("lane") is None else str(wp["lane"]),
                 )
             )
@@ -203,11 +214,14 @@ def _synth_from_request(doc: Any, path: Path) -> dict[str, Any]:
         sample = doc["sample"]
         if not isinstance(sample, dict):
             raise CliUsageError(f"{path}: 'sample' must be an object")
-        return demo_corpus(
-            int(sample.get("n_random", 20)),
-            int(sample.get("seed", 0)),
-            include_curated=bool(sample.get("include_curated", True)),
-        )
+        try:
+            return demo_corpus(
+                int(sample.get("n_random", 20)),
+                int(sample.get("seed", 0)),
+                include_curated=bool(sample.get("include_curated", True)),
+            )
+        except (TypeError, ValueError, OverflowError) as err:
+            raise CliUsageError(f"{path}: sample: {err}") from None
     scenes = doc.get("scenes")
     if not isinstance(scenes, list) or not scenes:
         raise CliUsageError(f"{path}: need either 'sample' or a non-empty 'scenes' list")
@@ -232,11 +246,11 @@ def _synth_from_request(doc: Any, path: Path) -> dict[str, Any]:
                     n_frames=int(scene.get("n_frames", 3)),
                     seed=int(scene.get("seed", 0)),
                     scene_id=str(scene.get("scene_id", f"scene_{idx:04d}")),
-                    ego_speed=float(scene.get("ego_speed", 5.0)),
-                    ego_yaw=float(scene.get("ego_yaw", 0.0)),
+                    ego_speed=json_number(scene.get("ego_speed", 5.0), "ego_speed"),
+                    ego_yaw=json_number(scene.get("ego_yaw", 0.0), "ego_yaw"),
                 )
             )
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise CliUsageError(f"{where}: {err}") from None
     return merge_scenes(docs)
 
@@ -248,7 +262,8 @@ def _cmd_build_db(args: argparse.Namespace) -> int:
     started = time.monotonic()
     src = Path(args.annotations)
     annotations = load_annotations(src)
-    db = build_database(annotations, important_radius=args.radius)
+    with naming_file(src):
+        db = build_database(annotations, important_radius=args.radius)
     out = Path(args.output)
     save_database(db, out)
     _write_manifest("build-db", {"radius": args.radius}, [src], [out], started)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .canonical import canonical_jsonl, read_jsonl, write_atomic
+from .canonical import canonical_jsonl, json_number, json_text, read_jsonl, write_atomic
 from .errors import UndefinedScore
 from .generation import (
     DetectionList,
@@ -23,6 +23,7 @@ from .generation import (
     InstructionResponsePair,
     Label,
     Numeric,
+    _bbox_from_list,
     _truth_fits_subtask,
 )
 from .scene_db import BBox2D, View
@@ -517,14 +518,14 @@ def _prediction_from_dict(doc: Mapping[str, Any]) -> Prediction:
         detections = tuple(
             DetectionPred(
                 view=View(d["view"]),
-                bbox=BBox2D(*[float(c) for c in d["bbox"]]),
-                score=float(d["score"]),
+                bbox=_bbox_from_list(d["bbox"], f"detections[{i}].bbox"),
+                score=json_number(d["score"], f"detections[{i}].score"),
             )
-            for d in doc["detections"]
+            for i, d in enumerate(doc["detections"])
         )
     return Prediction(
-        pair_id=str(doc["pair_id"]),
-        response_text=str(doc["response_text"]),
+        pair_id=json_text(doc["pair_id"], "pair_id"),
+        response_text=json_text(doc["response_text"], "response_text"),
         detections=detections,
     )
 

@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from .canonical import canonical_dumps, read_jsonl, write_atomic
+from .canonical import (
+    canonical_dumps,
+    json_array,
+    json_number,
+    json_text,
+    read_jsonl,
+    write_atomic,
+)
 from .errors import TemplateError, VerifierProtocolError
 from .geometry import planar_norm
 from .scene_db import (
@@ -613,23 +620,29 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict[str, Any]:
 def ground_truth_from_dict(doc: Mapping[str, Any]) -> GroundTruth:
     kind = doc.get("kind")
     if kind == "numeric":
-        return Numeric(tuple(float(v) for v in doc["values"]))
+        return Numeric(tuple(json_array(doc["values"], "ground_truth.values", json_number)))
     if kind == "label":
-        return Label(str(doc["value"]))
+        return Label(json_text(doc["value"], "ground_truth.value"))
     if kind == "detection":
         return DetectionList(
             tuple(
                 DetectionRef(
                     view=View(item["view"]),
-                    bbox=BBox2D(*[float(c) for c in item["bbox"]]),
-                    instance_id=str(item["instance_id"]),
+                    bbox=_bbox_from_list(item["bbox"], f"ground_truth.items[{i}].bbox"),
+                    instance_id=json_text(
+                        item["instance_id"], f"ground_truth.items[{i}].instance_id"
+                    ),
                 )
-                for item in doc["items"]
+                for i, item in enumerate(doc["items"])
             )
         )
     if kind == "free_text":
-        return FreeText(str(doc["text"]))
+        return FreeText(json_text(doc["text"], "ground_truth.text"))
     raise ValueError(f"unknown ground truth kind {kind!r}")
+
+
+def _bbox_from_list(coords: Any, field: str) -> BBox2D:
+    return BBox2D(*json_array(coords, field, json_number))
 
 
 def pair_to_dict(pair: InstructionResponsePair) -> dict[str, Any]:
@@ -654,22 +667,22 @@ def pair_from_dict(doc: Mapping[str, Any]) -> InstructionResponsePair:
     if "thresholds_used" in doc:
         t = doc["thresholds_used"]
         thresholds = RiskThresholds(
-            dis=float(t["dis"]), dis_x=float(t["dis_x"]), dis_y=float(t["dis_y"]), s=float(t["s"])
+            **{k: json_number(t[k], f"thresholds_used.{k}") for k in ("dis", "dis_x", "dis_y", "s")}
         )
-    frame_ids = tuple(str(f) for f in doc["frame_ids"])
+    frame_ids = tuple(json_array(doc["frame_ids"], "frame_ids", json_text))
     if len(frame_ids) != 3:
         raise ValueError(f"pair {doc.get('pair_id')!r} must reference exactly 3 frames")
     subtask = Subtask(doc["subtask"])
     if doc["task"] != subtask.task.value:
         raise ValueError(f"task {doc['task']!r} does not match subtask {subtask.value}")
     return InstructionResponsePair(
-        pair_id=str(doc["pair_id"]),
-        scene_id=str(doc["scene_id"]),
+        pair_id=json_text(doc["pair_id"], "pair_id"),
+        scene_id=json_text(doc["scene_id"], "scene_id"),
         frame_ids=frame_ids,  # type: ignore[arg-type]
         subtask=subtask,
         views_used=tuple(View(v) for v in doc["views_used"]),
-        instruction=str(doc["instruction"]),
-        response=str(doc["response"]),
+        instruction=json_text(doc["instruction"], "instruction"),
+        response=json_text(doc["response"], "response"),
         ground_truth=ground_truth_from_dict(doc["ground_truth"]),
         thresholds_used=thresholds,
     )

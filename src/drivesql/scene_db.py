@@ -11,14 +11,15 @@ worker processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .canonical import canonical_dumps, read_json, write_atomic
 from .errors import AnnotationSchemaError, RecordNotFound
-from .geometry import Quaternion, Vec3, planar_norm
+from .geometry import UNIT_NORM_TOLERANCE, Quaternion, Vec3, planar_norm
 
 DEFAULT_IMPORTANT_RADIUS = 20.0
 
@@ -205,6 +206,11 @@ def _as_str(value: Any, path: str) -> str:
     return value
 
 
+def _as_str_tuple(value: Any, path: str) -> tuple[str, ...]:
+    items = _expect_list(value, path)
+    return tuple(_as_str(item, f"{path}[{i}]") for i, item in enumerate(items))
+
+
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise AnnotationSchemaError(path, "expected a number")
@@ -217,21 +223,27 @@ def _as_float(value: Any, path: str) -> float:
     return number
 
 
-def _as_vec3(value: Any, path: str) -> Vec3:
+def _as_speed(value: Any, path: str) -> float:
+    speed = _as_float(value, path)
+    if speed < 0:
+        raise AnnotationSchemaError(path, "speed must be non-negative")
+    return speed
+
+
+def _as_floats(value: Any, path: str, count: int, noun: str) -> list[float]:
     items = _expect_list(value, path)
-    if len(items) != 3:
-        raise AnnotationSchemaError(path, f"expected 3 components, got {len(items)}")
-    x, y, z = (_as_float(c, f"{path}[{i}]") for i, c in enumerate(items))
-    return Vec3(x, y, z)
+    if len(items) != count:
+        raise AnnotationSchemaError(path, f"expected {count} {noun}, got {len(items)}")
+    return [_as_float(item, f"{path}[{i}]") for i, item in enumerate(items)]
+
+
+def _as_vec3(value: Any, path: str) -> Vec3:
+    return Vec3(*_as_floats(value, path, 3, "components"))
 
 
 def _as_quaternion(value: Any, path: str) -> Quaternion:
-    items = _expect_list(value, path)
-    if len(items) != 4:
-        raise AnnotationSchemaError(path, f"expected 4 components, got {len(items)}")
-    w, x, y, z = (_as_float(c, f"{path}[{i}]") for i, c in enumerate(items))
-    q = Quaternion(w, x, y, z)
-    if abs(q.norm() - 1.0) > 1e-3:
+    q = Quaternion(*_as_floats(value, path, 4, "components"))
+    if abs(q.norm() - 1.0) > UNIT_NORM_TOLERANCE:
         raise AnnotationSchemaError(path, f"quaternion norm {q.norm():.6f} is not within 1e-3 of 1")
     return q
 
@@ -245,10 +257,7 @@ def _as_str_map(value: Any, path: str) -> dict[str, str]:
 
 
 def _as_bbox(value: Any, path: str) -> BBox2D:
-    items = _expect_list(value, path)
-    if len(items) != 4:
-        raise AnnotationSchemaError(path, f"expected 4 coordinates, got {len(items)}")
-    x1, y1, x2, y2 = (_as_float(c, f"{path}[{i}]") for i, c in enumerate(items))
+    x1, y1, x2, y2 = _as_floats(value, path, 4, "coordinates")
     if not (x1 < x2 and y1 < y2):
         raise AnnotationSchemaError(path, "box requires x1 < x2 and y1 < y2")
     return BBox2D(x1, y1, x2, y2)
@@ -270,82 +279,73 @@ def _as_camera_pos(value: Any, path: str) -> dict[View, BBox2D]:
     return out
 
 
-def _parse_scene(record: Any, path: str) -> SceneRecord:
-    rec = _expect_mapping(record, path)
-    scene_id = _as_str(_field(rec, "scene_id", path), f"{path}.scene_id")
-    raw_frames = _expect_list(_field(rec, "frame_ids", path), f"{path}.frame_ids")
-    frame_ids = tuple(
-        _as_str(f, f"{path}.frame_ids[{i}]") for i, f in enumerate(raw_frames)
-    )
-    return SceneRecord(scene_id=scene_id, frame_ids=frame_ids)
+# --------------------------------------------------------------------------
+# The database format, declared once. Each field kind pairs the check that
+# reads a document value into a record with the function that saves it
+# back; ``str`` and ``float`` return a str or float as it is.
+
+_TEXT = (_as_str, str)
+_TEXTS = (_as_str_tuple, list)
+_NUMBER = (_as_float, float)
+_SPEED = (_as_speed, float)
+_VEC3 = (_as_vec3, Vec3.as_list)
+_ROTATION = (_as_quaternion, Quaternion.as_list)
+_TEXT_MAP = (_as_str_map, lambda texts: texts)
+_CAMERA_POS = (_as_camera_pos, lambda boxes: {v.value: b.as_list() for v, b in boxes.items()})
+
+# Per table: its key in the document and in ``SceneDatabase``, its record
+# type, whether a row's error paths name it by id once the id is read (or
+# keep its index), and its fields in check order, the row id first.
+_TABLES: tuple[tuple[str, type, bool, dict[str, tuple[Callable, Callable]]], ...] = (
+    ("scenes", SceneRecord, False, {"scene_id": _TEXT, "frame_ids": _TEXTS}),
+    ("frames", FrameRecord, True, {
+        "frame_id": _TEXT,
+        "ego_info_id": _TEXT,
+        "instance_info_ids": _TEXTS,
+        "timestamp": _NUMBER,
+    }),
+    ("ego", EgoInfo, True, {
+        "info_id": _TEXT,
+        "velocity": _SPEED,
+        "pose": _VEC3,
+        "rotation": _ROTATION,
+        "road_info": _TEXT_MAP,
+        "camera_info": _TEXT_MAP,
+    }),
+    ("instances", InstanceInfo, True, {
+        "info_id": _TEXT,
+        "velocity": _SPEED,
+        "instance_id": _TEXT,
+        "category": _TEXT,
+        "attribute": _TEXT,
+        "global_t": _VEC3,
+        "global_r": _ROTATION,
+        "local_t": _VEC3,
+        "local_r": _ROTATION,
+        "road_info": _TEXT_MAP,
+        "camera_pos": _CAMERA_POS,
+    }),
+)
 
 
-def _parse_frame(record: Any, path: str) -> FrameRecord:
-    rec = _expect_mapping(record, path)
-    frame_id = _as_str(_field(rec, "frame_id", path), f"{path}.frame_id")
-    path = f"frames[id={frame_id}]"
-    ego_info_id = _as_str(_field(rec, "ego_info_id", path), f"{path}.ego_info_id")
-    raw = _expect_list(_field(rec, "instance_info_ids", path), f"{path}.instance_info_ids")
-    info_ids = tuple(
-        _as_str(i, f"{path}.instance_info_ids[{k}]") for k, i in enumerate(raw)
-    )
-    timestamp = _as_float(_field(rec, "timestamp", path), f"{path}.timestamp")
-    return FrameRecord(
-        frame_id=frame_id,
-        ego_info_id=ego_info_id,
-        instance_info_ids=info_ids,
-        timestamp=timestamp,
-    )
-
-
-def _parse_ego(record: Any, path: str) -> EgoInfo:
-    rec = _expect_mapping(record, path)
-    info_id = _as_str(_field(rec, "info_id", path), f"{path}.info_id")
-    path = f"ego[id={info_id}]"
-    velocity = _as_float(_field(rec, "velocity", path), f"{path}.velocity")
-    if velocity < 0:
-        raise AnnotationSchemaError(f"{path}.velocity", "speed must be non-negative")
-    return EgoInfo(
-        info_id=info_id,
-        pose=_as_vec3(_field(rec, "pose", path), f"{path}.pose"),
-        rotation=_as_quaternion(_field(rec, "rotation", path), f"{path}.rotation"),
-        velocity=velocity,
-        road_info=_as_str_map(_field(rec, "road_info", path), f"{path}.road_info"),
-        camera_info=_as_str_map(_field(rec, "camera_info", path), f"{path}.camera_info"),
-    )
-
-
-def _parse_instance(record: Any, path: str) -> InstanceInfo:
-    rec = _expect_mapping(record, path)
-    info_id = _as_str(_field(rec, "info_id", path), f"{path}.info_id")
-    path = f"instances[id={info_id}]"
-    velocity = _as_float(_field(rec, "velocity", path), f"{path}.velocity")
-    if velocity < 0:
-        raise AnnotationSchemaError(f"{path}.velocity", "speed must be non-negative")
-    return InstanceInfo(
-        info_id=info_id,
-        instance_id=_as_str(_field(rec, "instance_id", path), f"{path}.instance_id"),
-        category=_as_str(_field(rec, "category", path), f"{path}.category"),
-        attribute=_as_str(_field(rec, "attribute", path), f"{path}.attribute"),
-        global_t=_as_vec3(_field(rec, "global_t", path), f"{path}.global_t"),
-        global_r=_as_quaternion(_field(rec, "global_r", path), f"{path}.global_r"),
-        local_t=_as_vec3(_field(rec, "local_t", path), f"{path}.local_t"),
-        local_r=_as_quaternion(_field(rec, "local_r", path), f"{path}.local_r"),
-        velocity=velocity,
-        road_info=_as_str_map(_field(rec, "road_info", path), f"{path}.road_info"),
-        camera_pos=_as_camera_pos(_field(rec, "camera_pos", path), f"{path}.camera_pos"),
-    )
-
-
-def _parse_table(doc: Mapping[str, Any], key: str, parser, id_getter) -> dict[str, Any]:
+def _parse_table(
+    doc: Mapping[str, Any], key: str, record: type, by_id: bool, fields: dict
+) -> dict[str, Any]:
     rows = _expect_list(_field(doc, key, "annotations"), f"annotations.{key}")
+    id_name = next(iter(fields))
     table: dict[str, Any] = {}
     for i, raw in enumerate(rows):
-        row = parser(raw, f"{key}[{i}]")
-        row_id = id_getter(row)
+        path = f"{key}[{i}]"
+        rec = _expect_mapping(raw, path)
+        values: dict[str, Any] = {}
+        for name, (parse, _) in fields.items():
+            values[name] = parse(_field(rec, name, path), f"{path}.{name}")
+            if by_id and name == id_name:
+                path = f"{key}[id={values[name]}]"
+        row_id = values[id_name]
         if row_id in table:
             raise AnnotationSchemaError(f"{key}[{i}]", f"duplicate id {row_id!r}")
-        table[row_id] = row
+        table[row_id] = record(**values)
     return table
 
 
@@ -364,10 +364,7 @@ def build_database(
         raise ValueError("important_radius must be a positive number")
     doc = _expect_mapping(annotations, "annotations")
 
-    scenes = _parse_table(doc, "scenes", _parse_scene, lambda r: r.scene_id)
-    frames = _parse_table(doc, "frames", _parse_frame, lambda r: r.frame_id)
-    ego = _parse_table(doc, "ego", _parse_ego, lambda r: r.info_id)
-    instances = _parse_table(doc, "instances", _parse_instance, lambda r: r.info_id)
+    scenes, frames, ego, instances = (_parse_table(doc, *table) for table in _TABLES)
 
     # Referential integrity: every listed id resolves, every info row is
     # referenced exactly once, and every frame belongs to exactly one scene.
@@ -435,11 +432,8 @@ def build_database(
         if planar_norm(row.local_t) <= important_radius
     }
     filtered_frames = {
-        frame_id: FrameRecord(
-            frame_id=frame.frame_id,
-            ego_info_id=frame.ego_info_id,
-            instance_info_ids=tuple(i for i in frame.instance_info_ids if i in kept),
-            timestamp=frame.timestamp,
+        frame_id: replace(
+            frame, instance_info_ids=tuple(i for i in frame.instance_info_ids if i in kept)
         )
         for frame_id, frame in frames.items()
     }
@@ -465,67 +459,44 @@ def build_database(
 
 
 def database_to_document(db: SceneDatabase) -> dict[str, Any]:
-    return {
-        "important_radius": db.important_radius,
-        "scenes": [
-            {"scene_id": s.scene_id, "frame_ids": list(s.frame_ids)}
-            for s in sorted(db.scenes.values(), key=lambda s: s.scene_id)
-        ],
-        "frames": [
-            {
-                "frame_id": f.frame_id,
-                "ego_info_id": f.ego_info_id,
-                "instance_info_ids": list(f.instance_info_ids),
-                "timestamp": f.timestamp,
-            }
-            for f in sorted(db.frames.values(), key=lambda f: f.frame_id)
-        ],
-        "ego": [
-            {
-                "info_id": e.info_id,
-                "pose": e.pose.as_list(),
-                "rotation": e.rotation.as_list(),
-                "velocity": e.velocity,
-                "road_info": e.road_info,
-                "camera_info": e.camera_info,
-            }
-            for e in sorted(db.ego.values(), key=lambda e: e.info_id)
-        ],
-        "instances": [
-            {
-                "info_id": r.info_id,
-                "instance_id": r.instance_id,
-                "category": r.category,
-                "attribute": r.attribute,
-                "global_t": r.global_t.as_list(),
-                "global_r": r.global_r.as_list(),
-                "local_t": r.local_t.as_list(),
-                "local_r": r.local_r.as_list(),
-                "velocity": r.velocity,
-                "road_info": r.road_info,
-                "camera_pos": {v.value: b.as_list() for v, b in sorted(r.camera_pos.items(), key=lambda kv: kv[0].value)},
-            }
-            for r in sorted(db.instances.values(), key=lambda r: r.info_id)
-        ],
-    }
+    doc: dict[str, Any] = {"important_radius": db.important_radius}
+    for key, _, _, fields in _TABLES:
+        rows = getattr(db, key)
+        doc[key] = [
+            {name: save(getattr(rows[row_id], name)) for name, (_, save) in fields.items()}
+            for row_id in sorted(rows)
+        ]
+    return doc
 
 
 def save_database(db: SceneDatabase, path: str | Path) -> None:
     write_atomic(path, canonical_dumps(database_to_document(db)) + "\n")
 
 
+@contextmanager
+def naming_file(path: str | Path) -> Iterator[None]:
+    """Prefix ``<path>: `` to a schema error raised in the block; its ``.path``
+    still names the field."""
+    try:
+        yield
+    except AnnotationSchemaError as err:
+        err.args = (f"{path}: {err}",)
+        raise
+
+
 def load_database(path: str | Path) -> SceneDatabase:
-    doc = read_json(path)
-    doc = _expect_mapping(doc, "database")
-    radius = _as_float(_field(doc, "important_radius", "database"), "database.important_radius")
-    if radius <= 0:
-        raise AnnotationSchemaError("database.important_radius", "expected a positive number")
-    return build_database(doc, important_radius=radius)
+    with naming_file(path):
+        doc = _expect_mapping(read_json(path), "database")
+        radius = _as_float(_field(doc, "important_radius", "database"), "database.important_radius")
+        if radius <= 0:
+            raise AnnotationSchemaError("database.important_radius", "expected a positive number")
+        return build_database(doc, important_radius=radius)
 
 
 def load_annotations(path: str | Path) -> dict[str, Any]:
     """Read a canonical annotations JSON document."""
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise AnnotationSchemaError("annotations", "top level must be an object")
+    with naming_file(path):
+        doc = read_json(path)
+        if not isinstance(doc, dict):
+            raise AnnotationSchemaError("annotations", "top level must be an object")
     return doc

@@ -11,8 +11,12 @@ import pytest
 from _reviewer import mock_reviewer
 from drivesql import generation
 from drivesql.cli import run
-from drivesql.evaluation import predictions_from_pairs, write_predictions_jsonl
-from drivesql.generation import pair_to_dict, read_pairs_jsonl, write_pairs_jsonl
+from drivesql.evaluation import (
+    predictions_from_pairs,
+    read_predictions_jsonl,
+    write_predictions_jsonl,
+)
+from drivesql.generation import DetectionList, pair_to_dict, read_pairs_jsonl, write_pairs_jsonl
 from drivesql.scene_db import save_database
 from drivesql.stats import compute_stats, view_percent_csv
 from drivesql.canonical import canonical_dumps
@@ -307,6 +311,9 @@ def _unreadable_input_cases():
     }
     for name, argv in other_text.items():
         yield pytest.param(argv, b"\xff\n", id=f"{name}-not-utf8")
+    # Valid JSON that breaks the schema at the top: the file is named too.
+    yield pytest.param(whole_json["verify-db"], b"[1, 2]", id="verify-db-not-an-object")
+    yield pytest.param(whole_json["build-db"], b'{"scenes": 3}', id="build-db-scenes-not-an-array")
 
 
 @pytest.mark.parametrize("argv, content", _unreadable_input_cases())
@@ -333,6 +340,131 @@ def test_eval_names_line_of_prediction_missing_a_field(tmp_path, demo_pairs, cap
     code = run(["eval", str(pairs), str(preds), "-o", str(tmp_path / "report.json")])
     _assert_line_2_error(code, capsys, "response_text")
 
+
+def _numeric_truth(doc, text):
+    """The pair's line with a numeric ground truth whose one value is ``text``."""
+    line = json.dumps({**doc, "ground_truth": {"kind": "numeric", "values": [0.125]}})
+    return line.replace("[0.125]", f"[{text}]")
+
+
+_BAD_PAIRS = [
+    (lambda doc: _numeric_truth(doc, "NaN"), "NaN is not a finite number"),
+    (lambda doc: _numeric_truth(doc, "-Infinity"), "-Infinity is not a finite number"),
+    (lambda doc: _numeric_truth(doc, "1e400"), "ground_truth.values[0]: expected a finite number"),
+    (lambda doc: _numeric_truth(doc, "true"), "ground_truth.values[0]: expected a number"),
+    (lambda doc: json.dumps({**doc, "instruction": None}), "instruction: expected a string"),
+    (lambda doc: json.dumps({**doc, "pair_id": 12345}), "pair_id: expected a string"),
+    (lambda doc: json.dumps({**doc, "frame_ids": "abc"}), "frame_ids: expected an array"),
+]
+
+_PAIRS_READERS = {
+    "verify": lambda pairs, db, preds, out: ["verify", pairs, "-o", out],
+    "eval": lambda pairs, db, preds, out: ["eval", pairs, preds, "-o", out],
+    "split": lambda pairs, db, preds, out: ["split", pairs, "-o", out],
+    "stats": lambda pairs, db, preds, out: ["stats", pairs, db, "-o", out],
+}
+
+
+@pytest.fixture()
+def read_side(tmp_path, demo_db, demo_pairs):
+    """A database, pairs and echo predictions for the commands that read pairs."""
+    db = tmp_path / "db.json"
+    save_database(demo_db, db)
+    preds = tmp_path / "preds.jsonl"
+    write_predictions_jsonl(predictions_from_pairs(demo_pairs[:3]), preds)
+    return tmp_path, db, [pair_to_dict(p) for p in demo_pairs[:3]], preds
+
+
+@pytest.mark.parametrize("command", _PAIRS_READERS)
+@pytest.mark.parametrize(
+    "mangle, reason",
+    _BAD_PAIRS,
+    ids=["nan", "minus-infinity", "1e400", "bool", "null-instruction", "int-pair-id", "str-frames"],
+)
+def test_pairs_readers_refuse_non_finite_numbers_and_non_text(
+    read_side, capsys, command, mangle, reason
+):
+    tmp_path, db, docs, preds = read_side
+    pairs = tmp_path / "pairs.jsonl"
+    _jsonl_with_bad_line_2(pairs, docs, mangle(docs[1]))
+    out = tmp_path / "out"
+    code = run([str(a) for a in _PAIRS_READERS[command](pairs, db, preds, out)])
+    _assert_line_2_error(code, capsys, f"{pairs}:2: {reason}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mangle, reason",
+    [
+        (lambda doc: json.dumps(doc).replace('"score": 1.0', '"score": NaN', 1), "NaN is not"),
+        (lambda doc: json.dumps(doc).replace('"score": 1.0', '"score": 1e400', 1),
+         "detections[0].score: expected a finite number"),
+        (lambda doc: json.dumps({**doc, "response_text": None}), "response_text: expected"),
+        (lambda doc: json.dumps({**doc, "pair_id": 7}), "pair_id: expected a string"),
+    ],
+    ids=["nan-score", "1e400-score", "null-response-text", "int-pair-id"],
+)
+def test_eval_refuses_non_finite_and_non_text_predictions(
+    tmp_path, demo_pairs, capsys, mangle, reason
+):
+    detected = [
+        p for p in demo_pairs if isinstance(p.ground_truth, DetectionList) and p.ground_truth.items
+    ]
+    pairs = tmp_path / "pairs.jsonl"
+    write_pairs_jsonl(detected[:3], pairs)
+    preds = tmp_path / "preds.jsonl"
+    write_predictions_jsonl(predictions_from_pairs(detected[:3]), preds)
+    docs = [json.loads(line) for line in preds.read_text().splitlines()]
+    _jsonl_with_bad_line_2(preds, docs, mangle(docs[1]))
+    out = tmp_path / "report.json"
+    code = run(["eval", str(pairs), str(preds), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith(f"error: {preds}:2: ") and reason in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_predictions_may_answer_with_empty_text(tmp_path):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"pair_id": "p", "response_text": ""}) + "\n", encoding="utf-8")
+    assert read_predictions_jsonl(preds)[0].response_text == ""
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan", "0", "-2"])
+def test_thresholds_file_refuses_non_finite_and_non_positive_values(pipeline, capsys, value):
+    tmp_path, _, db, _ = pipeline
+    thresholds = tmp_path / "thresholds.txt"
+    thresholds.write_text(f"dis_x=3\ndis={value}\n", encoding="utf-8")
+    out = tmp_path / "gated.jsonl"
+    assert run(["generate", str(db), "-o", str(out), "--thresholds", str(thresholds)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {thresholds}:2: threshold dis must be a positive finite number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "request_text, where",
+    [
+        ('{"scenes": [{"scripts": [{"waypoints": [{"t": 0, "x": NaN, "y": 0}]}]}]}',
+         "scenes[0].scripts[0].waypoints[0]: x: expected a finite number, got nan"),
+        ('{"scenes": [{"scripts": [{"waypoints": [{"t": 0, "x": 1, "y": 1e400}]}]}]}',
+         "scenes[0].scripts[0].waypoints[0]: y: expected a finite number, got inf"),
+        ('{"scenes": [{"ego_speed": Infinity, "scripts": []}]}',
+         "scenes[0]: ego_speed: expected a finite number, got inf"),
+        ('{"scenes": [{"n_frames": 1e400, "scripts": []}]}', "scenes[0]: "),
+        ('{"sample": {"n_random": 1e400}}', "sample: "),
+    ],
+    ids=["nan-x", "1e400-y", "infinite-ego-speed", "1e400-n-frames", "1e400-n-random"],
+)
+def test_synth_script_names_a_non_finite_number(tmp_path, capsys, request_text, where):
+    scripts = tmp_path / "scripts.json"
+    scripts.write_text(request_text, encoding="utf-8")
+    out = tmp_path / "ann.json"
+    assert run(["synth", str(scripts), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scripts}: {where}")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_generate_rejects_jobs_below_one(pipeline, capsys):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import random
@@ -17,9 +18,17 @@ from drivesql.scene_db import (
     load_database,
     save_database,
 )
-from drivesql.synth import ScenarioScript, Waypoint, random_corpus, synth_scene
+from drivesql.synth import (
+    ScenarioScript,
+    Waypoint,
+    demo_corpus,
+    merge_scenes,
+    random_corpus,
+    synth_scene,
+)
 
 from _oracles import SceneOracle
+from test_loader_properties import _REMOVE, _mutated, _node_paths
 
 
 def _static_track(x, y, *, speed=0.0, category="car", lane="2"):
@@ -276,3 +285,66 @@ def test_canonical_dumps_refuses_non_finite_numbers():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             canonical_dumps({"x": value})
+
+
+# --------------------------------------------------------------------------
+# Golden digests of the database format: the saved bytes of a fixed corpus,
+# and every loader message over a fixed corruption corpus. A change to
+# either digest is a change of the format or of its messages.
+
+SAVED_DATABASE_SHA256 = "70d998e1542c20a03aab9bd4be6aec595d36bf01182e40b171618407246ae749"
+LOADER_MESSAGES_SHA256 = "234ae260e104a8f582d4ec11a15ed8fbc049ae77767e762611af5446fcb8cd6d"
+
+# Values that break some check, or sit on its boundary, for a field of any type.
+_BAD_VALUES = (
+    None, True, False, 0, -1, 2.5, 10**400, math.nan, math.inf, -math.inf,
+    "", "x", [], ["x"], [0.0] * 3, [1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 5,
+    [10.0, 10.0, 5.0, 20.0], {}, {"k": 1}, {"": "v"}, {"front": [0.0, 0.0, 1.0, 1.0]},
+    {"all": [0.0, 0.0, 1.0, 1.0]}, {"bogus": [0.0, 0.0, 1.0, 1.0]},
+)
+
+
+def _corruptions(doc):
+    """Copies of ``doc`` each broken in one place: the whole document, each
+    table, the first two rows of each table and every node below them, and
+    one duplicated row per table."""
+    yield from _BAD_VALUES
+    for table in ("scenes", "frames", "ego", "instances"):
+        paths = [(table,)]
+        for i in (0, 1):
+            paths += [(table, i), *_node_paths(doc[table][i], (table, i))]
+        for path in paths:
+            for value in _BAD_VALUES + (_REMOVE,):
+                yield _mutated(doc, path, value)
+        yield {**doc, table: doc[table] + doc[table][:1]}
+
+
+def _loader_messages():
+    doc = merge_scenes(
+        [
+            synth_scene(
+                [_static_track(5, 0), _static_track(8, 2)], n_frames=3, seed=s, scene_id=f"s{s}"
+            )
+            for s in (0, 1)
+        ]
+    )
+    for bad in _corruptions(doc):
+        try:
+            build_database(bad)
+        except AnnotationSchemaError as err:
+            yield str(err)
+        else:
+            yield "accepted"
+
+
+def test_saved_database_bytes_match_golden_digest(tmp_path):
+    path = tmp_path / "db.json"
+    save_database(build_database(demo_corpus(3, seed=2)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_DATABASE_SHA256
+
+
+def test_loader_messages_match_golden_digest():
+    messages = list(_loader_messages())
+    joined = "\n".join(messages).encode("utf-8")
+    assert len(messages) > 1000
+    assert hashlib.sha256(joined).hexdigest() == LOADER_MESSAGES_SHA256
