@@ -71,6 +71,22 @@ def json_text(value: Any, field: str) -> str:
     return value
 
 
+def json_int(value: Any, field: str) -> int:
+    """``value`` if it is an int, not a bool; anything else, a float with an
+    integral value included, raises ``ValueError`` naming ``field``."""
+    if type(value) is not int:
+        raise ValueError(f"{field}: expected an integer, got {type(value).__name__}")
+    return value
+
+
+def json_bool(value: Any, field: str) -> bool:
+    """``value`` if it is ``true`` or ``false``; anything else raises
+    ``ValueError`` naming ``field``."""
+    if type(value) is not bool:
+        raise ValueError(f"{field}: expected true or false, got {type(value).__name__}")
+    return value
+
+
 def json_number(value: Any, field: str) -> float:
     """``value`` as a float if it is a finite int or float, not a bool;
     anything else raises ``ValueError`` naming ``field``."""

@@ -18,10 +18,20 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from .canonical import canonical_dumps, json_number, read_json, read_text, write_atomic
+from .canonical import (
+    canonical_dumps,
+    json_bool,
+    json_int,
+    json_number,
+    json_text,
+    read_json,
+    read_text,
+    write_atomic,
+)
 from .errors import DriveSqlError
 from .evaluation import evaluate, read_predictions_jsonl, split_dataset
 from .generation import (
@@ -76,6 +86,14 @@ def _sha256_file(path: Path) -> str:
     return _sha256_bytes(path.read_bytes())
 
 
+@contextmanager
+def _timed(timings: dict[str, float], name: str) -> Iterator[None]:
+    """Record the seconds the block takes as phase ``name`` of ``timings``."""
+    start = time.monotonic()
+    yield
+    timings[name] = round(time.monotonic() - start, 3)
+
+
 def _write_manifest(
     command: str,
     config: dict[str, Any],
@@ -83,6 +101,7 @@ def _write_manifest(
     outputs: Sequence[Path],
     started: float,
     reviewer: VerificationResult | None = None,
+    timings: dict[str, float] | None = None,
 ) -> Path:
     manifest: dict[str, Any] = {
         "command": command,
@@ -92,6 +111,8 @@ def _write_manifest(
         "tool_version": TOOL_VERSION,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
+    if timings is not None:
+        manifest["timings"] = timings
     if reviewer is not None:
         manifest["reviewer"] = {
             "requests": reviewer.requests,
@@ -136,6 +157,17 @@ def _parse_thresholds_file(path: Path) -> RiskThresholds:
     return RiskThresholds(**values)
 
 
+def _finite_float(text: str) -> float:
+    """A float option's value; NaN and the infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_subtasks(text: str) -> frozenset[Subtask]:
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
@@ -167,11 +199,16 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 
 
 def _script_from_doc(doc: dict[str, Any], where: str) -> ScenarioScript:
-    kind_name = doc.get("kind")
+    try:
+        kind_name = None if doc.get("kind") is None else json_text(doc["kind"], "kind")
+        category = json_text(doc.get("category", "car"), "category")
+        lane = json_text(doc.get("lane", "2"), "lane")
+    except ValueError as err:
+        raise CliUsageError(f"{where}: {err}") from None
     kind = None
     if kind_name is not None:
         try:
-            kind = Subtask(str(kind_name))
+            kind = Subtask(kind_name)
         except ValueError:
             raise CliUsageError(f"{where}: unknown kind {kind_name!r}") from None
         if kind not in RISK_SUBTASKS:
@@ -194,17 +231,12 @@ def _script_from_doc(doc: dict[str, Any], where: str) -> ScenarioScript:
                     ),
                     yaw=json_number(wp.get("yaw", 0.0), "yaw"),
                     speed=json_number(wp.get("speed", 0.0), "speed"),
-                    lane=None if wp.get("lane") is None else str(wp["lane"]),
+                    lane=None if wp.get("lane") is None else json_text(wp["lane"], "lane"),
                 )
             )
         except (KeyError, TypeError, ValueError) as err:
             raise CliUsageError(f"{where}.waypoints[{i}]: {err}") from None
-    return ScenarioScript(
-        kind=kind,
-        waypoints=tuple(waypoints),
-        category=str(doc.get("category", "car")),
-        lane=str(doc.get("lane", "2")),
-    )
+    return ScenarioScript(kind=kind, waypoints=tuple(waypoints), category=category, lane=lane)
 
 
 def _synth_from_request(doc: Any, path: Path) -> dict[str, Any]:
@@ -216,9 +248,9 @@ def _synth_from_request(doc: Any, path: Path) -> dict[str, Any]:
             raise CliUsageError(f"{path}: 'sample' must be an object")
         try:
             return demo_corpus(
-                int(sample.get("n_random", 20)),
-                int(sample.get("seed", 0)),
-                include_curated=bool(sample.get("include_curated", True)),
+                json_int(sample.get("n_random", 20), "n_random"),
+                json_int(sample.get("seed", 0), "seed"),
+                include_curated=json_bool(sample.get("include_curated", True), "include_curated"),
             )
         except (TypeError, ValueError, OverflowError) as err:
             raise CliUsageError(f"{path}: sample: {err}") from None
@@ -243,9 +275,9 @@ def _synth_from_request(doc: Any, path: Path) -> dict[str, Any]:
             docs.append(
                 synth_scene(
                     [s for s in scripts if s is not None],
-                    n_frames=int(scene.get("n_frames", 3)),
-                    seed=int(scene.get("seed", 0)),
-                    scene_id=str(scene.get("scene_id", f"scene_{idx:04d}")),
+                    n_frames=json_int(scene.get("n_frames", 3), "n_frames"),
+                    seed=json_int(scene.get("seed", 0), "seed"),
+                    scene_id=json_text(scene.get("scene_id", f"scene_{idx:04d}"), "scene_id"),
                     ego_speed=json_number(scene.get("ego_speed", 5.0), "ego_speed"),
                     ego_yaw=json_number(scene.get("ego_yaw", 0.0), "ego_yaw"),
                 )
@@ -260,13 +292,14 @@ def _synth_from_request(doc: Any, path: Path) -> dict[str, Any]:
 
 def _cmd_build_db(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    timings: dict[str, float] = {}
     src = Path(args.annotations)
-    annotations = load_annotations(src)
-    with naming_file(src):
-        db = build_database(annotations, important_radius=args.radius)
+    with _timed(timings, "load"), naming_file(src):
+        db = build_database(load_annotations(src), important_radius=args.radius)
     out = Path(args.output)
-    save_database(db, out)
-    _write_manifest("build-db", {"radius": args.radius}, [src], [out], started)
+    with _timed(timings, "write"):
+        save_database(db, out)
+    _write_manifest("build-db", {"radius": args.radius}, [src], [out], started, timings=timings)
     print(
         f"built database: {len(db.scenes)} scenes, {len(db.frames)} frames, "
         f"{len(db.instances)} instance rows -> {out}"
@@ -296,19 +329,24 @@ def _client(args: argparse.Namespace) -> ExternalClient | None:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    timings: dict[str, float] = {}
     src = Path(args.database)
-    db = load_database(src)
+    with _timed(timings, "load"):
+        db = load_database(src)
     config = _generation_config(args)
-    pairs, diag = generate_dataset(db, config, jobs=args.jobs)
+    with _timed(timings, "generate"):
+        pairs, diag = generate_dataset(db, config, jobs=args.jobs)
     dropped = 0
     client = _client(args)
     result = None
     if client is not None:
-        result = verify_pairs(pairs, client, db)
+        with _timed(timings, "verify"):
+            result = verify_pairs(pairs, client, db)
         dropped = len(result.rejected)
         pairs = result.kept
     out = Path(args.output)
-    write_pairs_jsonl(pairs, out)
+    with _timed(timings, "write"):
+        write_pairs_jsonl(pairs, out)
     inputs = [src] + ([Path(args.thresholds)] if args.thresholds else [])
     _write_manifest(
         "generate",
@@ -321,6 +359,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         [out],
         started,
         reviewer=result,
+        timings=timings,
     )
     note = f", dropped {dropped} in verification" if dropped else ""
     print(
@@ -332,13 +371,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    timings: dict[str, float] = {}
     src = Path(args.pairs)
-    pairs = read_pairs_jsonl(src)
-    db = load_database(Path(args.db)) if args.db else None
+    with _timed(timings, "load"):
+        pairs = read_pairs_jsonl(src)
+        db = load_database(Path(args.db)) if args.db else None
     client = _client(args)
-    result = verify_pairs(pairs, client, db)
+    with _timed(timings, "verify"):
+        result = verify_pairs(pairs, client, db)
     out = Path(args.output)
-    write_pairs_jsonl(result.kept, out)
     report = {
         "kept": len(result.kept),
         "rejected": [{"pair_id": pid, "reason": reason} for pid, reason in result.rejected],
@@ -346,7 +387,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "revised": sorted(result.revised),
     }
     report_path = Path(f"{out}.report.json")
-    write_atomic(report_path, canonical_dumps(report) + "\n")
+    with _timed(timings, "write"):
+        write_pairs_jsonl(result.kept, out)
+        write_atomic(report_path, canonical_dumps(report) + "\n")
     inputs = [src] + ([Path(args.db)] if args.db else [])
     _write_manifest(
         "verify",
@@ -355,6 +398,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         [out, report_path],
         started,
         reviewer=result if client is not None else None,
+        timings=timings,
     )
     print(
         f"kept {len(result.kept)}/{len(pairs)} pairs "
@@ -397,16 +441,22 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    timings: dict[str, float] = {}
     pairs_path = Path(args.pairs)
     db_path = Path(args.database)
-    pairs = read_pairs_jsonl(pairs_path)
-    db = load_database(db_path)
-    stats = compute_stats(pairs, db)
+    with _timed(timings, "load"):
+        pairs = read_pairs_jsonl(pairs_path)
+        db = load_database(db_path)
+    with _timed(timings, "stats"):
+        stats = compute_stats(pairs, db)
     out = Path(args.output)
-    write_atomic(out, canonical_dumps(stats.as_dict()) + "\n")
     csv_path = Path(f"{out}.views.csv")
-    view_percent_csv(stats, csv_path)
-    _write_manifest("stats", {}, [pairs_path, db_path], [out, csv_path], started)
+    with _timed(timings, "write"):
+        write_atomic(out, canonical_dumps(stats.as_dict()) + "\n")
+        view_percent_csv(stats, csv_path)
+    _write_manifest(
+        "stats", {}, [pairs_path, db_path], [out, csv_path], started, timings=timings
+    )
     print(
         f"{stats.pairs_total} pairs, {stats.keyframes} keyframes, "
         f"{stats.avg_instances_per_keyframe:.2f} instances/keyframe -> {out}"
@@ -463,7 +513,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument(
         "--radius",
-        type=float,
+        type=_finite_float,
         default=_env("RADIUS", str(DEFAULT_IMPORTANT_RADIUS)),
         help="importance radius in meters",
     )

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -109,6 +110,21 @@ def test_manifest_contents(pipeline):
     assert manifest["wall_time_s"] >= 0
     assert len(manifest["config_digest"]) == 64
     assert "reviewer" not in manifest
+
+    kept = tmp_path / "kept.jsonl"
+    stats = tmp_path / "stats.json"
+    assert run(["verify", str(pairs), "-o", str(kept), "--db", str(db)]) == 0
+    assert run(["stats", str(kept), str(db), "-o", str(stats)]) == 0
+    phases = {
+        db: ["load", "write"],
+        pairs: ["generate", "load", "write"],
+        kept: ["load", "verify", "write"],
+        stats: ["load", "stats", "write"],
+    }
+    for output, names in phases.items():
+        timings = _manifest(output)["timings"]
+        assert sorted(timings) == names
+        assert all(math.isfinite(s) and s >= 0 for s in timings.values())
 
 
 def test_env_defaults_and_cli_precedence(pipeline, monkeypatch):
@@ -467,6 +483,60 @@ def test_synth_script_names_a_non_finite_number(tmp_path, capsys, request_text, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "request_doc, where",
+    [
+        ({"sample": {"n_random": 2.7}}, "sample: n_random: expected an integer, got float"),
+        ({"sample": {"n_random": True}}, "sample: n_random: expected an integer, got bool"),
+        ({"sample": {"seed": "3"}}, "sample: seed: expected an integer, got str"),
+        ({"sample": {"include_curated": "no"}},
+         "sample: include_curated: expected true or false, got str"),
+        ({"sample": {"include_curated": 0}},
+         "sample: include_curated: expected true or false, got int"),
+        ({"scenes": [{"n_frames": 3.7, "scripts": []}]},
+         "scenes[0]: n_frames: expected an integer, got float"),
+        ({"scenes": [{"seed": False, "scripts": []}]},
+         "scenes[0]: seed: expected an integer, got bool"),
+        ({"scenes": [{"scene_id": 5, "scripts": []}]},
+         "scenes[0]: scene_id: expected a string, got int"),
+        ({"scenes": [{"scripts": [{"category": 1, "waypoints": []}]}]},
+         "scenes[0].scripts[0]: category: expected a string, got int"),
+        ({"scenes": [{"scripts": [{"lane": 2, "waypoints": []}]}]},
+         "scenes[0].scripts[0]: lane: expected a string, got int"),
+        ({"scenes": [{"scripts": [{"kind": ["braking"], "waypoints": []}]}]},
+         "scenes[0].scripts[0]: kind: expected a string, got list"),
+        ({"scenes": [{"scripts": [{"waypoints": [{"t": 0, "x": 1, "y": 0, "lane": 1}]}]}]},
+         "scenes[0].scripts[0].waypoints[0]: lane: expected a string, got int"),
+    ],
+)
+def test_synth_request_refuses_a_field_of_the_wrong_type(tmp_path, capsys, request_doc, where):
+    scripts = tmp_path / "scripts.json"
+    scripts.write_text(json.dumps(request_doc), encoding="utf-8")
+    out = tmp_path / "ann.json"
+    assert run(["synth", str(scripts), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scripts}: {where}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_non_finite_radius_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, radius, source
+):
+    argv = ["build-db", str(tmp_path / "missing.json"), "-o", str(tmp_path / "db.json")]
+    if source == "flag":
+        argv.append(f"--radius={radius}")
+    else:
+        monkeypatch.setenv("DRIVESQL_RADIUS", radius)
+    # The annotations file does not exist: refusing the radius first exits 1, not 2.
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --radius: expected a finite number")
+    assert not (tmp_path / "db.json").exists()
+
+
 def test_generate_rejects_jobs_below_one(pipeline, capsys):
     tmp_path, _, db, _ = pipeline
     out = tmp_path / "none.jsonl"
@@ -595,3 +665,4 @@ def test_generate_with_reviewer_records_its_counts(pipeline, capsys):
     assert len(server.requests) == n
     assert out.read_bytes() == pairs.read_bytes()
     assert _manifest(out)["reviewer"] == {"requests": n, "retries": 0, "unverified": 0}
+    assert sorted(_manifest(out)["timings"]) == ["generate", "load", "verify", "write"]

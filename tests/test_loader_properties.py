@@ -7,13 +7,15 @@ value (or removed), which reaches the deeper field checks.
 """
 
 import json
+import os
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivesql import generation
+from drivesql import generation, scene_db
+from drivesql.canonical import canonical_dumps
 from drivesql.errors import AnnotationSchemaError, DriveSqlError
 from drivesql.evaluation import (
     Prediction,
@@ -31,6 +33,11 @@ from drivesql.generation import (
 )
 from drivesql.scene_db import SceneDatabase, build_database, database_to_document, load_database
 from drivesql.synth import demo_corpus
+
+# Each property runs SCALE times its default number of examples. The
+# default is 1; a deeper run sets LOADER_PROPERTIES_SCALE, for example to 40
+# for at least 4000 examples per property.
+SCALE = int(os.environ.get("LOADER_PROPERTIES_SCALE", "1"))
 
 # Any value ``json.loads`` can return, NaN, the infinities and integers too
 # large for a float included.
@@ -107,17 +114,36 @@ def _load_database_text(path, text):
         pass
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100 * SCALE, deadline=None)
 @given(value=json_values)
 def test_load_database_on_any_json_value(workdir, value):
     _load_database_text(workdir / "any.db.json", json.dumps(value))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200 * SCALE, deadline=None)
 @given(data=st.data())
 def test_load_database_on_a_mutated_database(workdir, database_doc, data):
     doc = data.draw(_mutations(database_doc))
     _load_database_text(workdir / "mutated.db.json", json.dumps(doc))
+
+
+def _built(doc):
+    """The saved document of ``build_database(doc)``, or its schema error."""
+    try:
+        return canonical_dumps(database_to_document(build_database(doc, important_radius=30.0)))
+    except AnnotationSchemaError as err:
+        return str(err)
+
+
+@settings(max_examples=100 * SCALE, deadline=None)
+@given(data=st.data())
+def test_fast_checks_agree_with_the_walker_on_a_mutated_database(database_doc, data):
+    # The path-naming walker alone is the reference: with every row sent to
+    # it, the same document must build to the same bytes or fail the same way.
+    doc = data.draw(_mutations(database_doc))
+    with mock.patch.object(scene_db, "_fast_row", lambda raw, fast_fields: None):
+        walked = _built(doc)
+    assert _built(doc) == walked
 
 
 @pytest.mark.parametrize("radius", [0, 0.0, -1.5])
@@ -139,14 +165,14 @@ def _read_line(reader, path, line, expected_type):
         assert len(rows) == 1 and isinstance(rows[0], expected_type)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100 * SCALE, deadline=None)
 @given(value=json_values)
 def test_read_pairs_on_any_json_line(workdir, value):
     path = workdir / "any.pairs.jsonl"
     _read_line(read_pairs_jsonl, path, json.dumps(value), InstructionResponsePair)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200 * SCALE, deadline=None)
 @given(data=st.data())
 def test_read_pairs_on_a_mutated_pair(workdir, demo_pairs, data):
     doc = pair_to_dict(data.draw(st.sampled_from(demo_pairs[:40])))
@@ -170,13 +196,13 @@ def prediction_docs(demo_pairs, tmp_path_factory):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100 * SCALE, deadline=None)
 @given(value=json_values)
 def test_read_predictions_on_any_json_line(workdir, value):
     _read_line(read_predictions_jsonl, workdir / "any.preds.jsonl", json.dumps(value), Prediction)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200 * SCALE, deadline=None)
 @given(data=st.data())
 def test_read_predictions_on_a_mutated_prediction(workdir, prediction_docs, data):
     doc = data.draw(st.sampled_from([d for d in prediction_docs if len(d) > 2]))
@@ -199,7 +225,7 @@ replies = json_values | st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100 * SCALE, deadline=None)
 @given(reply=replies)
 def test_any_reviewer_reply_keeps_rejects_or_flags_the_pair(demo_pairs, reply):
     pair = demo_pairs[0]

@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ import random
 
 import pytest
 
+from drivesql import scene_db
 from drivesql.canonical import canonical_dumps
 from drivesql.cli import run
 from drivesql.errors import AnnotationSchemaError, RecordNotFound
@@ -28,7 +30,7 @@ from drivesql.synth import (
 )
 
 from _oracles import SceneOracle
-from test_loader_properties import _REMOVE, _mutated, _node_paths
+from test_loader_properties import _REMOVE, _built, _mutated, _node_paths
 
 
 def _static_track(x, y, *, speed=0.0, category="car", lane="2"):
@@ -151,6 +153,15 @@ def test_non_unit_quaternion_rejected(small_annotations):
     build_database(ok)
 
 
+def test_quaternion_whose_norm_overflows_is_refused(small_annotations):
+    bad = copy.deepcopy(small_annotations)
+    bad["instances"][0]["global_r"] = [1e200, 0.0, 0.0, 0.0]
+    with pytest.raises(AnnotationSchemaError) as err:
+        build_database(bad)
+    assert err.value.path == f"instances[id={bad['instances'][0]['info_id']}].global_r"
+    assert "quaternion norm inf" in str(err.value)
+
+
 def test_duplicate_ids_rejected(small_annotations):
     bad = copy.deepcopy(small_annotations)
     bad["frames"].append(copy.deepcopy(bad["frames"][0]))
@@ -190,6 +201,29 @@ def test_degenerate_bbox_rejected(small_annotations):
 def test_negative_radius_rejected(small_annotations):
     with pytest.raises(ValueError):
         build_database(small_annotations, important_radius=0.0)
+
+
+@pytest.mark.parametrize("radius", [True, math.nan, math.inf, -math.inf, 10**400, "20"])
+def test_radius_must_be_a_positive_finite_number(small_annotations, radius):
+    with pytest.raises(ValueError, match="important_radius must be a positive finite number"):
+        build_database(small_annotations, important_radius=radius)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loading_leaves_the_garbage_collector_as_it_found_it(small_annotations, tmp_path, enabled):
+    path = tmp_path / "db.json"
+    save_database(build_database(small_annotations), path)
+    bad = copy.deepcopy(small_annotations)
+    del bad["frames"][0]["timestamp"]
+    if not enabled:
+        gc.disable()
+    try:
+        load_database(path)
+        with pytest.raises(AnnotationSchemaError):
+            build_database(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_persistence_round_trip(tmp_path):
@@ -289,11 +323,14 @@ def test_canonical_dumps_refuses_non_finite_numbers():
 
 # --------------------------------------------------------------------------
 # Golden digests of the database format: the saved bytes of a fixed corpus,
-# and every loader message over a fixed corruption corpus. A change to
-# either digest is a change of the format or of its messages.
+# every loader message over a fixed corruption corpus, and the saved bytes
+# of every corruption the loader accepts, ints in place of floats included.
+# A change to any digest is a change of the format, of its messages or of
+# the values it accepts.
 
 SAVED_DATABASE_SHA256 = "70d998e1542c20a03aab9bd4be6aec595d36bf01182e40b171618407246ae749"
 LOADER_MESSAGES_SHA256 = "234ae260e104a8f582d4ec11a15ed8fbc049ae77767e762611af5446fcb8cd6d"
+ACCEPTED_DATABASES_SHA256 = "e04aa642387958459b359e56423fc257e5a13b9db6e13f4285d3db739ff99310"
 
 # Values that break some check, or sit on its boundary, for a field of any type.
 _BAD_VALUES = (
@@ -304,23 +341,30 @@ _BAD_VALUES = (
 )
 
 
-def _corruptions(doc):
+# Floats on the boundary of a fast check that ``_BAD_VALUES`` lacks.
+_FLOAT_EDGES = (
+    -1.5, -0.0, 1e308, [1e200, 0.0, 0.0, 0.0], [1.0, 2.0, 1.0, 2.0], [0.0, 0.0, 1.0005, 0.0],
+    [0.0, 0.0, 1.0015, 0.0], [1.001, 0.0, 0.0, 0.0], [0.0, 0.999, 0.0, 0.0],
+)
+
+
+def _corruptions(doc, values=_BAD_VALUES):
     """Copies of ``doc`` each broken in one place: the whole document, each
     table, the first two rows of each table and every node below them, and
     one duplicated row per table."""
-    yield from _BAD_VALUES
+    yield from values
     for table in ("scenes", "frames", "ego", "instances"):
         paths = [(table,)]
         for i in (0, 1):
             paths += [(table, i), *_node_paths(doc[table][i], (table, i))]
         for path in paths:
-            for value in _BAD_VALUES + (_REMOVE,):
+            for value in values + (_REMOVE,):
                 yield _mutated(doc, path, value)
         yield {**doc, table: doc[table] + doc[table][:1]}
 
 
-def _loader_messages():
-    doc = merge_scenes(
+def _two_scenes():
+    return merge_scenes(
         [
             synth_scene(
                 [_static_track(5, 0), _static_track(8, 2)], n_frames=3, seed=s, scene_id=f"s{s}"
@@ -328,7 +372,24 @@ def _loader_messages():
             for s in (0, 1)
         ]
     )
-    for bad in _corruptions(doc):
+
+
+def _int_valued(doc):
+    """Copies of ``doc`` with ints where the format has floats: a velocity,
+    a timestamp, vec3s, a rotation and a box, whole or mixed with floats."""
+    yield _mutated(doc, ("instances", 0, "velocity"), 3)
+    yield _mutated(doc, ("ego", 0, "velocity"), 3)
+    yield _mutated(doc, ("frames", 0, "timestamp"), 3)
+    yield _mutated(doc, ("instances", 0, "global_t"), [3, -4, 0])
+    yield _mutated(doc, ("instances", 1, "local_t"), [3, 4.5, 0])
+    yield _mutated(doc, ("ego", 1, "pose"), [3, 0, 0])
+    yield _mutated(doc, ("ego", 1, "rotation"), [1, 0, 0.0, 0])
+    view = next(iter(doc["instances"][0]["camera_pos"]))
+    yield _mutated(doc, ("instances", 0, "camera_pos", view), [3, 3, 300, 300.5])
+
+
+def _loader_messages():
+    for bad in _corruptions(_two_scenes()):
         try:
             build_database(bad)
         except AnnotationSchemaError as err:
@@ -348,3 +409,32 @@ def test_loader_messages_match_golden_digest():
     joined = "\n".join(messages).encode("utf-8")
     assert len(messages) > 1000
     assert hashlib.sha256(joined).hexdigest() == LOADER_MESSAGES_SHA256
+
+
+def test_accepted_values_match_golden_digest(tmp_path):
+    doc = _two_scenes()
+    path = tmp_path / "db.json"
+    digest = hashlib.sha256()
+    accepted = 0
+    for bad in _corruptions(doc):
+        try:
+            db = build_database(bad)
+        except AnnotationSchemaError:
+            continue
+        save_database(db, path)
+        digest.update(path.read_bytes())
+        accepted += 1
+    for variant in _int_valued(doc):
+        save_database(build_database(variant), path)
+        digest.update(path.read_bytes())
+    assert accepted > 100
+    assert digest.hexdigest() == ACCEPTED_DATABASES_SHA256
+
+
+def test_fast_checks_agree_with_the_walker_on_float_edges(monkeypatch):
+    # The digests above pin the walker's results on ``_BAD_VALUES``; here the
+    # path-naming walker alone is the reference.
+    docs = list(_corruptions(_two_scenes(), _FLOAT_EDGES))
+    built = [_built(bad) for bad in docs]
+    monkeypatch.setattr(scene_db, "_fast_row", lambda raw, fast_fields: None)
+    assert [_built(bad) for bad in docs] == built
