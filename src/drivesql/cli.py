@@ -157,14 +157,14 @@ def _parse_thresholds_file(path: Path) -> RiskThresholds:
     return RiskThresholds(**values)
 
 
-def _finite_float(text: str) -> float:
-    """A float option's value; NaN and the infinities are refused."""
+def _positive_float(text: str) -> float:
+    """A float option's value; zero, negatives, NaN and the infinities are refused."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 
@@ -192,6 +192,8 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
         a, b, c = (float(p) for p in parts)
     except ValueError:
         raise CliUsageError(f"--ratios contains a non-number: {text!r}") from None
+    if not math.isfinite(a + b + c):
+        raise CliUsageError(f"--ratios needs finite numbers with a finite sum, got {text!r}")
     return (a, b, c)
 
 
@@ -410,11 +412,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_split(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    ratios = _parse_ratios(args.ratios)
     src = Path(args.pairs)
     pairs = read_pairs_jsonl(src)
     if not pairs:
         raise CliUsageError(f"{src}: no pairs to split")
-    ratios = _parse_ratios(args.ratios)
     scene_ids = {pair.scene_id for pair in pairs}
     split = split_dataset(scene_ids, ratios=ratios, seed=args.seed)
     out_dir = Path(args.output)
@@ -513,7 +515,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument(
         "--radius",
-        type=_finite_float,
+        type=_positive_float,
         default=_env("RADIUS", str(DEFAULT_IMPORTANT_RADIUS)),
         help="importance radius in meters",
     )

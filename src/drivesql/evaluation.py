@@ -329,11 +329,11 @@ def split_dataset(
         raise ValueError("cannot split an empty id list")
     if len(set(ids)) != len(ids):
         raise ValueError("scene ids must be unique")
-    if any(r < 0 for r in ratios) or sum(ratios) <= 0:
-        raise ValueError("ratios must be non-negative and sum to a positive value")
+    total = sum(ratios)
+    if any(r < 0 for r in ratios) or not 0 < total < math.inf:
+        raise ValueError(f"ratios must be non-negative with a positive finite sum, got {ratios!r}")
     rng = random.Random(seed)
     rng.shuffle(ids)
-    total = sum(ratios)
     quotas = [len(ids) * r / total for r in ratios]
     sizes = [math.floor(q) for q in quotas]
     leftover = len(ids) - sum(sizes)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import gc
 import math
 import sys
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .canonical import canonical_dumps, read_json, write_atomic
 from .errors import AnnotationSchemaError, RecordNotFound
@@ -180,14 +181,15 @@ class SceneDatabase:
 
 
 # --------------------------------------------------------------------------
-# Validated parsing. Every helper threads a path string so rejections name
-# the record and field that broke the contract.
+# Validated parsing. Every check names a refused value by the path it is
+# given. A container formats an item's path (``[i]``, ``[view]``, `` key``)
+# only to name a refusal, checking its items again as ``canonical.json_array`` does.
 
 
 def _expect_mapping(value: Any, path: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise AnnotationSchemaError(path, f"expected an object, got {type(value).__name__}")
-    return value
+    if type(value) is dict or isinstance(value, Mapping):
+        return value
+    raise AnnotationSchemaError(path, f"expected an object, got {type(value).__name__}")
 
 
 def _expect_list(value: Any, path: str) -> list[Any]:
@@ -210,10 +212,18 @@ def _as_str(value: Any, path: str) -> str:
 
 def _as_str_tuple(value: Any, path: str) -> tuple[str, ...]:
     items = _expect_list(value, path)
-    return tuple(_as_str(item, f"{path}[{i}]") for i, item in enumerate(items))
+    try:
+        return tuple([_as_str(item, path) for item in items])
+    except AnnotationSchemaError:
+        # Format the index only on failure: check again, naming each item.
+        for i, item in enumerate(items):
+            _as_str(item, f"{path}[{i}]")
+        raise
 
 
 def _as_float(value: Any, path: str) -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise AnnotationSchemaError(path, "expected a number")
     try:
@@ -236,24 +246,23 @@ def _as_floats(value: Any, path: str, count: int, noun: str) -> list[float]:
     items = _expect_list(value, path)
     if len(items) != count:
         raise AnnotationSchemaError(path, f"expected {count} {noun}, got {len(items)}")
-    return [_as_float(item, f"{path}[{i}]") for i, item in enumerate(items)]
+    for item in items:
+        if type(item) is not float or not math.isfinite(item):
+            # Off the shortcut: check each item, naming it.
+            return [_as_float(item, f"{path}[{i}]") for i, item in enumerate(items)]
+    return items
 
 
 def _as_vec3(value: Any, path: str) -> Vec3:
     return Vec3(*_as_floats(value, path, 3, "components"))
 
 
-def _norm(q: Quaternion) -> float:
-    """``q.norm()``, or inf where squaring a finite component overflows."""
-    try:
-        return q.norm()
-    except OverflowError:
-        return math.inf
-
-
 def _as_quaternion(value: Any, path: str) -> Quaternion:
     q = Quaternion(*_as_floats(value, path, 4, "components"))
-    norm = _norm(q)
+    try:
+        norm = q.norm()
+    except OverflowError:  # squaring a finite component overflowed
+        norm = math.inf
     if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
         raise AnnotationSchemaError(path, f"quaternion norm {norm:.6f} is not within 1e-3 of 1")
     return q
@@ -261,10 +270,17 @@ def _as_quaternion(value: Any, path: str) -> Quaternion:
 
 def _as_str_map(value: Any, path: str) -> dict[str, str]:
     mapping = _expect_mapping(value, path)
-    out: dict[str, str] = {}
-    for key, item in mapping.items():
-        out[_as_str(key, f"{path} key")] = _as_str(item, f"{path}[{key}]")
-    return out
+    try:
+        for key, item in mapping.items():
+            _as_str(item, path)
+            _as_str(key, path)
+    except AnnotationSchemaError:
+        # Format the key only on failure: check again, naming each entry.
+        for key, item in mapping.items():
+            _as_str(item, f"{path}[{key}]")
+            _as_str(key, f"{path} key")
+        raise
+    return dict(mapping)
 
 
 def _as_bbox(value: Any, path: str) -> BBox2D:
@@ -274,133 +290,56 @@ def _as_bbox(value: Any, path: str) -> BBox2D:
     return BBox2D(x1, y1, x2, y2)
 
 
-def _as_camera_pos(value: Any, path: str) -> dict[View, BBox2D]:
-    mapping = _expect_mapping(value, path)
-    out: dict[View, BBox2D] = {}
-    for key, item in mapping.items():
-        try:
-            view = View(key)
-        except ValueError:
-            raise AnnotationSchemaError(f"{path}[{key}]", "unknown view name") from None
-        if view is View.ALL:
-            raise AnnotationSchemaError(f"{path}[{key}]", "the union view cannot carry a box")
-        out[view] = _as_bbox(item, f"{path}[{key}]")
-    if not out:
-        raise AnnotationSchemaError(path, "an instance must be visible in at least one view")
-    return out
-
-
-# --------------------------------------------------------------------------
-# Fast checks. Each takes only the exact types ``json.loads`` produces (a
-# float, never an int, for a number; a dict for an object) and returns what
-# the matching check above returns for that value, or raises ``_Refused``.
-# They format no path: a row that any of them refuses is walked again by the
-# checks above, which name the failure or accept the row.
-
-
-class _Refused(Exception):
-    pass
-
-
-def _fast_str(value: Any) -> str:
-    if type(value) is str and value:
-        return value
-    raise _Refused
-
-
-def _fast_str_tuple(value: Any) -> tuple[str, ...]:
-    if type(value) is not list:
-        raise _Refused
-    for item in value:
-        if type(item) is not str or not item:
-            raise _Refused
-    return tuple(value)
-
-
-def _fast_float(value: Any) -> float:
-    if type(value) is float and math.isfinite(value):
-        return value
-    raise _Refused
-
-
-def _fast_speed(value: Any) -> float:
-    if type(value) is float and math.isfinite(value) and value >= 0:
-        return value
-    raise _Refused
-
-
-def _fast_floats(value: Any, count: int) -> list[float]:
-    if type(value) is not list or len(value) != count:
-        raise _Refused
-    for item in value:
-        if type(item) is not float or not math.isfinite(item):
-            raise _Refused
-    return value
-
-
-def _fast_vec3(value: Any) -> Vec3:
-    return Vec3(*_fast_floats(value, 3))
-
-
-def _fast_quaternion(value: Any) -> Quaternion:
-    q = Quaternion(*_fast_floats(value, 4))
-    if abs(_norm(q) - 1.0) > UNIT_NORM_TOLERANCE:
-        raise _Refused
-    return q
-
-
-def _fast_str_map(value: Any) -> dict[str, str]:
-    if type(value) is not dict:
-        raise _Refused
-    for key, item in value.items():
-        if type(key) is not str or not key or type(item) is not str or not item:
-            raise _Refused
-    return dict(value)
-
-
 _BOX_VIEWS = {view.value: view for view in REAL_VIEWS}
 
 
-def _fast_camera_pos(value: Any) -> dict[View, BBox2D]:
-    if type(value) is not dict or not value:
-        raise _Refused
+def _as_view(value: Any, path: str) -> View:
+    view = _BOX_VIEWS.get(value)
+    if view is None:
+        if value == View.ALL.value:
+            raise AnnotationSchemaError(path, "the union view cannot carry a box")
+        raise AnnotationSchemaError(path, "unknown view name")
+    return view
+
+
+def _as_camera_pos(value: Any, path: str) -> dict[View, BBox2D]:
+    mapping = _expect_mapping(value, path)
+    if not mapping:
+        raise AnnotationSchemaError(path, "an instance must be visible in at least one view")
     out: dict[View, BBox2D] = {}
-    for key, item in value.items():
-        view = _BOX_VIEWS.get(key)
-        if view is None:
-            raise _Refused
-        x1, y1, x2, y2 = _fast_floats(item, 4)
-        if not (x1 < x2 and y1 < y2):
-            raise _Refused
-        out[view] = BBox2D(x1, y1, x2, y2)
+    try:
+        for key, item in mapping.items():
+            view = _as_view(key, path)
+            out[view] = _as_bbox(item, path)
+    except AnnotationSchemaError:
+        # Format the view only on failure: check again, naming each box.
+        for key, item in mapping.items():
+            _as_view(key, f"{path}[{key}]")
+            _as_bbox(item, f"{path}[{key}]")
+        raise
     return out
 
 
 # --------------------------------------------------------------------------
-# The database format, declared once. Each field kind pairs its fast check
-# and the check that reads any document value into a record, naming the
-# field on failure, with the function that saves it back; ``str`` and
-# ``float`` return a str or float as it is.
+# The database format, declared once. Each field kind pairs its check, which
+# reads any document value into a record and names the field on failure,
+# with the function that saves it back; ``str`` and ``float`` return a str
+# or float as it is.
 
 
 class _Kind(NamedTuple):
-    fast: Callable[[Any], Any]
     check: Callable[[Any, str], Any]
     save: Callable[[Any], Any]
 
 
-_TEXT = _Kind(_fast_str, _as_str, str)
-_TEXTS = _Kind(_fast_str_tuple, _as_str_tuple, list)
-_NUMBER = _Kind(_fast_float, _as_float, float)
-_SPEED = _Kind(_fast_speed, _as_speed, float)
-_VEC3 = _Kind(_fast_vec3, _as_vec3, Vec3.as_list)
-_ROTATION = _Kind(_fast_quaternion, _as_quaternion, Quaternion.as_list)
-_TEXT_MAP = _Kind(_fast_str_map, _as_str_map, lambda texts: texts)
-_CAMERA_POS = _Kind(
-    _fast_camera_pos,
-    _as_camera_pos,
-    lambda boxes: {v.value: b.as_list() for v, b in boxes.items()},
-)
+_TEXT = _Kind(_as_str, str)
+_TEXTS = _Kind(_as_str_tuple, list)
+_NUMBER = _Kind(_as_float, float)
+_SPEED = _Kind(_as_speed, float)
+_VEC3 = _Kind(_as_vec3, Vec3.as_list)
+_ROTATION = _Kind(_as_quaternion, Quaternion.as_list)
+_TEXT_MAP = _Kind(_as_str_map, lambda texts: texts)
+_CAMERA_POS = _Kind(_as_camera_pos, lambda boxes: {v.value: b.as_list() for v, b in boxes.items()})
 
 # Per table: its key in the document and in ``SceneDatabase``, its record
 # type, whether a row's error paths name it by id once the id is read (or
@@ -442,11 +381,13 @@ def _parse_table(
 ) -> dict[str, Any]:
     rows = _expect_list(_field(doc, key, "annotations"), f"annotations.{key}")
     id_name = next(iter(fields))
-    fast_fields = tuple((name, kind.fast) for name, kind in fields.items())
+    checks = tuple((name, kind.check) for name, kind in fields.items())
     table: dict[str, Any] = {}
     for i, raw in enumerate(rows):
-        values = _fast_row(raw, fast_fields)
-        if values is None:
+        try:
+            values = _check_row(raw, key, checks)
+        except (AnnotationSchemaError, KeyError):
+            # Format paths only on failure: check again, naming the field.
             values = _walk_row(raw, key, i, by_id, fields)
         row_id = values[id_name]
         if row_id in table:
@@ -455,14 +396,10 @@ def _parse_table(
     return table
 
 
-def _fast_row(raw: Any, fast_fields: tuple[tuple[str, Callable], ...]) -> dict[str, Any] | None:
-    """The row's field values if every fast check takes them, else None."""
-    if type(raw) is not dict:
-        return None
-    try:
-        return {name: fast(raw[name]) for name, fast in fast_fields}
-    except (_Refused, KeyError):
-        return None
+def _check_row(raw: Any, key: str, checks: tuple[tuple[str, Callable], ...]) -> dict[str, Any]:
+    """The row's field values; a refusal names the table, not the field."""
+    rec = _expect_mapping(raw, key)
+    return {name: check(rec[name], key) for name, check in checks}
 
 
 def _walk_row(raw: Any, key: str, i: int, by_id: bool, fields: dict[str, _Kind]) -> dict[str, Any]:

@@ -223,7 +223,7 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
 def test_bad_radius_is_a_usage_error(pipeline, capsys):
     tmp_path, ann, _, _ = pipeline
     assert run(["build-db", str(ann), "-o", str(tmp_path / "x.json"), "--radius", "0"]) == 1
-    assert "important_radius" in capsys.readouterr().err
+    assert "--radius" in capsys.readouterr().err
 
 
 def test_scripted_synth_scene(tmp_path):
@@ -520,7 +520,7 @@ def test_synth_request_refuses_a_field_of_the_wrong_type(tmp_path, capsys, reque
     assert not out.exists()
 
 
-@pytest.mark.parametrize("radius", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "0", "-1"])
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_non_finite_radius_is_refused_before_any_work(
     tmp_path, capsys, monkeypatch, radius, source
@@ -533,8 +533,20 @@ def test_non_finite_radius_is_refused_before_any_work(
     # The annotations file does not exist: refusing the radius first exits 1, not 2.
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: argument --radius: expected a finite number")
+    assert err.startswith("error: argument --radius: expected a positive finite number")
     assert not (tmp_path / "db.json").exists()
+
+
+@pytest.mark.parametrize("ratios", ["1,1,nan", "1,1,inf", "1e308,1e308,1"])
+def test_split_refuses_ratios_without_a_finite_sum(tmp_path, capsys, ratios):
+    out = tmp_path / "splits"
+    # The pairs file does not exist: refusing the ratios first exits 1, not 2.
+    argv = ["split", str(tmp_path / "missing.jsonl"), "-o", str(out), f"--ratios={ratios}"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --ratios needs finite numbers with a finite sum")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_generate_rejects_jobs_below_one(pipeline, capsys):

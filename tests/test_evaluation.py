@@ -371,6 +371,14 @@ def test_split_rejects_bad_inputs():
         split_dataset(["a"], ratios=(1.0, -1.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "ratios", [(1.0, 1.0, math.nan), (1.0, 1.0, math.inf), (1e308, 1e308, 1.0)]
+)
+def test_split_rejects_ratios_without_a_finite_sum(ratios):
+    with pytest.raises(ValueError, match="positive finite sum"):
+        split_dataset(["a", "b"], ratios=ratios)
+
+
 # ------------------------------------------------------------ full pipeline
 
 

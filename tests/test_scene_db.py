@@ -30,7 +30,7 @@ from drivesql.synth import (
 )
 
 from _oracles import SceneOracle
-from test_loader_properties import _REMOVE, _built, _mutated, _node_paths
+from test_loader_properties import _REMOVE, _built, _mutated, _node_paths, _refuse_every_row
 
 
 def _static_track(x, y, *, speed=0.0, category="car", lane="2"):
@@ -436,5 +436,5 @@ def test_fast_checks_agree_with_the_walker_on_float_edges(monkeypatch):
     # path-naming walker alone is the reference.
     docs = list(_corruptions(_two_scenes(), _FLOAT_EDGES))
     built = [_built(bad) for bad in docs]
-    monkeypatch.setattr(scene_db, "_fast_row", lambda raw, fast_fields: None)
+    monkeypatch.setattr(scene_db, "_check_row", _refuse_every_row)
     assert [_built(bad) for bad in docs] == built
