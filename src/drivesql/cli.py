@@ -32,7 +32,7 @@ from .canonical import (
     read_text,
     write_atomic,
 )
-from .errors import DriveSqlError
+from .errors import DriveSqlError, RecordNotFound
 from .evaluation import evaluate, read_predictions_jsonl, split_dataset
 from .generation import (
     ExternalClient,
@@ -131,6 +131,7 @@ def _write_manifest(
 def _parse_thresholds_file(path: Path) -> RiskThresholds:
     """Read ``key=value`` lines; keys are dis, dis_x, dis_y, s."""
     values: dict[str, float] = {}
+    set_on: dict[str, int] = {}
     known = {"dis", "dis_x", "dis_y", "s"}
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -145,6 +146,11 @@ def _parse_thresholds_file(path: Path) -> RiskThresholds:
                 f"{path}:{lineno}: unknown threshold {key!r}, expected one of "
                 + ", ".join(sorted(known))
             )
+        if key in set_on:
+            raise CliUsageError(
+                f"{path}:{lineno}: threshold {key} is already set on line {set_on[key]}"
+            )
+        set_on[key] = lineno
         try:
             number = float(value.strip())
         except ValueError:
@@ -325,10 +331,6 @@ def _generation_config(args: argparse.Namespace) -> GenerationConfig:
     )
 
 
-def _client(args: argparse.Namespace) -> ExternalClient | None:
-    return ExternalClient(endpoint=args.verifier) if args.verifier else None
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     timings: dict[str, float] = {}
@@ -338,35 +340,21 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     config = _generation_config(args)
     with _timed(timings, "generate"):
         pairs, diag = generate_dataset(db, config, jobs=args.jobs)
-    dropped = 0
-    client = _client(args)
-    result = None
-    if client is not None:
-        with _timed(timings, "verify"):
-            result = verify_pairs(pairs, client, db)
-        dropped = len(result.rejected)
-        pairs = result.kept
     out = Path(args.output)
     with _timed(timings, "write"):
         write_pairs_jsonl(pairs, out)
     inputs = [src] + ([Path(args.thresholds)] if args.thresholds else [])
     _write_manifest(
         "generate",
-        {
-            "config_digest": config.digest(),
-            "jobs": args.jobs,
-            "verifier": args.verifier or "offline",
-        },
+        {"config_digest": config.digest(), "jobs": args.jobs},
         inputs,
         [out],
         started,
-        reviewer=result,
         timings=timings,
     )
-    note = f", dropped {dropped} in verification" if dropped else ""
     print(
         f"generated {len(pairs)} pairs from {diag.eligible_scenes} scenes "
-        f"({diag.windows_unique} windows){note} -> {out}"
+        f"({diag.windows_unique} windows) -> {out}"
     )
     return 0
 
@@ -378,7 +366,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with _timed(timings, "load"):
         pairs = read_pairs_jsonl(src)
         db = load_database(Path(args.db)) if args.db else None
-    client = _client(args)
+    client = ExternalClient(endpoint=args.verifier) if args.verifier else None
     with _timed(timings, "verify"):
         result = verify_pairs(pairs, client, db)
     out = Path(args.output)
@@ -450,7 +438,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         pairs = read_pairs_jsonl(pairs_path)
         db = load_database(db_path)
     with _timed(timings, "stats"):
-        stats = compute_stats(pairs, db)
+        try:
+            stats = compute_stats(pairs, db)
+        except RecordNotFound as err:
+            # The first pair that names the missing frame is the one refused.
+            pair = next(p for p in pairs if err.record_id in p.frame_ids)
+            raise CliUsageError(f"{pairs_path}: pair {pair.pair_id}: {err}") from None
     out = Path(args.output)
     csv_path = Path(f"{out}.views.csv")
     with _timed(timings, "write"):
@@ -529,7 +522,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-instances", type=int, default=_env("MAX_INSTANCES", "3"))
     p.add_argument("--thresholds", default=_env("THRESHOLDS", None))
     p.add_argument("--subtasks", default=_env("SUBTASKS", None))
-    p.add_argument("--verifier", default=_env("VERIFIER", None))
     p.add_argument(
         "--jobs",
         type=int,

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .canonical import canonical_jsonl, json_number, json_text, read_jsonl, write_atomic
+from .canonical import (
+    canonical_jsonl,
+    json_array,
+    json_number,
+    json_text,
+    read_jsonl,
+    write_atomic,
+)
 from .errors import UndefinedScore
 from .generation import (
     DetectionList,
@@ -512,17 +519,18 @@ def predictions_from_pairs(pairs: Iterable[InstructionResponsePair]) -> list[Pre
 # ----------------------------------------------------------------- file I/O
 
 
+def _detection_pred(doc: Any, field: str) -> DetectionPred:
+    return DetectionPred(
+        view=View(doc["view"]),
+        bbox=_bbox_from_list(doc["bbox"], f"{field}.bbox"),
+        score=json_number(doc["score"], f"{field}.score"),
+    )
+
+
 def _prediction_from_dict(doc: Mapping[str, Any]) -> Prediction:
     detections = None
     if "detections" in doc and doc["detections"] is not None:
-        detections = tuple(
-            DetectionPred(
-                view=View(d["view"]),
-                bbox=_bbox_from_list(d["bbox"], f"detections[{i}].bbox"),
-                score=json_number(d["score"], f"detections[{i}].score"),
-            )
-            for i, d in enumerate(doc["detections"])
-        )
+        detections = tuple(json_array(doc["detections"], "detections", _detection_pred))
     return Prediction(
         pair_id=json_text(doc["pair_id"], "pair_id"),
         response_text=json_text(doc["response_text"], "response_text"),

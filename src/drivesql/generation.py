@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import http.client
 import json
 import math
 import random
 import time
-import urllib.error
-import urllib.request
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
+
+# The reviewer's HTTP client and the worker pools are imported where they are
+# used, so that a stage that needs neither does not pay to load them.
 
 from .canonical import (
     canonical_dumps,
@@ -581,6 +580,8 @@ def generate_dataset(
     if jobs == 1 or len(eligible) <= 1:
         results = [_generate_scene(db, scene_id, config) for scene_id in eligible]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(eligible)),
             initializer=_init_worker,
@@ -624,18 +625,7 @@ def ground_truth_from_dict(doc: Mapping[str, Any]) -> GroundTruth:
     if kind == "label":
         return Label(json_text(doc["value"], "ground_truth.value"))
     if kind == "detection":
-        return DetectionList(
-            tuple(
-                DetectionRef(
-                    view=View(item["view"]),
-                    bbox=_bbox_from_list(item["bbox"], f"ground_truth.items[{i}].bbox"),
-                    instance_id=json_text(
-                        item["instance_id"], f"ground_truth.items[{i}].instance_id"
-                    ),
-                )
-                for i, item in enumerate(doc["items"])
-            )
-        )
+        return DetectionList(tuple(json_array(doc["items"], "ground_truth.items", _detection_ref)))
     if kind == "free_text":
         return FreeText(json_text(doc["text"], "ground_truth.text"))
     raise ValueError(f"unknown ground truth kind {kind!r}")
@@ -643,6 +633,14 @@ def ground_truth_from_dict(doc: Mapping[str, Any]) -> GroundTruth:
 
 def _bbox_from_list(coords: Any, field: str) -> BBox2D:
     return BBox2D(*json_array(coords, field, json_number))
+
+
+def _detection_ref(item: Any, field: str) -> DetectionRef:
+    return DetectionRef(
+        view=View(item["view"]),
+        bbox=_bbox_from_list(item["bbox"], f"{field}.bbox"),
+        instance_id=json_text(item["instance_id"], f"{field}.instance_id"),
+    )
 
 
 def pair_to_dict(pair: InstructionResponsePair) -> dict[str, Any]:
@@ -680,7 +678,7 @@ def pair_from_dict(doc: Mapping[str, Any]) -> InstructionResponsePair:
         scene_id=json_text(doc["scene_id"], "scene_id"),
         frame_ids=frame_ids,  # type: ignore[arg-type]
         subtask=subtask,
-        views_used=tuple(View(v) for v in doc["views_used"]),
+        views_used=tuple(json_array(doc["views_used"], "views_used", lambda v, _: View(v))),
         instruction=json_text(doc["instruction"], "instruction"),
         response=json_text(doc["response"], "response"),
         ground_truth=ground_truth_from_dict(doc["ground_truth"]),
@@ -791,6 +789,8 @@ def offline_check(pair: InstructionResponsePair, db: SceneDatabase | None = None
 
 
 def _post_json(url: str, payload: dict[str, Any], timeout_s: float) -> Any:
+    import urllib.request
+
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
         url, data=body, headers={"Content-Type": "application/json"}, method="POST"
@@ -802,6 +802,9 @@ def _post_json(url: str, payload: dict[str, Any], timeout_s: float) -> Any:
 def _consult_external(client: ExternalClient, pair: InstructionResponsePair) -> tuple[Any, int]:
     """The reviewer's parsed reply, or None once every attempt failed, and
     the number of attempts made."""
+    import http.client
+    import urllib.error
+
     payload = {
         "pair_id": pair.pair_id,
         "instruction": pair.instruction,
@@ -827,6 +830,8 @@ def _consult_in_order(
     At most ``4 * MAX_IN_FLIGHT`` requests are queued or waiting to be read,
     so memory does not grow with the number of pairs.
     """
+    from concurrent.futures import Future, ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
         pending: deque[tuple[InstructionResponsePair, Future[tuple[Any, int]]]] = deque()
         for pair in pairs:

@@ -324,73 +324,14 @@ def _lane_changing(c: _RiskContext, t: RiskThresholds) -> bool:
     )
 
 
-# Literal transcriptions of the published predicate tables, kept behind a
-# compatibility switch. The overtaking row contradicts itself (x < 0 and
-# x > 0), so it never fires, and lateral bounds compare signed values.
-def _overtaking_literal(c: _RiskContext, t: RiskThresholds) -> bool:
-    return (
-        c.m_prev.x < 0
-        and c.m_prev.x > 0
-        and c.m_prev.y < t.dis
-        and c.m_prev.y < t.dis
-        and c.v_i > 0
-        and c.v_prev > 0
-    )
-
-
-def _on_coming_literal(c: _RiskContext, t: RiskThresholds) -> bool:
-    assert c.m_next is not None
-    return (
-        c.m_prev.x > 0
-        and c.m_prev.x > 0
-        and c.m_next.x < c.m_prev.x
-        and c.m_prev.y < t.dis
-        and c.m_next.y < t.dis
-        and abs(c.m_next.y - c.m_prev.y) < t.dis
-        and c.v_i > 0
-        and c.v_prev > 0
-    )
-
-
-def _approaching_literal(c: _RiskContext, t: RiskThresholds) -> bool:
-    assert c.m_next is not None
-    return (
-        c.m_next.x < c.m_prev.x
-        and c.m_prev.y < t.dis
-        and c.m_next.y < t.dis
-        and abs(c.m_next.y - c.m_prev.y) < t.dis
-        and c.v_i > 0
-        and c.v_prev > 0
-    )
-
-
-def _braking_literal(c: _RiskContext, t: RiskThresholds) -> bool:
-    assert c.m_next is not None
-    return (
-        c.l_i < c.l_prev < t.dis
-        and abs(c.m_next.x - c.m_prev.x) > t.dis_x
-        and c.m_next.y < t.dis_y
-        and c.m_prev.y < t.dis_y
-        and c.v_prev > t.s
-        and c.v_i < t.s
-    )
-
-
+# Departs from the published table: its overtaking row contradicts itself
+# (x < 0 and x > 0 of one displacement), and lateral bounds here compare abs values.
 _PREDICATES = {
     Subtask.OVERTAKING: _overtaking,
     Subtask.ON_COMING: _on_coming,
     Subtask.APPROACHING: _approaching,
     Subtask.CROSSING: _crossing,
     Subtask.BRAKING: _braking,
-    Subtask.LANE_CHANGING: _lane_changing,
-}
-
-_PREDICATES_LITERAL = {
-    Subtask.OVERTAKING: _overtaking_literal,
-    Subtask.ON_COMING: _on_coming_literal,
-    Subtask.APPROACHING: _approaching_literal,
-    Subtask.CROSSING: _crossing,
-    Subtask.BRAKING: _braking_literal,
     Subtask.LANE_CHANGING: _lane_changing,
 }
 
@@ -420,11 +361,9 @@ class WindowContext:
         """Current rows that appear at all three frames."""
         return sum(1 for _, c in self.risk_rows if c.m_next is not None)
 
-    def risk_hits(
-        self, kind: Subtask, thresholds: RiskThresholds, *, literal: bool
-    ) -> list[InstanceInfo]:
+    def risk_hits(self, kind: Subtask, thresholds: RiskThresholds) -> list[InstanceInfo]:
         """Rows matching one risk kind, in the current frame's order."""
-        predicate = (_PREDICATES_LITERAL if literal else _PREDICATES)[kind]
+        predicate = _PREDICATES[kind]
         return [
             info
             for info, c in self.risk_rows
@@ -434,8 +373,7 @@ class WindowContext:
     def plan(self, thresholds: RiskThresholds) -> PlanningResult:
         """All six risk hit lists plus the ego's own next move."""
         risks = {
-            kind: tuple(self.risk_hits(kind, thresholds, literal=False))
-            for kind in RISK_SUBTASKS
+            kind: tuple(self.risk_hits(kind, thresholds)) for kind in RISK_SUBTASKS
         }
         return PlanningResult(
             risks=risks, ego_speed_delta=self.ego_speed_delta, ego_motion=self.ego_motion
@@ -484,18 +422,16 @@ def detect_risk(
     frame_i: str,
     frame_next: str,
     thresholds: RiskThresholds = RiskThresholds(),
-    *,
-    literal: bool = False,
 ) -> list[InstanceInfo]:
     """Instances at the current frame whose window matches one risk kind.
 
     Instances missing an appearance at a frame the predicate needs are
-    skipped. ``literal`` switches to the uncorrected predicate table.
+    skipped.
     """
     if kind not in RISK_SUBTASKS:
         raise ValueError(f"{kind} is not a risk kind")
     ctx = window_context(db, frame_prev, frame_i, frame_next)
-    return ctx.risk_hits(kind, thresholds, literal=literal)
+    return ctx.risk_hits(kind, thresholds)
 
 
 def planning_with_reasoning(

@@ -274,6 +274,16 @@ def test_module_entry_point_reports_version():
     assert "0.1.0" in proc.stdout
 
 
+def test_cli_import_leaves_out_the_reviewer_client_and_the_pools():
+    deferred = ["http.client", "urllib.request", "concurrent.futures", "multiprocessing"]
+    probe = f"import sys, drivesql.cli; print([m for m in {deferred!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _jsonl_with_bad_line_2(path, docs, bad_line):
     lines = [canonical_dumps(doc) for doc in docs]
     lines[1] = bad_line
@@ -298,6 +308,16 @@ def _assert_line_2_error(code, capsys, field):
         (lambda doc: '{"pair_id": ', "Expecting value"),
         (lambda doc: canonical_dumps({**doc, "ground_truth": []}), "no attribute"),
         (lambda doc: canonical_dumps({**doc, "task": "risk"}), "does not match subtask"),
+        (
+            lambda doc: canonical_dumps({**doc, "views_used": {"front": 1}}),
+            "views_used: expected an array, got dict",
+        ),
+        (
+            lambda doc: canonical_dumps(
+                {**doc, "ground_truth": {"kind": "detection", "items": {}}}
+            ),
+            "ground_truth.items: expected an array, got dict",
+        ),
     ],
 )
 def test_verify_names_line_of_bad_pair(tmp_path, demo_pairs, capsys, mangle, reason):
@@ -417,8 +437,9 @@ def test_pairs_readers_refuse_non_finite_numbers_and_non_text(
          "detections[0].score: expected a finite number"),
         (lambda doc: json.dumps({**doc, "response_text": None}), "response_text: expected"),
         (lambda doc: json.dumps({**doc, "pair_id": 7}), "pair_id: expected a string"),
+        (lambda doc: json.dumps({**doc, "detections": {}}), "detections: expected an array"),
     ],
-    ids=["nan-score", "1e400-score", "null-response-text", "int-pair-id"],
+    ids=["nan-score", "1e400-score", "null-response-text", "int-pair-id", "object-detections"],
 )
 def test_eval_refuses_non_finite_and_non_text_predictions(
     tmp_path, demo_pairs, capsys, mangle, reason
@@ -455,6 +476,30 @@ def test_thresholds_file_refuses_non_finite_and_non_positive_values(pipeline, ca
     assert run(["generate", str(db), "-o", str(out), "--thresholds", str(thresholds)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {thresholds}:2: threshold dis must be a positive finite number")
+    assert not out.exists()
+
+
+def test_thresholds_file_refuses_a_repeated_key(pipeline, capsys):
+    tmp_path, _, db, _ = pipeline
+    thresholds = tmp_path / "thresholds.txt"
+    thresholds.write_text("dis=1\ndis=50\n", encoding="utf-8")
+    out = tmp_path / "gated.jsonl"
+    assert run(["generate", str(db), "-o", str(out), "--thresholds", str(thresholds)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {thresholds}:2: threshold dis is already set on line 1\n"
+    assert not out.exists()
+
+
+def test_stats_names_the_pair_its_database_lacks(read_side, capsys):
+    tmp_path, db, docs, _ = read_side
+    docs[1]["frame_ids"] = ["ghost_a", "ghost_b", "ghost_c"]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(canonical_dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    out = tmp_path / "stats.json"
+    assert run(["stats", str(pairs), str(db), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    pair_id = docs[1]["pair_id"]
+    assert err == f"error: {pairs}: pair {pair_id}: no frame record with id 'ghost_a'\n"
     assert not out.exists()
 
 
@@ -665,16 +710,3 @@ def test_verify_manifest_counts_retries_to_an_unreachable_reviewer(tmp_path, dem
     offline = tmp_path / "offline.jsonl"
     assert run(["verify", str(pairs), "-o", str(offline)]) == 0
     assert "reviewer" not in _manifest(offline)
-
-
-def test_generate_with_reviewer_records_its_counts(pipeline, capsys):
-    tmp_path, _, db, pairs = pipeline
-    n = len(read_pairs_jsonl(pairs))
-    out = tmp_path / "reviewed.jsonl"
-    with mock_reviewer(lambda payload: {"verdict": "keep"}) as (server, url):
-        args = ["generate", str(db), "-o", str(out), "--seed", "3", "--verifier", url]
-        assert run(args) == 0
-    assert len(server.requests) == n
-    assert out.read_bytes() == pairs.read_bytes()
-    assert _manifest(out)["reviewer"] == {"requests": n, "retries": 0, "unverified": 0}
-    assert sorted(_manifest(out)["timings"]) == ["generate", "load", "verify", "write"]

@@ -16,11 +16,11 @@ from _oracles import SceneOracle
 SCENARIOS = curated_scenarios()
 
 
-def _detections(db, window, thresholds=None, literal=False):
+def _detections(db, window, thresholds=None):
     th = thresholds or RiskThresholds()
     found = {}
     for kind in RISK_SUBTASKS:
-        hits = detect_risk(db, kind, *window, th, literal=literal)
+        hits = detect_risk(db, kind, *window, th)
         if hits:
             found[kind] = [i.instance_id for i in hits]
     return found
@@ -59,26 +59,6 @@ def test_curated_scenario_matches_oracle(scenario):
         want = oracle.risk(kind.value, *window)
         got = [i.info_id for i in detect_risk(db, kind, *window, RiskThresholds())]
         assert got == want
-
-
-def test_literal_overtaking_is_degenerate():
-    """The published overtaking clause contradicts itself and never fires."""
-    for scenario in SCENARIOS:
-        db = build_database(scenario.build())
-        window = scenario.window_frame_ids()
-        hits = detect_risk(db, Subtask.OVERTAKING, *window, RiskThresholds(), literal=True)
-        assert hits == []
-
-
-def test_literal_mode_keeps_braking_and_lane_changing():
-    """Kinds without transcription fixes behave identically in both modes."""
-    for scenario in SCENARIOS:
-        db = build_database(scenario.build())
-        window = scenario.window_frame_ids()
-        for kind in (Subtask.BRAKING, Subtask.LANE_CHANGING, Subtask.CROSSING):
-            corrected = detect_risk(db, kind, *window, RiskThresholds())
-            literal = detect_risk(db, kind, *window, RiskThresholds(), literal=True)
-            assert [i.info_id for i in corrected] == [i.info_id for i in literal]
 
 
 def test_thresholds_gate_detection():
