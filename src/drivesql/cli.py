@@ -5,9 +5,7 @@ database, generate instruction-response pairs, verify them, split, compute
 statistics, and score predictions. Every run leaves a manifest documenting
 its inputs, configuration, and outputs.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error. Any flag default
-can be overridden by an environment variable named DRIVESQL_<FLAG>, with
-explicit command-line values taking precedence over the environment.
+Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -35,7 +32,6 @@ from .canonical import (
 from .errors import DriveSqlError, RecordNotFound
 from .evaluation import evaluate, read_predictions_jsonl, split_dataset
 from .generation import (
-    ExternalClient,
     GenerationConfig,
     VerificationResult,
     generate_dataset,
@@ -59,7 +55,6 @@ from .geometry import Vec3
 __all__ = ["main", "run"]
 
 TOOL_VERSION = "0.1.0"
-ENV_PREFIX = "DRIVESQL_"
 
 
 class CliUsageError(ValueError):
@@ -69,10 +64,6 @@ class CliUsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise CliUsageError(message)
-
-
-def _env(flag: str, fallback: str | None) -> str | None:
-    return os.environ.get(ENV_PREFIX + flag, fallback)
 
 
 # ----------------------------------------------------------------- manifest
@@ -366,9 +357,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with _timed(timings, "load"):
         pairs = read_pairs_jsonl(src)
         db = load_database(Path(args.db)) if args.db else None
-    client = ExternalClient(endpoint=args.verifier) if args.verifier else None
     with _timed(timings, "verify"):
-        result = verify_pairs(pairs, client, db)
+        result = verify_pairs(pairs, args.verifier or None, db)
     out = Path(args.output)
     report = {
         "kept": len(result.kept),
@@ -387,7 +377,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         inputs,
         [out, report_path],
         started,
-        reviewer=result if client is not None else None,
+        reviewer=result if args.verifier else None,
         timings=timings,
     )
     print(
@@ -509,7 +499,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--radius",
         type=_positive_float,
-        default=_env("RADIUS", str(DEFAULT_IMPORTANT_RADIUS)),
+        default=DEFAULT_IMPORTANT_RADIUS,
         help="importance radius in meters",
     )
     p.set_defaults(handler=_cmd_build_db)
@@ -517,31 +507,28 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generate", help="generate instruction-response pairs")
     p.add_argument("database")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--seed", type=int, default=_env("SEED", "0"))
-    p.add_argument("--windows", type=int, default=_env("WINDOWS", "1"))
-    p.add_argument("--max-instances", type=int, default=_env("MAX_INSTANCES", "3"))
-    p.add_argument("--thresholds", default=_env("THRESHOLDS", None))
-    p.add_argument("--subtasks", default=_env("SUBTASKS", None))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--windows", type=int, default=1)
+    p.add_argument("--max-instances", type=int, default=3)
+    p.add_argument("--thresholds")
+    p.add_argument("--subtasks")
     p.add_argument(
-        "--jobs",
-        type=int,
-        default=_env("JOBS", "1"),
-        help="worker processes for generation (default 1)",
+        "--jobs", type=int, default=1, help="worker processes for generation (default 1)"
     )
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("verify", help="filter pairs through the format rules")
     p.add_argument("pairs")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--db", default=_env("DB", None))
-    p.add_argument("--verifier", default=_env("VERIFIER", None))
+    p.add_argument("--db")
+    p.add_argument("--verifier")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("split", help="split pairs by scene into train/val/test")
     p.add_argument("pairs")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--ratios", default=_env("RATIOS", "7.5,1.5,1.5"))
-    p.add_argument("--seed", type=int, default=_env("SEED", "0"))
+    p.add_argument("--ratios", default="7.5,1.5,1.5")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("stats", help="dataset statistics")

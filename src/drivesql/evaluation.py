@@ -30,10 +30,10 @@ from .generation import (
     InstructionResponsePair,
     Label,
     Numeric,
-    _bbox_from_list,
+    _json_view,
     _truth_fits_subtask,
 )
-from .scene_db import BBox2D, View
+from .scene_db import BBox2D, View, _as_bbox, _expect_mapping
 from .task_sql import RISK_SUBTASKS, Subtask, Task
 from .textutil import count_mentions, extract_numbers, tokenize
 
@@ -59,6 +59,11 @@ __all__ = [
     "read_predictions_jsonl",
     "write_predictions_jsonl",
 ]
+
+# Overlap a detection needs with a reference box to count as a hit, and the
+# longest n-gram BLEU scores; the paper's box-overlap and BLEU-4 definitions.
+IOU_THRESHOLD = 0.5
+BLEU_ORDER = 4
 
 # Built-in candidate labels per label subtask; reference labels seen in the
 # evaluation corpus are always added on top.
@@ -184,14 +189,13 @@ class ReferenceBox:
 def average_precision(
     detections: Sequence[RankedDetection],
     references: Sequence[ReferenceBox],
-    iou_threshold: float = 0.5,
 ) -> float:
     """Area under the all-point interpolated precision-recall curve.
 
     Detections rank by descending score, ties broken by pair id and then
     input order. A detection is a true positive when it overlaps an
-    unmatched reference in the same pair and view at or above the IoU
-    threshold; among candidates the highest overlap wins.
+    unmatched reference in the same pair and view at or above
+    ``IOU_THRESHOLD``; among candidates the highest overlap wins.
     """
     if not references:
         raise UndefinedScore("average precision needs at least one reference")
@@ -210,7 +214,7 @@ def average_precision(
             if ref_idx in matched:
                 continue
             overlap = iou(det.bbox, references[ref_idx].bbox)
-            if overlap >= iou_threshold and overlap > best_overlap:
+            if overlap >= IOU_THRESHOLD and overlap > best_overlap:
                 best_idx, best_overlap = ref_idx, overlap
         if best_idx >= 0:
             matched.add(best_idx)
@@ -237,7 +241,6 @@ def average_precision(
 def map_score(
     detections_by_kind: Mapping[Subtask, Sequence[RankedDetection]],
     references_by_kind: Mapping[Subtask, Sequence[ReferenceBox]],
-    iou_threshold: float = 0.5,
 ) -> float:
     """Mean AP over the risk kinds that have at least one reference."""
     scores = []
@@ -245,9 +248,7 @@ def map_score(
         refs = references_by_kind.get(kind, ())
         if not refs:
             continue
-        scores.append(
-            average_precision(detections_by_kind.get(kind, ()), refs, iou_threshold)
-        )
+        scores.append(average_precision(detections_by_kind.get(kind, ()), refs))
     if not scores:
         raise UndefinedScore("no risk kind has any reference detection")
     return sum(scores) / len(scores)
@@ -277,10 +278,9 @@ def clipped_ngram_counts(
 def bleu(
     candidates: Sequence[str],
     references: Sequence[str],
-    max_n: int = 4,
     smooth: bool = False,
 ) -> float:
-    """Corpus BLEU with uniform weights up to 4-grams.
+    """Corpus BLEU with uniform weights up to ``BLEU_ORDER``-grams.
 
     Precisions clip per n-gram against the single reference, the brevity
     penalty is exp(1 - r/c) when the candidate corpus is shorter, and any
@@ -297,7 +297,7 @@ def bleu(
     if cand_len == 0:
         return 1.0 if ref_len == 0 else 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_ORDER + 1):
         matches, total = clipped_ngram_counts(candidates, references, n)
         if smooth:
             matches, total = matches + 1, total + 1
@@ -305,7 +305,7 @@ def bleu(
             continue  # no candidate n-grams of this order to get wrong
         if matches == 0:
             return 0.0
-        log_sum += math.log(matches / total) / max_n
+        log_sum += math.log(matches / total) / BLEU_ORDER
     brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
     return brevity * math.exp(log_sum)
 
@@ -389,7 +389,6 @@ class MetricReport:
 def evaluate(
     pairs: Sequence[InstructionResponsePair],
     predictions: Sequence[Prediction],
-    iou_threshold: float = 0.5,
 ) -> MetricReport:
     """Score predictions against their pairs, worst-casing missing ones.
 
@@ -469,9 +468,7 @@ def evaluate(
                 acc_texts[subtask], acc_refs[subtask], _BUILTIN_LABELS[subtask]
             )
         if subtask in RISK_SUBTASKS and det_refs[subtask]:
-            per_subtask[subtask] = average_precision(
-                det_preds[subtask], det_refs[subtask], iou_threshold
-            )
+            per_subtask[subtask] = average_precision(det_preds[subtask], det_refs[subtask])
     if bleu_cands:
         per_subtask[Subtask.PLANNING_WITH_REASONING] = bleu(bleu_cands, bleu_refs)
 
@@ -520,9 +517,10 @@ def predictions_from_pairs(pairs: Iterable[InstructionResponsePair]) -> list[Pre
 
 
 def _detection_pred(doc: Any, field: str) -> DetectionPred:
+    doc = _expect_mapping(doc, field)
     return DetectionPred(
-        view=View(doc["view"]),
-        bbox=_bbox_from_list(doc["bbox"], f"{field}.bbox"),
+        view=_json_view(doc["view"], f"{field}.view"),
+        bbox=_as_bbox(doc["bbox"], f"{field}.bbox"),
         score=json_number(doc["score"], f"{field}.score"),
     )
 

@@ -41,6 +41,8 @@ from .scene_db import (
     SceneDatabase,
     SceneRecord,
     View,
+    _as_bbox,
+    _expect_mapping,
 )
 from .task_sql import (
     RISK_SUBTASKS,
@@ -69,6 +71,10 @@ MAX_IN_FLIGHT = 4
 # First pause before re-sending a failed reviewer request; each later pause
 # doubles it (0.05 s, 0.1 s, 0.2 s, ...).
 RETRY_BACKOFF_S = 0.05
+
+# Seconds to wait for one reviewer reply, and re-sends after a failed one.
+REVIEW_TIMEOUT_S = 10.0
+REVIEW_RETRIES = 2
 
 
 # --------------------------------------------------------------------------
@@ -120,15 +126,6 @@ class InstructionResponsePair:
     @property
     def task(self) -> str:
         return self.subtask.task.value
-
-
-@dataclass(frozen=True)
-class ExternalClient:
-    """Config for the HTTP reviewing service used after the offline rules."""
-
-    endpoint: str
-    timeout_s: float = 10.0
-    retries: int = 2
 
 
 @dataclass
@@ -631,14 +628,20 @@ def ground_truth_from_dict(doc: Mapping[str, Any]) -> GroundTruth:
     raise ValueError(f"unknown ground truth kind {kind!r}")
 
 
-def _bbox_from_list(coords: Any, field: str) -> BBox2D:
-    return BBox2D(*json_array(coords, field, json_number))
+def _json_view(value: Any, field: str) -> View:
+    """``value`` as a view, the union view included; anything else raises
+    ``ValueError`` naming ``field``."""
+    try:
+        return View(value)
+    except ValueError:
+        raise ValueError(f"{field}: {value!r} is not a valid View") from None
 
 
 def _detection_ref(item: Any, field: str) -> DetectionRef:
+    item = _expect_mapping(item, field)
     return DetectionRef(
-        view=View(item["view"]),
-        bbox=_bbox_from_list(item["bbox"], f"{field}.bbox"),
+        view=_json_view(item["view"], f"{field}.view"),
+        bbox=_as_bbox(item["bbox"], f"{field}.bbox"),
         instance_id=json_text(item["instance_id"], f"{field}.instance_id"),
     )
 
@@ -678,7 +681,7 @@ def pair_from_dict(doc: Mapping[str, Any]) -> InstructionResponsePair:
         scene_id=json_text(doc["scene_id"], "scene_id"),
         frame_ids=frame_ids,  # type: ignore[arg-type]
         subtask=subtask,
-        views_used=tuple(json_array(doc["views_used"], "views_used", lambda v, _: View(v))),
+        views_used=tuple(json_array(doc["views_used"], "views_used", _json_view)),
         instruction=json_text(doc["instruction"], "instruction"),
         response=json_text(doc["response"], "response"),
         ground_truth=ground_truth_from_dict(doc["ground_truth"]),
@@ -737,6 +740,10 @@ def offline_check(pair: InstructionResponsePair, db: SceneDatabase | None = None
     """Reason the pair breaks a format rule, or None when it is clean."""
     if len(pair.frame_ids) != 3:
         return "pair must reference exactly three frames"
+    if db is not None:
+        for frame_id in pair.frame_ids:
+            if frame_id not in db.frames:
+                return f"pair references unknown frame {frame_id!r}"
     if not _truth_fits_subtask(pair):
         return f"ground truth type does not fit subtask {pair.subtask.value}"
     truth = pair.ground_truth
@@ -788,18 +795,18 @@ def offline_check(pair: InstructionResponsePair, db: SceneDatabase | None = None
     return None
 
 
-def _post_json(url: str, payload: dict[str, Any], timeout_s: float) -> Any:
+def _post_json(url: str, payload: dict[str, Any]) -> Any:
     import urllib.request
 
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
         url, data=body, headers={"Content-Type": "application/json"}, method="POST"
     )
-    with urllib.request.urlopen(request, timeout=timeout_s) as response:
+    with urllib.request.urlopen(request, timeout=REVIEW_TIMEOUT_S) as response:
         return json.loads(response.read().decode("utf-8"))
 
 
-def _consult_external(client: ExternalClient, pair: InstructionResponsePair) -> tuple[Any, int]:
+def _consult_external(endpoint: str, pair: InstructionResponsePair) -> tuple[Any, int]:
     """The reviewer's parsed reply, or None once every attempt failed, and
     the number of attempts made."""
     import http.client
@@ -812,17 +819,17 @@ def _consult_external(client: ExternalClient, pair: InstructionResponsePair) -> 
         "subtask": pair.subtask.value,
         "ground_truth": ground_truth_to_dict(pair.ground_truth),
     }
-    for attempt in range(client.retries + 1):
+    for attempt in range(REVIEW_RETRIES + 1):
         try:
-            return _post_json(client.endpoint, payload, client.timeout_s), attempt + 1
+            return _post_json(endpoint, payload), attempt + 1
         except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError):
-            if attempt < client.retries:
+            if attempt < REVIEW_RETRIES:
                 time.sleep(RETRY_BACKOFF_S * 2**attempt)
-    return None, client.retries + 1
+    return None, REVIEW_RETRIES + 1
 
 
 def _consult_in_order(
-    client: ExternalClient, pairs: list[InstructionResponsePair]
+    endpoint: str, pairs: list[InstructionResponsePair]
 ) -> Iterator[tuple[InstructionResponsePair, Any, int]]:
     """Each pair with its ``_consult_external`` reply and attempt count, in
     input order, with up to ``MAX_IN_FLIGHT`` requests in flight.
@@ -838,7 +845,7 @@ def _consult_in_order(
             if len(pending) == 4 * MAX_IN_FLIGHT:
                 done, future = pending.popleft()
                 yield done, *future.result()
-            pending.append((pair, pool.submit(_consult_external, client, pair)))
+            pending.append((pair, pool.submit(_consult_external, endpoint, pair)))
         while pending:
             done, future = pending.popleft()
             yield done, *future.result()
@@ -872,10 +879,10 @@ def _apply_verdict(
 
 def verify_pairs(
     pairs: Iterable[InstructionResponsePair],
-    client: ExternalClient | None = None,
+    endpoint: str | None = None,
     db: SceneDatabase | None = None,
 ) -> VerificationResult:
-    """Apply offline format rules, then the external reviewer if one is given.
+    """Apply offline format rules, then the reviewer at ``endpoint`` if one is given.
 
     A pair that fails an offline rule is rejected with a reason. The
     reviewer gets up to ``MAX_IN_FLIGHT`` requests at once, but verdicts are
@@ -891,11 +898,11 @@ def verify_pairs(
             survivors.append(pair)
         else:
             result.rejected.append((pair.pair_id, f"format contract: {reason}"))
-    if client is None:
+    if endpoint is None:
         result.kept = survivors
         return result
 
-    for pair, reply, attempts in _consult_in_order(client, survivors):
+    for pair, reply, attempts in _consult_in_order(endpoint, survivors):
         result.requests += attempts
         result.retries += attempts - 1
         try:

@@ -18,8 +18,9 @@ from drivesql.evaluation import (
     write_predictions_jsonl,
 )
 from drivesql.generation import DetectionList, pair_to_dict, read_pairs_jsonl, write_pairs_jsonl
-from drivesql.scene_db import save_database
+from drivesql.scene_db import build_database, save_database
 from drivesql.stats import compute_stats, view_percent_csv
+from drivesql.synth import synth_scene
 from drivesql.canonical import canonical_dumps
 
 
@@ -127,17 +128,15 @@ def test_manifest_contents(pipeline):
         assert all(math.isfinite(s) and s >= 0 for s in timings.values())
 
 
-def test_env_defaults_and_cli_precedence(pipeline, monkeypatch):
-    tmp_path, _, db, pairs = pipeline
-    from_env = tmp_path / "env.jsonl"
+def test_environment_does_not_configure_a_run(pipeline, monkeypatch):
+    tmp_path, _, _, pairs = pipeline
+    assert run(["split", str(pairs), "-o", str(tmp_path / "plain")]) == 0
     monkeypatch.setenv("DRIVESQL_SEED", "3")
-    monkeypatch.setenv("DRIVESQL_JOBS", "1")
-    assert run(["generate", str(db), "-o", str(from_env)]) == 0
-    assert from_env.read_bytes() == pairs.read_bytes()
-
-    overridden = tmp_path / "cli_wins.jsonl"
-    assert run(["generate", str(db), "-o", str(overridden), "--seed", "4"]) == 0
-    assert overridden.read_bytes() != pairs.read_bytes()
+    monkeypatch.setenv("DRIVESQL_RATIOS", "1,0,0")
+    assert run(["split", str(pairs), "-o", str(tmp_path / "env")]) == 0
+    for name in ("train", "val", "test"):
+        plain = (tmp_path / "plain" / f"{name}.jsonl").read_bytes()
+        assert (tmp_path / "env" / f"{name}.jsonl").read_bytes() == plain
 
 
 def test_thresholds_file_controls_generation(pipeline, capsys):
@@ -383,6 +382,13 @@ def _numeric_truth(doc, text):
     return line.replace("[0.125]", f"[{text}]")
 
 
+def _detection_truth(doc, item):
+    """The pair's line with one detection, ``item`` or a good one updated by it."""
+    good = {"view": "front", "bbox": [1.0, 1.0, 5.0, 5.0], "instance_id": "i"}
+    detection = {**good, **item} if isinstance(item, dict) else item
+    return json.dumps({**doc, "ground_truth": {"kind": "detection", "items": [detection]}})
+
+
 _BAD_PAIRS = [
     (lambda doc: _numeric_truth(doc, "NaN"), "NaN is not a finite number"),
     (lambda doc: _numeric_truth(doc, "-Infinity"), "-Infinity is not a finite number"),
@@ -391,6 +397,22 @@ _BAD_PAIRS = [
     (lambda doc: json.dumps({**doc, "instruction": None}), "instruction: expected a string"),
     (lambda doc: json.dumps({**doc, "pair_id": 12345}), "pair_id: expected a string"),
     (lambda doc: json.dumps({**doc, "frame_ids": "abc"}), "frame_ids: expected an array"),
+    (
+        lambda doc: json.dumps({**doc, "views_used": ["front", "bogus"]}),
+        "views_used[1]: 'bogus' is not a valid View",
+    ),
+    (
+        lambda doc: _detection_truth(doc, {"view": "bogus"}),
+        "ground_truth.items[0].view: 'bogus' is not a valid View",
+    ),
+    (
+        lambda doc: _detection_truth(doc, "abc"),
+        "ground_truth.items[0]: expected an object, got str",
+    ),
+    (
+        lambda doc: _detection_truth(doc, {"bbox": [5, 5, 1, 1]}),
+        "ground_truth.items[0].bbox: box requires x1 < x2 and y1 < y2",
+    ),
 ]
 
 _PAIRS_READERS = {
@@ -415,7 +437,10 @@ def read_side(tmp_path, demo_db, demo_pairs):
 @pytest.mark.parametrize(
     "mangle, reason",
     _BAD_PAIRS,
-    ids=["nan", "minus-infinity", "1e400", "bool", "null-instruction", "int-pair-id", "str-frames"],
+    ids=[
+        "nan", "minus-infinity", "1e400", "bool", "null-instruction", "int-pair-id", "str-frames",
+        "bogus-view", "bogus-detection-view", "str-detection", "degenerate-box",
+    ],
 )
 def test_pairs_readers_refuse_non_finite_numbers_and_non_text(
     read_side, capsys, command, mangle, reason
@@ -429,6 +454,11 @@ def test_pairs_readers_refuse_non_finite_numbers_and_non_text(
     assert not out.exists()
 
 
+def _one_detection(doc, update):
+    """The prediction's line with its first detection updated by ``update``."""
+    return json.dumps({**doc, "detections": [{**doc["detections"][0], **update}]})
+
+
 @pytest.mark.parametrize(
     "mangle, reason",
     [
@@ -438,8 +468,17 @@ def test_pairs_readers_refuse_non_finite_numbers_and_non_text(
         (lambda doc: json.dumps({**doc, "response_text": None}), "response_text: expected"),
         (lambda doc: json.dumps({**doc, "pair_id": 7}), "pair_id: expected a string"),
         (lambda doc: json.dumps({**doc, "detections": {}}), "detections: expected an array"),
+        (lambda doc: _one_detection(doc, {"view": "bogus"}),
+         "detections[0].view: 'bogus' is not a valid View"),
+        (lambda doc: json.dumps({**doc, "detections": ["abc"]}),
+         "detections[0]: expected an object, got str"),
+        (lambda doc: _one_detection(doc, {"bbox": [5, 5, 1, 1]}),
+         "detections[0].bbox: box requires x1 < x2 and y1 < y2"),
     ],
-    ids=["nan-score", "1e400-score", "null-response-text", "int-pair-id", "object-detections"],
+    ids=[
+        "nan-score", "1e400-score", "null-response-text", "int-pair-id", "object-detections",
+        "bogus-view", "str-detection", "degenerate-box",
+    ],
 )
 def test_eval_refuses_non_finite_and_non_text_predictions(
     tmp_path, demo_pairs, capsys, mangle, reason
@@ -565,16 +604,15 @@ def test_synth_request_refuses_a_field_of_the_wrong_type(tmp_path, capsys, reque
     assert not out.exists()
 
 
-@pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "0", "-1"])
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_non_finite_radius_is_refused_before_any_work(
-    tmp_path, capsys, monkeypatch, radius, source
-):
-    argv = ["build-db", str(tmp_path / "missing.json"), "-o", str(tmp_path / "db.json")]
-    if source == "flag":
-        argv.append(f"--radius={radius}")
-    else:
-        monkeypatch.setenv("DRIVESQL_RADIUS", radius)
+# Each id names the flag that carries the value.
+@pytest.mark.parametrize(
+    "radius", ["nan", "inf", "-inf", "0", "-1"], ids=lambda radius: f"flag-{radius}"
+)
+def test_non_finite_radius_is_refused_before_any_work(tmp_path, capsys, radius):
+    argv = [
+        "build-db", str(tmp_path / "missing.json"), "-o", str(tmp_path / "db.json"),
+        f"--radius={radius}",
+    ]
     # The annotations file does not exist: refusing the radius first exits 1, not 2.
     assert run(argv) == 1
     err = capsys.readouterr().err
@@ -699,12 +737,29 @@ def test_verify_survives_a_reply_that_is_not_an_object(tmp_path, demo_pairs, cap
     assert _manifest(kept)["reviewer"] == {"requests": 3, "retries": 0, "unverified": 3}
 
 
+def test_verify_db_rejects_pairs_whose_frames_it_does_not_hold(pipeline):
+    tmp_path, _, _, pairs = pipeline
+    other = tmp_path / "other.db.json"
+    save_database(build_database(synth_scene([], 3, 0, scene_id="elsewhere")), other)
+    kept = tmp_path / "kept.jsonl"
+    assert run(["verify", str(pairs), "-o", str(kept), "--db", str(other)]) == 0
+    report = json.loads(Path(f"{kept}.report.json").read_text())
+    assert report["kept"] == 0
+    assert report["rejected"] == [
+        {
+            "pair_id": p.pair_id,
+            "reason": f"format contract: pair references unknown frame {p.frame_ids[0]!r}",
+        }
+        for p in read_pairs_jsonl(pairs)
+    ]
+
+
 def test_verify_manifest_counts_retries_to_an_unreachable_reviewer(tmp_path, demo_pairs, capsys):
     pairs = tmp_path / "pairs.jsonl"
     write_pairs_jsonl(demo_pairs[:3], pairs)
     kept = tmp_path / "kept.jsonl"
     assert _verify_http(pairs, kept, "http://127.0.0.1:9/review", capsys) == 0
-    # The default client makes three attempts per pair.
+    # REVIEW_RETRIES = 2 gives three attempts per pair.
     assert _manifest(kept)["reviewer"] == {"requests": 9, "retries": 6, "unverified": 3}
 
     offline = tmp_path / "offline.jsonl"

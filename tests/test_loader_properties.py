@@ -24,7 +24,6 @@ from drivesql.evaluation import (
     write_predictions_jsonl,
 )
 from drivesql.generation import (
-    ExternalClient,
     InstructionResponsePair,
     Numeric,
     pair_to_dict,
@@ -235,8 +234,8 @@ replies = json_values | st.fixed_dictionaries(
 @given(reply=replies)
 def test_any_reviewer_reply_keeps_rejects_or_flags_the_pair(demo_pairs, reply):
     pair = demo_pairs[0]
-    with mock.patch.object(generation, "_consult_external", lambda client, p: (reply, 1)):
-        result = verify_pairs([pair], ExternalClient(endpoint="http://127.0.0.1:9/review"))
+    with mock.patch.object(generation, "_consult_external", lambda endpoint, p: (reply, 1)):
+        result = verify_pairs([pair], "http://127.0.0.1:9/review")
     kept_ids = [p.pair_id for p in result.kept]
     rejected_ids = [pid for pid, _ in result.rejected]
     assert sorted(kept_ids + rejected_ids) == [pair.pair_id]

@@ -9,7 +9,6 @@ from _reviewer import mock_reviewer
 from drivesql import generation
 from drivesql.generation import (
     DetectionList,
-    ExternalClient,
     FreeText,
     Label,
     Numeric,
@@ -107,6 +106,13 @@ def test_detection_unknown_instance(demo_db, samples):
     assert "unknown instance 'ghost'" in offline_check(broken, demo_db)
 
 
+def test_pair_with_a_frame_outside_the_database(demo_db, samples):
+    for pair in (samples["numeric"], samples["risk_hit"]):
+        broken = dataclasses.replace(pair, frame_ids=("nowhere", *pair.frame_ids[1:]))
+        assert offline_check(broken) is None  # without a database frames are unchecked
+        assert offline_check(broken, demo_db) == "pair references unknown frame 'nowhere'"
+
+
 def test_risk_pair_requires_thresholds(samples):
     broken = dataclasses.replace(samples["risk_empty"], thresholds_used=None)
     assert "thresholds" in offline_check(broken)
@@ -143,14 +149,10 @@ def test_offline_keeps_clean_pairs(demo_pairs):
 # --------------------------------------------------------- external service
 
 
-def _client(url, **kwargs):
-    return ExternalClient(endpoint=url, **kwargs)
-
-
 def test_external_keep_and_payload_shape(demo_pairs):
     subset = demo_pairs[:5]
     with mock_reviewer(lambda payload: {"verdict": "keep"}) as (server, url):
-        result = verify_pairs(subset, _client(url))
+        result = verify_pairs(subset, url)
     assert [p.pair_id for p in result.kept] == [p.pair_id for p in subset]
     assert result.unverified == set()
     # Requests overlap, so they may arrive in any order: match each payload
@@ -176,7 +178,7 @@ def test_external_drop_records_reason(demo_pairs):
         return {"verdict": "keep"}
 
     with mock_reviewer(route) as (_, url):
-        result = verify_pairs(subset, _client(url))
+        result = verify_pairs(subset, url)
     assert victim not in {p.pair_id for p in result.kept}
     assert (victim, "sounds wrong") in result.rejected
     assert len(result.kept) == 3
@@ -192,7 +194,7 @@ def test_external_revise_updates_planning_truth(demo_pairs, samples):
         return {"verdict": "keep"}
 
     with mock_reviewer(route) as (_, url):
-        result = verify_pairs([pair], _client(url))
+        result = verify_pairs([pair], url)
     assert result.revised == {pair.pair_id}
     (kept,) = result.kept
     assert kept.response == new_text
@@ -204,7 +206,7 @@ def test_external_revise_keeps_structured_truth(samples):
     with mock_reviewer(
         lambda payload: {"verdict": "revise", "revised_response": pair.response + " exactly"}
     ) as (_, url):
-        result = verify_pairs([pair], _client(url))
+        result = verify_pairs([pair], url)
     (kept,) = result.kept
     assert kept.response.endswith("exactly")
     assert kept.ground_truth == pair.ground_truth
@@ -214,7 +216,7 @@ def test_external_revise_keeps_structured_truth(samples):
 def test_external_unknown_verdict_keeps_unverified(samples):
     pair = samples["label"]
     with mock_reviewer(lambda payload: {"verdict": "maybe"}) as (_, url):
-        result = verify_pairs([pair], _client(url))
+        result = verify_pairs([pair], url)
     assert [p.pair_id for p in result.kept] == [pair.pair_id]
     assert result.unverified == {pair.pair_id}
 
@@ -222,16 +224,17 @@ def test_external_unknown_verdict_keeps_unverified(samples):
 def test_external_revise_without_text_keeps_unverified(samples):
     pair = samples["label"]
     with mock_reviewer(lambda payload: {"verdict": "revise"}) as (_, url):
-        result = verify_pairs([pair], _client(url))
+        result = verify_pairs([pair], url)
     assert [p.pair_id for p in result.kept] == [pair.pair_id]
     assert result.unverified == {pair.pair_id}
     assert result.kept[0].response == pair.response
 
 
-def test_external_unreachable_keeps_all_unverified(demo_pairs):
+def test_external_unreachable_keeps_all_unverified(demo_pairs, monkeypatch):
+    monkeypatch.setattr(generation, "REVIEW_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(generation, "REVIEW_RETRIES", 1)
     subset = demo_pairs[:3]
-    client = ExternalClient(endpoint="http://127.0.0.1:9/review", timeout_s=0.2, retries=1)
-    result = verify_pairs(subset, client)
+    result = verify_pairs(subset, "http://127.0.0.1:9/review")
     assert [p.pair_id for p in result.kept] == [p.pair_id for p in subset]
     assert result.unverified == {p.pair_id for p in subset}
 
@@ -239,7 +242,7 @@ def test_external_unreachable_keeps_all_unverified(demo_pairs):
 def test_offline_rejection_skips_external_call(demo_pairs):
     broken = dataclasses.replace(demo_pairs[0], response="no numbers")
     with mock_reviewer(lambda payload: {"verdict": "keep"}) as (server, url):
-        result = verify_pairs([broken], _client(url))
+        result = verify_pairs([broken], url)
     assert server.requests == []
     assert result.kept == []
     assert result.rejected[0][1].startswith("format contract: ")
@@ -258,7 +261,7 @@ def _mixed_verdicts(payload):
 def test_external_results_keep_input_order_when_replies_finish_out_of_order(demo_pairs):
     subset = demo_pairs[:24]
     with mock_reviewer(_mixed_verdicts) as (_, url):
-        reference = [verify_pairs([pair], _client(url)) for pair in subset]
+        reference = [verify_pairs([pair], url) for pair in subset]
     rank = {pair.pair_id: i for i, pair in enumerate(subset)}
     finished = []
 
@@ -269,7 +272,7 @@ def test_external_results_keep_input_order_when_replies_finish_out_of_order(demo
         return _mixed_verdicts(payload)
 
     with mock_reviewer(slow_early_pairs) as (_, url):
-        result = verify_pairs(subset, _client(url))
+        result = verify_pairs(subset, url)
     assert finished != sorted(finished)
     assert result.kept == [k for r in reference for k in r.kept]
     assert result.rejected == [x for r in reference for x in r.rejected]
@@ -286,7 +289,7 @@ def test_external_in_flight_requests_are_bounded(demo_pairs):
         return {"verdict": "keep"}
 
     with mock_reviewer(slow_keep) as (server, url):
-        result = verify_pairs(subset, _client(url))
+        result = verify_pairs(subset, url)
     assert 1 < server.inflight_max <= generation.MAX_IN_FLIGHT
     assert len(server.requests) == len(subset)
     assert (result.requests, result.retries) == (len(subset), 0)
@@ -295,8 +298,8 @@ def test_external_in_flight_requests_are_bounded(demo_pairs):
 def test_external_retries_back_off_on_a_fixed_schedule(monkeypatch, samples):
     delays = []
     monkeypatch.setattr(generation.time, "sleep", delays.append)
-    client = ExternalClient(endpoint="http://127.0.0.1:9/review", timeout_s=0.2, retries=2)
-    result = verify_pairs([samples["label"]], client)
+    monkeypatch.setattr(generation, "REVIEW_TIMEOUT_S", 0.2)
+    result = verify_pairs([samples["label"]], "http://127.0.0.1:9/review")
     assert delays == [0.05, 0.1]
     assert (result.requests, result.retries) == (3, 2)
     assert result.unverified == {samples["label"].pair_id}
@@ -306,7 +309,7 @@ def test_external_retries_back_off_on_a_fixed_schedule(monkeypatch, samples):
 def test_external_non_object_reply_keeps_unverified(samples, reply):
     pair = samples["label"]
     with mock_reviewer(lambda payload: reply) as (server, url):
-        result = verify_pairs([pair], _client(url))
+        result = verify_pairs([pair], url)
     assert [p.pair_id for p in result.kept] == [pair.pair_id]
     assert result.kept[0] == pair
     assert result.unverified == {pair.pair_id}
@@ -314,7 +317,8 @@ def test_external_non_object_reply_keeps_unverified(samples, reply):
     assert len(server.requests) == 1
 
 
-def test_external_malformed_http_reply_keeps_unverified(samples):
+def test_external_malformed_http_reply_keeps_unverified(samples, monkeypatch):
+    monkeypatch.setattr(generation, "REVIEW_RETRIES", 1)
     pair = samples["label"]
 
     class Garbage(socketserver.StreamRequestHandler):
@@ -329,7 +333,7 @@ def test_external_malformed_http_reply_keeps_unverified(samples):
         thread.start()
         try:
             url = f"http://127.0.0.1:{server.server_address[1]}/review"
-            result = verify_pairs([pair], _client(url, retries=1))
+            result = verify_pairs([pair], url)
         finally:
             server.shutdown()
             thread.join(timeout=2)
