@@ -19,16 +19,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-from .canonical import (
-    canonical_dumps,
-    json_bool,
-    json_int,
-    json_number,
-    json_text,
-    read_json,
-    read_text,
-    write_atomic,
-)
+from .canonical import canonical_dumps, read_json, read_text, write_json
 from .errors import DriveSqlError, RecordNotFound
 from .evaluation import evaluate, read_predictions_jsonl, split_dataset
 from .generation import (
@@ -42,10 +33,14 @@ from .generation import (
 from .scene_db import (
     DEFAULT_IMPORTANT_RADIUS,
     build_database,
+    json_bool,
+    json_int,
     load_annotations,
     load_database,
     naming_file,
     save_database,
+    _as_float,
+    _as_text,
 )
 from .stats import compute_stats, view_percent_csv
 from .synth import ScenarioScript, Waypoint, demo_corpus, merge_scenes, synth_scene
@@ -112,7 +107,7 @@ def _write_manifest(
         }
     primary = outputs[0]
     target = primary / "manifest.json" if primary.is_dir() else Path(f"{primary}.manifest.json")
-    write_atomic(target, canonical_dumps(manifest) + "\n")
+    write_json(target, manifest)
     return target
 
 
@@ -199,9 +194,9 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 
 def _script_from_doc(doc: dict[str, Any], where: str) -> ScenarioScript:
     try:
-        kind_name = None if doc.get("kind") is None else json_text(doc["kind"], "kind")
-        category = json_text(doc.get("category", "car"), "category")
-        lane = json_text(doc.get("lane", "2"), "lane")
+        kind_name = None if doc.get("kind") is None else _as_text(doc["kind"], "kind")
+        category = _as_text(doc.get("category", "car"), "category")
+        lane = _as_text(doc.get("lane", "2"), "lane")
     except ValueError as err:
         raise CliUsageError(f"{where}: {err}") from None
     kind = None
@@ -222,15 +217,15 @@ def _script_from_doc(doc: dict[str, Any], where: str) -> ScenarioScript:
         try:
             waypoints.append(
                 Waypoint(
-                    t=json_number(wp["t"], "t"),
+                    t=_as_float(wp["t"], "t"),
                     pos=Vec3(
-                        json_number(wp["x"], "x"),
-                        json_number(wp["y"], "y"),
-                        json_number(wp.get("z", 0.0), "z"),
+                        _as_float(wp["x"], "x"),
+                        _as_float(wp["y"], "y"),
+                        _as_float(wp.get("z", 0.0), "z"),
                     ),
-                    yaw=json_number(wp.get("yaw", 0.0), "yaw"),
-                    speed=json_number(wp.get("speed", 0.0), "speed"),
-                    lane=None if wp.get("lane") is None else json_text(wp["lane"], "lane"),
+                    yaw=_as_float(wp.get("yaw", 0.0), "yaw"),
+                    speed=_as_float(wp.get("speed", 0.0), "speed"),
+                    lane=None if wp.get("lane") is None else _as_text(wp["lane"], "lane"),
                 )
             )
         except (KeyError, TypeError, ValueError) as err:
@@ -276,9 +271,9 @@ def _synth_from_request(doc: Any, path: Path) -> dict[str, Any]:
                     [s for s in scripts if s is not None],
                     n_frames=json_int(scene.get("n_frames", 3), "n_frames"),
                     seed=json_int(scene.get("seed", 0), "seed"),
-                    scene_id=json_text(scene.get("scene_id", f"scene_{idx:04d}"), "scene_id"),
-                    ego_speed=json_number(scene.get("ego_speed", 5.0), "ego_speed"),
-                    ego_yaw=json_number(scene.get("ego_yaw", 0.0), "ego_yaw"),
+                    scene_id=_as_text(scene.get("scene_id", f"scene_{idx:04d}"), "scene_id"),
+                    ego_speed=_as_float(scene.get("ego_speed", 5.0), "ego_speed"),
+                    ego_yaw=_as_float(scene.get("ego_yaw", 0.0), "ego_yaw"),
                 )
             )
         except (TypeError, ValueError, OverflowError) as err:
@@ -369,7 +364,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report_path = Path(f"{out}.report.json")
     with _timed(timings, "write"):
         write_pairs_jsonl(result.kept, out)
-        write_atomic(report_path, canonical_dumps(report) + "\n")
+        write_json(report_path, report)
     inputs = [src] + ([Path(args.db)] if args.db else [])
     _write_manifest(
         "verify",
@@ -437,7 +432,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     out = Path(args.output)
     csv_path = Path(f"{out}.views.csv")
     with _timed(timings, "write"):
-        write_atomic(out, canonical_dumps(stats.as_dict()) + "\n")
+        write_json(out, stats.as_dict())
         view_percent_csv(stats, csv_path)
     _write_manifest(
         "stats", {}, [pairs_path, db_path], [out, csv_path], started, timings=timings
@@ -457,7 +452,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     preds = read_predictions_jsonl(preds_path)
     report = evaluate(pairs, preds)
     out = Path(args.output)
-    write_atomic(out, canonical_dumps(report.as_dict()) + "\n")
+    write_json(out, report.as_dict())
     _write_manifest("eval", {}, [pairs_path, preds_path], [out], started)
     undefined = [name for name, value in report.groups.items() if value is None]
     for name, value in report.groups.items():
@@ -476,7 +471,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     request = read_json(src)
     annotations = _synth_from_request(request, src)
     out = Path(args.output)
-    write_atomic(out, canonical_dumps(annotations) + "\n")
+    write_json(out, annotations)
     _write_manifest("synth", {}, [src], [out], started)
     print(
         f"synthesized {len(annotations['scenes'])} scenes, "

@@ -13,14 +13,15 @@ class DriveSqlError(Exception):
 
 
 class AnnotationSchemaError(DriveSqlError, ValueError):
-    """Annotation input violates the canonical schema.
+    """Input violates its declared schema.
 
     ``path`` locates the offending record and field, for example
-    ``frames[id=f3].timestamp``.
+    ``frames[id=f3].timestamp`` or, in a JSONL line, ``ground_truth.items[0]``;
+    the empty path is a whole JSONL line, and the message then stands alone.
     """
 
     def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path
 
 

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .canonical import (
-    canonical_jsonl,
-    json_array,
-    json_number,
-    json_text,
-    read_jsonl,
-    write_atomic,
-)
+from .canonical import read_jsonl, write_jsonl
 from .errors import UndefinedScore
 from .generation import (
     DetectionList,
@@ -30,10 +23,19 @@ from .generation import (
     InstructionResponsePair,
     Label,
     Numeric,
-    _json_view,
     _truth_fits_subtask,
 )
-from .scene_db import BBox2D, View, _as_bbox, _expect_mapping
+from .scene_db import (
+    BBox2D,
+    View,
+    _array,
+    _as_any_view,
+    _as_bbox,
+    _as_float,
+    _as_text,
+    _object,
+    _optional,
+)
 from .task_sql import RISK_SUBTASKS, Subtask, Task
 from .textutil import count_mentions, extract_numbers, tokenize
 
@@ -516,28 +518,20 @@ def predictions_from_pairs(pairs: Iterable[InstructionResponsePair]) -> list[Pre
 # ----------------------------------------------------------------- file I/O
 
 
-def _detection_pred(doc: Any, field: str) -> DetectionPred:
-    doc = _expect_mapping(doc, field)
-    return DetectionPred(
-        view=_json_view(doc["view"], f"{field}.view"),
-        bbox=_as_bbox(doc["bbox"], f"{field}.bbox"),
-        score=json_number(doc["score"], f"{field}.score"),
-    )
-
-
-def _prediction_from_dict(doc: Mapping[str, Any]) -> Prediction:
-    detections = None
-    if "detections" in doc and doc["detections"] is not None:
-        detections = tuple(json_array(doc["detections"], "detections", _detection_pred))
-    return Prediction(
-        pair_id=json_text(doc["pair_id"], "pair_id"),
-        response_text=json_text(doc["response_text"], "response_text"),
-        detections=detections,
-    )
+# A predictions line, declared once; ``write_predictions_jsonl`` writes it.
+_PREDICTION_LINE = _object(Prediction, {
+    "pair_id": _as_text,
+    "response_text": _as_text,
+    "detections": _optional(_array(_object(DetectionPred, {
+        "view": _as_any_view,
+        "bbox": _as_bbox,
+        "score": _as_float,
+    }))),
+})
 
 
 def read_predictions_jsonl(path: str | Path) -> list[Prediction]:
-    return read_jsonl(path, _prediction_from_dict)
+    return read_jsonl(path, _PREDICTION_LINE)
 
 
 def write_predictions_jsonl(preds: Iterable[Prediction], path: str | Path) -> None:
@@ -550,4 +544,4 @@ def write_predictions_jsonl(preds: Iterable[Prediction], path: str | Path) -> No
                 for d in pred.detections
             ]
         rows.append(doc)
-    write_atomic(path, canonical_jsonl(rows))
+    write_jsonl(path, rows)

@@ -23,26 +23,30 @@ from typing import Any, Iterable, Iterator, Mapping
 # The reviewer's HTTP client and the worker pools are imported where they are
 # used, so that a stage that needs neither does not pay to load them.
 
-from .canonical import (
-    canonical_dumps,
-    json_array,
-    json_number,
-    json_text,
-    read_jsonl,
-    write_atomic,
-)
-from .errors import TemplateError, VerifierProtocolError
+from .canonical import canonical_dumps, read_jsonl, write_jsonl
+from .errors import AnnotationSchemaError, TemplateError, VerifierProtocolError
 from .geometry import planar_norm
 from .scene_db import (
     IMAGE_HEIGHT,
     IMAGE_WIDTH,
     BBox2D,
+    Check,
     InstanceInfo,
     SceneDatabase,
     SceneRecord,
     View,
+    _array,
+    _as_any_view,
     _as_bbox,
-    _expect_mapping,
+    _as_float,
+    _as_positive,
+    _as_text,
+    _join,
+    _member_of,
+    _object,
+    _optional,
+    _read_fields,
+    _tagged,
 )
 from .task_sql import (
     RISK_SUBTASKS,
@@ -615,37 +619,6 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict[str, Any]:
     raise TypeError(f"unknown ground truth {truth!r}")
 
 
-def ground_truth_from_dict(doc: Mapping[str, Any]) -> GroundTruth:
-    kind = doc.get("kind")
-    if kind == "numeric":
-        return Numeric(tuple(json_array(doc["values"], "ground_truth.values", json_number)))
-    if kind == "label":
-        return Label(json_text(doc["value"], "ground_truth.value"))
-    if kind == "detection":
-        return DetectionList(tuple(json_array(doc["items"], "ground_truth.items", _detection_ref)))
-    if kind == "free_text":
-        return FreeText(json_text(doc["text"], "ground_truth.text"))
-    raise ValueError(f"unknown ground truth kind {kind!r}")
-
-
-def _json_view(value: Any, field: str) -> View:
-    """``value`` as a view, the union view included; anything else raises
-    ``ValueError`` naming ``field``."""
-    try:
-        return View(value)
-    except ValueError:
-        raise ValueError(f"{field}: {value!r} is not a valid View") from None
-
-
-def _detection_ref(item: Any, field: str) -> DetectionRef:
-    item = _expect_mapping(item, field)
-    return DetectionRef(
-        view=_json_view(item["view"], f"{field}.view"),
-        bbox=_as_bbox(item["bbox"], f"{field}.bbox"),
-        instance_id=json_text(item["instance_id"], f"{field}.instance_id"),
-    )
-
-
 def pair_to_dict(pair: InstructionResponsePair) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "pair_id": pair.pair_id,
@@ -663,38 +636,55 @@ def pair_to_dict(pair: InstructionResponsePair) -> dict[str, Any]:
     return doc
 
 
-def pair_from_dict(doc: Mapping[str, Any]) -> InstructionResponsePair:
-    thresholds = None
-    if "thresholds_used" in doc:
-        t = doc["thresholds_used"]
-        thresholds = RiskThresholds(
-            **{k: json_number(t[k], f"thresholds_used.{k}") for k in ("dis", "dis_x", "dis_y", "s")}
+# A pairs line, declared once: its fields, each field's check, and the
+# ground truth chosen by its ``kind``. ``pair_to_dict`` writes it.
+_PAIR_FIELDS: dict[str, Check] = {
+    "pair_id": _as_text,
+    "scene_id": _as_text,
+    "frame_ids": _array(_as_text),
+    "task": _as_text,
+    "subtask": _member_of(Subtask),
+    "views_used": _array(_as_any_view),
+    "instruction": _as_text,
+    "response": _as_text,
+    "ground_truth": _tagged("kind", {
+        "numeric": _object(Numeric, {"values": _array(_as_float)}),
+        "label": _object(Label, {"value": _as_text}),
+        "detection": _object(DetectionList, {"items": _array(_object(DetectionRef, {
+            "view": _as_any_view,
+            "bbox": _as_bbox,
+            "instance_id": _as_text,
+        }))}),
+        "free_text": _object(FreeText, {"text": _as_text}),
+    }),
+    "thresholds_used": _optional(_object(
+        RiskThresholds, dict.fromkeys(("dis", "dis_x", "dis_y", "s"), _as_positive)
+    )),
+}
+
+
+def pair_from_dict(doc: Any, path: str = "") -> InstructionResponsePair:
+    """The pair a pairs line declares; a refusal names the field by its path."""
+    values = _read_fields(doc, path, _PAIR_FIELDS)
+    task, subtask, frame_ids = values.pop("task"), values["subtask"], values["frame_ids"]
+    if task != subtask.task.value:
+        raise AnnotationSchemaError(
+            _join(path, "task"), f"{task!r} does not match subtask {subtask.value}"
         )
-    frame_ids = tuple(json_array(doc["frame_ids"], "frame_ids", json_text))
     if len(frame_ids) != 3:
-        raise ValueError(f"pair {doc.get('pair_id')!r} must reference exactly 3 frames")
-    subtask = Subtask(doc["subtask"])
-    if doc["task"] != subtask.task.value:
-        raise ValueError(f"task {doc['task']!r} does not match subtask {subtask.value}")
-    return InstructionResponsePair(
-        pair_id=json_text(doc["pair_id"], "pair_id"),
-        scene_id=json_text(doc["scene_id"], "scene_id"),
-        frame_ids=frame_ids,  # type: ignore[arg-type]
-        subtask=subtask,
-        views_used=tuple(json_array(doc["views_used"], "views_used", _json_view)),
-        instruction=json_text(doc["instruction"], "instruction"),
-        response=json_text(doc["response"], "response"),
-        ground_truth=ground_truth_from_dict(doc["ground_truth"]),
-        thresholds_used=thresholds,
-    )
+        raise AnnotationSchemaError(
+            _join(path, "frame_ids"), f"expected 3 frame ids, got {len(frame_ids)}"
+        )
+    return InstructionResponsePair(**values)
 
 
 def write_pairs_jsonl(pairs: Iterable[InstructionResponsePair], path: str | Path) -> None:
-    write_atomic(path, "".join(canonical_dumps(pair_to_dict(p)) + "\n" for p in pairs))
+    write_jsonl(path, (pair_to_dict(p) for p in pairs))
 
 
 def read_pairs_jsonl(path: str | Path) -> list[InstructionResponsePair]:
-    return read_jsonl(path, pair_from_dict)
+    """The pairs of a JSONL file; a repeated ``pair_id`` is refused."""
+    return read_jsonl(path, pair_from_dict, unique="pair_id")
 
 
 # --------------------------------------------------------------------------

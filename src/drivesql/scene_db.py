@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
 
-from .canonical import canonical_dumps, read_json, write_atomic
+from .canonical import read_json, write_json
 from .errors import AnnotationSchemaError, RecordNotFound
 from .geometry import UNIT_NORM_TOLERANCE, Quaternion, Vec3, planar_norm
 
@@ -181,9 +181,13 @@ class SceneDatabase:
 
 
 # --------------------------------------------------------------------------
-# Validated parsing. Every check names a refused value by the path it is
-# given. A container formats an item's path (``[i]``, ``[view]``, `` key``)
-# only to name a refusal, checking its items again as ``canonical.json_array`` does.
+# Validated parsing, shared by the database loader and the JSONL readers.
+# Every check reads one JSON value and names a refused value by the path it
+# is given; every check but an ``_optional`` one refuses null. A container
+# formats an item's path (``[i]``, ``[view]``, `` key``, ``.field``) only to
+# name a refusal, checking its items again.
+
+Check = Callable[[Any, str], Any]
 
 
 def _expect_mapping(value: Any, path: str) -> Mapping[str, Any]:
@@ -210,15 +214,26 @@ def _as_str(value: Any, path: str) -> str:
     return value
 
 
-def _as_str_tuple(value: Any, path: str) -> tuple[str, ...]:
-    items = _expect_list(value, path)
-    try:
-        return tuple([_as_str(item, path) for item in items])
-    except AnnotationSchemaError:
-        # Format the index only on failure: check again, naming each item.
-        for i, item in enumerate(items):
-            _as_str(item, f"{path}[{i}]")
-        raise
+def _as_text(value: Any, path: str) -> str:
+    """Any string, the empty one included."""
+    if not isinstance(value, str):
+        raise AnnotationSchemaError(path, f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def json_int(value: Any, path: str) -> int:
+    """``value`` if it is an int, not a bool; anything else, a float with an
+    integral value included, is refused."""
+    if type(value) is not int:
+        raise AnnotationSchemaError(path, f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def json_bool(value: Any, path: str) -> bool:
+    """``value`` if it is ``true`` or ``false``; anything else is refused."""
+    if type(value) is not bool:
+        raise AnnotationSchemaError(path, f"expected true or false, got {type(value).__name__}")
+    return value
 
 
 def _as_float(value: Any, path: str) -> float:
@@ -232,6 +247,13 @@ def _as_float(value: Any, path: str) -> float:
         number = math.inf
     if not math.isfinite(number):
         raise AnnotationSchemaError(path, f"expected a finite number, got {number!r}")
+    return number
+
+
+def _as_positive(value: Any, path: str) -> float:
+    number = _as_float(value, path)
+    if number <= 0:
+        raise AnnotationSchemaError(path, "expected a positive number")
     return number
 
 
@@ -302,6 +324,22 @@ def _as_view(value: Any, path: str) -> View:
     return view
 
 
+def _member_of(enum: type[Enum]) -> Check:
+    """The check of a string naming a member of ``enum`` by its value."""
+    members = {member.value: member for member in enum}
+
+    def read_member(value: Any, path: str) -> Any:
+        if type(value) is str and value in members:
+            return members[value]
+        raise AnnotationSchemaError(path, f"{value!r} is not a valid {enum.__name__}")
+
+    return read_member
+
+
+# A view named outside a database, where the union view may stand.
+_as_any_view = _member_of(View)
+
+
 def _as_camera_pos(value: Any, path: str) -> dict[View, BBox2D]:
     mapping = _expect_mapping(value, path)
     if not mapping:
@@ -321,6 +359,108 @@ def _as_camera_pos(value: Any, path: str) -> dict[View, BBox2D]:
 
 
 # --------------------------------------------------------------------------
+# Field tables: a dict from each field's name to its check, in check order.
+# An object is checked first with every refusal naming only the object, and
+# walked again with field paths only to name a refusal.
+
+
+def _array(item: Check) -> Check:
+    """The check of an array whose items ``item`` checks, read as a tuple."""
+
+    def read_array(value: Any, path: str) -> tuple[Any, ...]:
+        items = value if type(value) is list else _expect_list(value, path)
+        try:
+            return tuple([item(v, path) for v in items])
+        except AnnotationSchemaError:
+            # Format the index only on failure: check again, naming each item.
+            for i, v in enumerate(items):
+                item(v, f"{path}[{i}]")
+            raise
+
+    return read_array
+
+
+def _optional(kind: Check) -> Check:
+    """The check of a field that may be absent or null, read as None."""
+
+    def read_optional(value: Any, path: str) -> Any:
+        return None if value is None else kind(value, path)
+
+    return read_optional
+
+
+def _object(record: Callable[..., Any], fields: dict[str, Check]) -> Check:
+    """The check of an object read through the field table ``fields`` into
+    ``record``, which takes the fields as keyword arguments."""
+
+    def read_object(value: Any, path: str) -> Any:
+        return record(**_read_fields(value, path, fields))
+
+    return read_object
+
+
+def _tagged(tag: str, variants: dict[str, Check]) -> Check:
+    """The check of an object whose ``tag`` field names the variant that reads it."""
+
+    def read_tagged(value: Any, path: str) -> Any:
+        doc = value if type(value) is dict else _expect_mapping(value, path)
+        name = doc.get(tag)
+        variant = variants.get(name) if type(name) is str else None
+        if variant is None:
+            reason = f"expected one of {', '.join(variants)}, got {name!r}"
+            if tag not in doc:
+                reason = "missing required field"
+            raise AnnotationSchemaError(_join(path, tag), reason)
+        return variant(doc, path)
+
+    return read_tagged
+
+
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _read_fields(raw: Any, path: str, checks: dict[str, Check]) -> dict[str, Any]:
+    """The field values of the object ``raw``, each read by its check."""
+    try:
+        return _check_row(raw, path, checks)
+    except AnnotationSchemaError:
+        return _walk_row(raw, path, checks)
+
+
+def _check_row(raw: Any, path: str, checks: dict[str, Check]) -> dict[str, Any]:
+    """The row's field values; a refusal names ``path``, not the field. An
+    absent field reads as null."""
+    rec = raw if type(raw) is dict else _expect_mapping(raw, path)
+    values = {}
+    for name, check in checks.items():
+        values[name] = check(rec.get(name), path)
+    return values
+
+
+def _walk_row(
+    raw: Any, path: str, checks: dict[str, Check], by_id: str | None = None
+) -> dict[str, Any]:
+    """The row's field values, or the first error, named by record and field.
+    With ``by_id``, the table's key, the record is named by its id once that
+    is read. An absent field reads as null, and is missing if its check
+    refuses null."""
+    rec = _expect_mapping(raw, path)
+    values: dict[str, Any] = {}
+    for name, check in checks.items():
+        field = _join(path, name)
+        try:
+            values[name] = check(rec.get(name), field)
+        except AnnotationSchemaError:
+            if name not in rec:
+                raise AnnotationSchemaError(field, "missing required field") from None
+            raise
+        if by_id is not None and len(values) == 1:
+            path = f"{by_id}[id={values[name]}]"
+    return values
+
+
+# --------------------------------------------------------------------------
 # The database format, declared once. Each field kind pairs its check, which
 # reads any document value into a record and names the field on failure,
 # with the function that saves it back; ``str`` and ``float`` return a str
@@ -333,7 +473,7 @@ class _Kind(NamedTuple):
 
 
 _TEXT = _Kind(_as_str, str)
-_TEXTS = _Kind(_as_str_tuple, list)
+_TEXTS = _Kind(_array(_as_str), list)
 _NUMBER = _Kind(_as_float, float)
 _SPEED = _Kind(_as_speed, float)
 _VEC3 = _Kind(_as_vec3, Vec3.as_list)
@@ -381,38 +521,18 @@ def _parse_table(
 ) -> dict[str, Any]:
     rows = _expect_list(_field(doc, key, "annotations"), f"annotations.{key}")
     id_name = next(iter(fields))
-    checks = tuple((name, kind.check) for name, kind in fields.items())
+    checks = {name: kind.check for name, kind in fields.items()}
     table: dict[str, Any] = {}
     for i, raw in enumerate(rows):
         try:
             values = _check_row(raw, key, checks)
-        except (AnnotationSchemaError, KeyError):
-            # Format paths only on failure: check again, naming the field.
-            values = _walk_row(raw, key, i, by_id, fields)
+        except AnnotationSchemaError:
+            values = _walk_row(raw, f"{key}[{i}]", checks, key if by_id else None)
         row_id = values[id_name]
         if row_id in table:
             raise AnnotationSchemaError(f"{key}[{i}]", f"duplicate id {row_id!r}")
         table[row_id] = record(**values)
     return table
-
-
-def _check_row(raw: Any, key: str, checks: tuple[tuple[str, Callable], ...]) -> dict[str, Any]:
-    """The row's field values; a refusal names the table, not the field."""
-    rec = _expect_mapping(raw, key)
-    return {name: check(rec[name], key) for name, check in checks}
-
-
-def _walk_row(raw: Any, key: str, i: int, by_id: bool, fields: dict[str, _Kind]) -> dict[str, Any]:
-    """The row's field values, or the first error, named by record and field."""
-    path = f"{key}[{i}]"
-    rec = _expect_mapping(raw, path)
-    id_name = next(iter(fields))
-    values: dict[str, Any] = {}
-    for name, kind in fields.items():
-        values[name] = kind.check(_field(rec, name, path), f"{path}.{name}")
-        if by_id and name == id_name:
-            path = f"{key}[id={values[name]}]"
-    return values
 
 
 @contextmanager
@@ -558,7 +678,7 @@ def database_to_document(db: SceneDatabase) -> dict[str, Any]:
 
 
 def save_database(db: SceneDatabase, path: str | Path) -> None:
-    write_atomic(path, canonical_dumps(database_to_document(db)) + "\n")
+    write_json(path, database_to_document(db))
 
 
 @contextmanager
@@ -575,16 +695,13 @@ def naming_file(path: str | Path) -> Iterator[None]:
 def load_database(path: str | Path) -> SceneDatabase:
     with naming_file(path), _collector_paused():
         doc = _expect_mapping(read_json(path), "database")
-        radius = _as_float(_field(doc, "important_radius", "database"), "database.important_radius")
-        if radius <= 0:
-            raise AnnotationSchemaError("database.important_radius", "expected a positive number")
+        radius = _as_positive(
+            _field(doc, "important_radius", "database"), "database.important_radius"
+        )
         return build_database(doc, important_radius=radius)
 
 
-def load_annotations(path: str | Path) -> dict[str, Any]:
+def load_annotations(path: str | Path) -> Mapping[str, Any]:
     """Read a canonical annotations JSON document."""
     with naming_file(path):
-        doc = read_json(path)
-        if not isinstance(doc, dict):
-            raise AnnotationSchemaError("annotations", "top level must be an object")
-    return doc
+        return _expect_mapping(read_json(path), "annotations")

@@ -305,7 +305,18 @@ def _assert_line_2_error(code, capsys, field):
     [
         (lambda doc: _without(doc, "frame_ids"), "frame_ids"),
         (lambda doc: '{"pair_id": ', "Expecting value"),
-        (lambda doc: canonical_dumps({**doc, "ground_truth": []}), "no attribute"),
+        (
+            lambda doc: canonical_dumps({**doc, "ground_truth": []}),
+            "ground_truth: expected an object, got list",
+        ),
+        (
+            lambda doc: canonical_dumps({**doc, "thresholds_used": "abc"}),
+            "thresholds_used: expected an object, got str",
+        ),
+        (
+            lambda doc: canonical_dumps({**doc, "subtask": "bogus"}),
+            "subtask: 'bogus' is not a valid Subtask",
+        ),
         (lambda doc: canonical_dumps({**doc, "task": "risk"}), "does not match subtask"),
         (
             lambda doc: canonical_dumps({**doc, "views_used": {"front": 1}}),
@@ -451,6 +462,18 @@ def test_pairs_readers_refuse_non_finite_numbers_and_non_text(
     out = tmp_path / "out"
     code = run([str(a) for a in _PAIRS_READERS[command](pairs, db, preds, out)])
     _assert_line_2_error(code, capsys, f"{pairs}:2: {reason}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", _PAIRS_READERS)
+def test_pairs_readers_refuse_a_repeated_pair_id(read_side, capsys, command):
+    tmp_path, db, docs, preds = read_side
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(canonical_dumps(d) + "\n" for d in (*docs, docs[0])), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([str(a) for a in _PAIRS_READERS[command](pairs, db, preds, out)]) == 1
+    repeated = f"pair_id: {docs[0]['pair_id']!r} is repeated, first on line 1"
+    assert capsys.readouterr().err == f"error: {pairs}:4: {repeated}\n"
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ whole input, and a valid input with one node replaced by an arbitrary JSON
 value (or removed), which reaches the deeper field checks.
 """
 
+import inspect
 import json
 import os
 from unittest import mock
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivesql import generation, scene_db
+from drivesql import evaluation, generation, scene_db
 from drivesql.canonical import canonical_dumps
 from drivesql.errors import AnnotationSchemaError, DriveSqlError
 from drivesql.evaluation import (
@@ -190,8 +191,9 @@ def test_read_pairs_names_a_number_too_large_for_a_float(workdir, demo_pairs):
     doc["ground_truth"]["values"][0] = 10**400
     path = workdir / "huge.pairs.jsonl"
     path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-    with pytest.raises(DriveSqlError, match="too large"):
+    with pytest.raises(DriveSqlError) as err:
         read_pairs_jsonl(path)
+    assert str(err.value) == f"{path}:1: ground_truth.values[0]: expected a finite number, got inf"
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +222,110 @@ def test_read_predictions_names_a_number_too_large_for_a_float(workdir, predicti
     doc = _mutated(doc, ("detections", 0, "score"), 10**400)
     path = workdir / "huge.preds.jsonl"
     path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-    with pytest.raises(DriveSqlError, match="too large"):
+    with pytest.raises(DriveSqlError) as err:
         read_predictions_jsonl(path)
+    assert str(err.value) == f"{path}:1: detections[0].score: expected a finite number, got inf"
+
+
+@pytest.fixture(scope="module")
+def line_docs(demo_pairs, prediction_docs):
+    """Valid lines of each reader, with the reader."""
+    return {
+        "pairs": (read_pairs_jsonl, [pair_to_dict(p) for p in demo_pairs[:40]]),
+        "predictions": (read_predictions_jsonl, [d for d in prediction_docs if len(d) > 2]),
+    }
+
+
+def _rows_or_refusal(reader, path, line):
+    path.write_text(line + "\n", encoding="utf-8")
+    try:
+        return reader(path)
+    except DriveSqlError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("lines", ["pairs", "predictions"])
+@settings(max_examples=100 * SCALE, deadline=None)
+@given(data=st.data())
+def test_fast_checks_agree_with_the_walker_on_a_mutated_line(workdir, line_docs, lines, data):
+    # As for the database: with every object sent to the path-naming walker,
+    # the same line must read to an equal row or be refused the same way.
+    reader, docs = line_docs[lines]
+    line = json.dumps(data.draw(_mutations(data.draw(st.sampled_from(docs)))))
+    path = workdir / f"walked.{lines}.jsonl"
+    with mock.patch.object(scene_db, "_check_row", _refuse_every_row):
+        walked = _rows_or_refusal(reader, path, line)
+    assert _rows_or_refusal(reader, path, line) == walked
+
+
+def _declared(fields, at=()):
+    """``(key path, removable)`` for every field a field table declares, and
+    below it: object fields, an array's first item, an optional field's
+    value and every variant of a tagged object, read from the checks'
+    closures."""
+    for name, check in fields.items():
+        yield at + (name,), check.__name__ != "read_optional"
+        yield from _below(check, at + (name,))
+
+
+def _below(check, at):
+    inner = inspect.getclosurevars(check).nonlocals
+    if check.__name__ == "read_optional":
+        yield from _below(inner["kind"], at)
+    elif check.__name__ == "read_array":
+        yield at + (0,), False
+        yield from _below(inner["item"], at + (0,))
+    elif check.__name__ == "read_object":
+        yield from _declared(inner["fields"], at)
+    elif check.__name__ == "read_tagged":
+        yield at + (inner["tag"],), True
+        for variant in inner["variants"].values():
+            yield from _below(variant, at)
+
+
+def _node(doc, at):
+    for key in at:
+        doc = doc[key]
+    return doc
+
+
+def _holds(doc, at):
+    try:
+        _node(doc, at)
+    except (KeyError, IndexError, TypeError):
+        return False
+    return True
+
+
+def _field_path(at):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in at).lstrip(".")
+
+
+# A value of another JSON type than the valid one, for each valid type.
+_WRONG_TYPE = {str: 7, int: "7", float: "7", list: {"x": 1}, dict: [1]}
+
+
+def test_every_declared_field_is_refused_by_its_path(workdir, line_docs):
+    declared = {
+        "pairs": dict(_declared(generation._PAIR_FIELDS)),
+        "predictions": dict(_below(evaluation._PREDICTION_LINE, ())),
+    }
+    for lines, (reader, docs) in line_docs.items():
+        path = workdir / f"declared.{lines}.jsonl"
+        for at, removable in declared[lines].items():
+            doc = next((d for d in docs if _holds(d, at)), None)
+            assert doc is not None, f"no valid {lines} line holds {_field_path(at)}"
+            field = _field_path(at)
+            wrong = _WRONG_TYPE[type(_node(doc, at))]
+            refusal = _rows_or_refusal(reader, path, json.dumps(_mutated(doc, at, wrong)))
+            assert isinstance(refusal, str) and refusal.startswith(f"{path}:1: {field}: "), refusal
+            if removable:
+                refusal = _rows_or_refusal(reader, path, json.dumps(_mutated(doc, at, _REMOVE)))
+                assert refusal == f"{path}:1: {field}: missing required field"
+            elif not isinstance(at[-1], int):
+                # An optional field may be left out.
+                assert not isinstance(_rows_or_refusal(reader, path, json.dumps(
+                    _mutated(doc, at, _REMOVE))), str)
 
 
 replies = json_values | st.fixed_dictionaries(

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from drivesql import scene_db
-from drivesql.canonical import canonical_dumps
+from drivesql.canonical import canonical_dumps, write_jsonl
 from drivesql.cli import run
 from drivesql.errors import AnnotationSchemaError, RecordNotFound
 from drivesql.geometry import Vec3
@@ -319,6 +319,15 @@ def test_canonical_dumps_refuses_non_finite_numbers():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             canonical_dumps({"x": value})
+
+
+def test_write_jsonl_that_fails_partway_leaves_the_old_file(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [{"a": 1}])
+    with pytest.raises(ValueError):
+        write_jsonl(path, ({"a": 2}, {"b": math.nan}, {"c": 3}))
+    assert path.read_text(encoding="utf-8") == '{"a":1}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
 
 
 # --------------------------------------------------------------------------
