@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 from .canonical import canonical_dumps, read_json, read_text, write_json
-from .errors import DriveSqlError, RecordNotFound
+from .errors import AnnotationSchemaError, DriveSqlError, RecordNotFound
 from .evaluation import evaluate, read_predictions_jsonl, split_dataset
 from .generation import (
     GenerationConfig,
@@ -39,8 +39,12 @@ from .scene_db import (
     load_database,
     naming_file,
     save_database,
+    _array,
     _as_float,
     _as_text,
+    _object,
+    _optional,
+    _read_fields,
 )
 from .stats import compute_stats, view_percent_csv
 from .synth import ScenarioScript, Waypoint, demo_corpus, merge_scenes, synth_scene
@@ -189,96 +193,75 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     return (a, b, c)
 
 
-# ------------------------------------------------------------- synth loader
+# ------------------------------------------------------------- synth request
+# The synth request, declared once as field tables: a sample of the demo
+# corpus, or scripted scenes. An absent or null optional field takes the
+# default given here.
 
 
-def _script_from_doc(doc: dict[str, Any], where: str) -> ScenarioScript:
-    try:
-        kind_name = None if doc.get("kind") is None else _as_text(doc["kind"], "kind")
-        category = _as_text(doc.get("category", "car"), "category")
-        lane = _as_text(doc.get("lane", "2"), "lane")
-    except ValueError as err:
-        raise CliUsageError(f"{where}: {err}") from None
-    kind = None
-    if kind_name is not None:
-        try:
-            kind = Subtask(kind_name)
-        except ValueError:
-            raise CliUsageError(f"{where}: unknown kind {kind_name!r}") from None
-        if kind not in RISK_SUBTASKS:
-            raise CliUsageError(f"{where}: kind must be a risk kind, got {kind_name!r}")
-    waypoints = []
-    raw_points = doc.get("waypoints")
-    if not isinstance(raw_points, list) or not raw_points:
-        raise CliUsageError(f"{where}: waypoints must be a non-empty list")
-    for i, wp in enumerate(raw_points):
-        if not isinstance(wp, dict):
-            raise CliUsageError(f"{where}.waypoints[{i}]: expected an object")
-        try:
-            waypoints.append(
-                Waypoint(
-                    t=_as_float(wp["t"], "t"),
-                    pos=Vec3(
-                        _as_float(wp["x"], "x"),
-                        _as_float(wp["y"], "y"),
-                        _as_float(wp.get("z", 0.0), "z"),
-                    ),
-                    yaw=_as_float(wp.get("yaw", 0.0), "yaw"),
-                    speed=_as_float(wp.get("speed", 0.0), "speed"),
-                    lane=None if wp.get("lane") is None else _as_text(wp["lane"], "lane"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as err:
-            raise CliUsageError(f"{where}.waypoints[{i}]: {err}") from None
-    return ScenarioScript(kind=kind, waypoints=tuple(waypoints), category=category, lane=lane)
+def _as_frame_count(value: Any, path: str) -> int:
+    n_frames = json_int(value, path)
+    if n_frames < 1:
+        raise AnnotationSchemaError(path, "a scene needs at least one frame")
+    return n_frames
+
+
+_RISK_KINDS = {subtask.value: subtask for subtask in RISK_SUBTASKS}
+
+
+def _as_risk_kind(value: Any, path: str) -> Subtask:
+    name = _as_text(value, path)
+    if name not in _RISK_KINDS:
+        raise AnnotationSchemaError(path, f"expected a risk kind, got {name!r}")
+    return _RISK_KINDS[name]
+
+
+def _waypoint(t: float, x: float, y: float, z: float, **rest: Any) -> Waypoint:
+    return Waypoint(t=t, pos=Vec3(x, y, z), **rest)
+
+
+_SAMPLE = _object(demo_corpus, {
+    "n_random": _optional(json_int, 20),
+    "seed": _optional(json_int, 0),
+    "include_curated": _optional(json_bool, True),
+})
+
+# Each scene reads as ``synth_scene``'s arguments; a scene without an id is
+# named by its index.
+_SCENES = _array(_object(dict, {
+    "scripts": _optional(_array(_object(ScenarioScript, {
+        "kind": _optional(_as_risk_kind),
+        "category": _optional(_as_text, "car"),
+        "lane": _optional(_as_text, "2"),
+        "waypoints": _array(_object(_waypoint, {
+            "t": _as_float,
+            "x": _as_float,
+            "y": _as_float,
+            "z": _optional(_as_float, 0.0),
+            "yaw": _optional(_as_float, 0.0),
+            "speed": _optional(_as_float, 0.0),
+            "lane": _optional(_as_text),
+        }), non_empty=True),
+    })), ()),
+    "n_frames": _optional(_as_frame_count, 3),
+    "seed": _optional(json_int, 0),
+    "scene_id": _optional(_as_text),
+    "ego_speed": _optional(_as_float, 5.0),
+    "ego_yaw": _optional(_as_float, 0.0),
+}), non_empty=True)
 
 
 def _synth_from_request(doc: Any, path: Path) -> dict[str, Any]:
-    if not isinstance(doc, dict):
-        raise CliUsageError(f"{path}: top level must be an object")
-    if "sample" in doc:
-        sample = doc["sample"]
-        if not isinstance(sample, dict):
-            raise CliUsageError(f"{path}: 'sample' must be an object")
-        try:
-            return demo_corpus(
-                json_int(sample.get("n_random", 20), "n_random"),
-                json_int(sample.get("seed", 0), "seed"),
-                include_curated=json_bool(sample.get("include_curated", True), "include_curated"),
-            )
-        except (TypeError, ValueError, OverflowError) as err:
-            raise CliUsageError(f"{path}: sample: {err}") from None
-    scenes = doc.get("scenes")
-    if not isinstance(scenes, list) or not scenes:
-        raise CliUsageError(f"{path}: need either 'sample' or a non-empty 'scenes' list")
-    docs = []
-    for idx, scene in enumerate(scenes):
-        where = f"{path}: scenes[{idx}]"
-        if not isinstance(scene, dict):
-            raise CliUsageError(f"{where}: expected an object")
-        raw_scripts = scene.get("scripts", [])
-        if not isinstance(raw_scripts, list):
-            raise CliUsageError(f"{where}: scripts must be a list")
-        scripts = [
-            _script_from_doc(s, f"{where}.scripts[{i}]") if isinstance(s, dict) else None
-            for i, s in enumerate(raw_scripts)
-        ]
-        if any(s is None for s in scripts):
-            raise CliUsageError(f"{where}: every script must be an object")
-        try:
-            docs.append(
-                synth_scene(
-                    [s for s in scripts if s is not None],
-                    n_frames=json_int(scene.get("n_frames", 3), "n_frames"),
-                    seed=json_int(scene.get("seed", 0), "seed"),
-                    scene_id=_as_text(scene.get("scene_id", f"scene_{idx:04d}"), "scene_id"),
-                    ego_speed=_as_float(scene.get("ego_speed", 5.0), "ego_speed"),
-                    ego_yaw=_as_float(scene.get("ego_yaw", 0.0), "ego_yaw"),
-                )
-            )
-        except (TypeError, ValueError, OverflowError) as err:
-            raise CliUsageError(f"{where}: {err}") from None
-    return merge_scenes(docs)
+    """The annotations a synth request asks for: its ``sample`` if it has
+    one, else its ``scenes``."""
+    with naming_file(path):
+        if type(doc) is dict and "sample" in doc:
+            return _read_fields(doc, "", {"sample": _SAMPLE})["sample"]
+        scenes = _read_fields(doc, "", {"scenes": _SCENES})["scenes"]
+    for i, scene in enumerate(scenes):
+        if scene["scene_id"] is None:
+            scene["scene_id"] = f"scene_{i:04d}"
+    return merge_scenes([synth_scene(**scene) for scene in scenes])
 
 
 # --------------------------------------------------------------- subcommands
@@ -302,6 +285,12 @@ def _cmd_build_db(args: argparse.Namespace) -> int:
 
 
 def _generation_config(args: argparse.Namespace) -> GenerationConfig:
+    """``generate``'s configuration, read and checked before any database is."""
+    for flag, count in (
+        ("--windows", args.windows), ("--max-instances", args.max_instances), ("--jobs", args.jobs)
+    ):
+        if count < 1:
+            raise CliUsageError(f"{flag} must be at least 1, got {count}")
     thresholds = RiskThresholds()
     if args.thresholds:
         thresholds = _parse_thresholds_file(Path(args.thresholds))
@@ -321,9 +310,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     timings: dict[str, float] = {}
     src = Path(args.database)
+    config = _generation_config(args)
     with _timed(timings, "load"):
         db = load_database(src)
-    config = _generation_config(args)
     with _timed(timings, "generate"):
         pairs, diag = generate_dataset(db, config, jobs=args.jobs)
     out = Path(args.output)

@@ -181,11 +181,12 @@ class SceneDatabase:
 
 
 # --------------------------------------------------------------------------
-# Validated parsing, shared by the database loader and the JSONL readers.
-# Every check reads one JSON value and names a refused value by the path it
-# is given; every check but an ``_optional`` one refuses null. A container
-# formats an item's path (``[i]``, ``[view]``, `` key``, ``.field``) only to
-# name a refusal, checking its items again.
+# Validated parsing, shared by every JSON boundary. Every check reads one
+# JSON value and names a refused value by the path it is given; every check
+# but an ``_optional`` one refuses null. A container gives each item its own
+# path and checks a refused item again under the item's path (``[i]``,
+# ``[view]``, `` key``, ``.field``) to name it, so no path is built for an
+# accepted value.
 
 Check = Callable[[Any, str], Any]
 
@@ -200,12 +201,6 @@ def _expect_list(value: Any, path: str) -> list[Any]:
     if not isinstance(value, list):
         raise AnnotationSchemaError(path, f"expected an array, got {type(value).__name__}")
     return value
-
-
-def _field(record: Mapping[str, Any], key: str, path: str) -> Any:
-    if key not in record:
-        raise AnnotationSchemaError(f"{path}.{key}", "missing required field")
-    return record[key]
 
 
 def _as_str(value: Any, path: str) -> str:
@@ -270,8 +265,8 @@ def _as_floats(value: Any, path: str, count: int, noun: str) -> list[float]:
         raise AnnotationSchemaError(path, f"expected {count} {noun}, got {len(items)}")
     for item in items:
         if type(item) is not float or not math.isfinite(item):
-            # Off the shortcut: check each item, naming it.
-            return [_as_float(item, f"{path}[{i}]") for i, item in enumerate(items)]
+            # Off the shortcut: read each item, naming a refused one.
+            return _read_floats(items, path)
     return items
 
 
@@ -292,16 +287,14 @@ def _as_quaternion(value: Any, path: str) -> Quaternion:
 
 def _as_str_map(value: Any, path: str) -> dict[str, str]:
     mapping = _expect_mapping(value, path)
-    try:
-        for key, item in mapping.items():
+    for key, item in mapping.items():
+        try:
             _as_str(item, path)
             _as_str(key, path)
-    except AnnotationSchemaError:
-        # Format the key only on failure: check again, naming each entry.
-        for key, item in mapping.items():
+        except AnnotationSchemaError:
             _as_str(item, f"{path}[{key}]")
             _as_str(key, f"{path} key")
-        raise
+            raise
     return dict(mapping)
 
 
@@ -345,46 +338,51 @@ def _as_camera_pos(value: Any, path: str) -> dict[View, BBox2D]:
     if not mapping:
         raise AnnotationSchemaError(path, "an instance must be visible in at least one view")
     out: dict[View, BBox2D] = {}
-    try:
-        for key, item in mapping.items():
-            view = _as_view(key, path)
-            out[view] = _as_bbox(item, path)
-    except AnnotationSchemaError:
-        # Format the view only on failure: check again, naming each box.
-        for key, item in mapping.items():
+    for key, item in mapping.items():
+        try:
+            out[_as_view(key, path)] = _as_bbox(item, path)
+        except AnnotationSchemaError:
             _as_view(key, f"{path}[{key}]")
             _as_bbox(item, f"{path}[{key}]")
-        raise
+            raise
     return out
 
 
 # --------------------------------------------------------------------------
 # Field tables: a dict from each field's name to its check, in check order.
-# An object is checked first with every refusal naming only the object, and
-# walked again with field paths only to name a refusal.
+# An object's fields are read once, each check given the object's path; a
+# refused field is checked again under its field path to name it.
 
 
-def _array(item: Check) -> Check:
-    """The check of an array whose items ``item`` checks, read as a tuple."""
+def _array(item: Check, non_empty: bool = False) -> Check:
+    """The check of an array whose items ``item`` checks, read as a tuple;
+    with ``non_empty``, the empty array is refused."""
 
     def read_array(value: Any, path: str) -> tuple[Any, ...]:
         items = value if type(value) is list else _expect_list(value, path)
+        if non_empty and not items:
+            raise AnnotationSchemaError(path, "expected a non-empty array")
+        out = []
         try:
-            return tuple([item(v, path) for v in items])
+            for v in items:
+                out.append(item(v, path))
         except AnnotationSchemaError:
-            # Format the index only on failure: check again, naming each item.
-            for i, v in enumerate(items):
-                item(v, f"{path}[{i}]")
+            i = len(out)
+            item(items[i], f"{path}[{i}]")
             raise
+        return tuple(out)
 
     return read_array
 
 
-def _optional(kind: Check) -> Check:
-    """The check of a field that may be absent or null, read as None."""
+_read_floats = _array(_as_float)
+
+
+def _optional(kind: Check, default: Any = None) -> Check:
+    """The check of a field that may be absent or null, read as ``default``."""
 
     def read_optional(value: Any, path: str) -> Any:
-        return None if value is None else kind(value, path)
+        return default if value is None else kind(value, path)
 
     return read_optional
 
@@ -420,44 +418,35 @@ def _join(path: str, name: str) -> str:
     return f"{path}.{name}" if path else name
 
 
-def _read_fields(raw: Any, path: str, checks: dict[str, Check]) -> dict[str, Any]:
-    """The field values of the object ``raw``, each read by its check."""
-    try:
-        return _check_row(raw, path, checks)
-    except AnnotationSchemaError:
-        return _walk_row(raw, path, checks)
-
-
-def _check_row(raw: Any, path: str, checks: dict[str, Check]) -> dict[str, Any]:
-    """The row's field values; a refusal names ``path``, not the field. An
-    absent field reads as null."""
-    rec = raw if type(raw) is dict else _expect_mapping(raw, path)
-    values = {}
-    for name, check in checks.items():
-        values[name] = check(rec.get(name), path)
-    return values
-
-
-def _walk_row(
-    raw: Any, path: str, checks: dict[str, Check], by_id: str | None = None
+def _read_fields(
+    raw: Any, path: str, checks: dict[str, Check], row: int | None = None, by_id: bool = False
 ) -> dict[str, Any]:
-    """The row's field values, or the first error, named by record and field.
-    With ``by_id``, the table's key, the record is named by its id once that
-    is read. An absent field reads as null, and is missing if its check
-    refuses null."""
-    rec = _expect_mapping(raw, path)
+    """The field values of the object ``raw`` at ``path``, each read by its
+    check. An absent field reads as null, and is missing if its check
+    refuses null; a field the check refuses is checked again under its own
+    path to name it. With ``row``, ``raw`` is that row of the table ``path``,
+    named ``path[row]``, or with ``by_id`` ``path[id=…]`` once its id, the
+    first field, is read."""
+    rec = raw if type(raw) is dict else _expect_mapping(raw, _row_path(path, row, None))
     values: dict[str, Any] = {}
     for name, check in checks.items():
-        field = _join(path, name)
+        value = rec.get(name)
         try:
-            values[name] = check(rec.get(name), field)
+            values[name] = check(value, path)
         except AnnotationSchemaError:
+            row_id = next(iter(values.values())) if by_id and values else None
+            field = _join(_row_path(path, row, row_id), name)
             if name not in rec:
                 raise AnnotationSchemaError(field, "missing required field") from None
+            check(value, field)
             raise
-        if by_id is not None and len(values) == 1:
-            path = f"{by_id}[id={values[name]}]"
     return values
+
+
+def _row_path(path: str, row: int | None, row_id: str | None) -> str:
+    if row is None:
+        return path
+    return f"{path}[{row}]" if row_id is None else f"{path}[id={row_id}]"
 
 
 # --------------------------------------------------------------------------
@@ -519,15 +508,12 @@ _TABLES: tuple[tuple[str, type, bool, dict[str, _Kind]], ...] = (
 def _parse_table(
     doc: Mapping[str, Any], key: str, record: type, by_id: bool, fields: dict[str, _Kind]
 ) -> dict[str, Any]:
-    rows = _expect_list(_field(doc, key, "annotations"), f"annotations.{key}")
+    rows = _read_fields(doc, "annotations", {key: _expect_list})[key]
     id_name = next(iter(fields))
     checks = {name: kind.check for name, kind in fields.items()}
     table: dict[str, Any] = {}
     for i, raw in enumerate(rows):
-        try:
-            values = _check_row(raw, key, checks)
-        except AnnotationSchemaError:
-            values = _walk_row(raw, f"{key}[{i}]", checks, key if by_id else None)
+        values = _read_fields(raw, key, checks, i, by_id)
         row_id = values[id_name]
         if row_id in table:
             raise AnnotationSchemaError(f"{key}[{i}]", f"duplicate id {row_id!r}")
@@ -694,11 +680,9 @@ def naming_file(path: str | Path) -> Iterator[None]:
 
 def load_database(path: str | Path) -> SceneDatabase:
     with naming_file(path), _collector_paused():
-        doc = _expect_mapping(read_json(path), "database")
-        radius = _as_positive(
-            _field(doc, "important_radius", "database"), "database.important_radius"
-        )
-        return build_database(doc, important_radius=radius)
+        doc = read_json(path)
+        fields = _read_fields(doc, "database", {"important_radius": _as_positive})
+        return build_database(doc, important_radius=fields["important_radius"])
 
 
 def load_annotations(path: str | Path) -> Mapping[str, Any]:

@@ -262,6 +262,17 @@ def test_scripted_synth_scene(tmp_path):
     assert run(["synth", str(scripts), "-o", str(ann)]) == 1
 
 
+def test_readme_scripted_synthesis_example_is_accepted(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Scripted synthesis", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    scripts = tmp_path / "example.json"
+    scripts.write_text(example, encoding="utf-8")
+    ann = tmp_path / "annotations.json"
+    assert run(["synth", str(scripts), "-o", str(ann)]) == 0
+    assert [s["scene_id"] for s in json.loads(ann.read_text())["scenes"]] == ["braking_demo"]
+
+
 def test_module_entry_point_reports_version():
     proc = subprocess.run(
         [sys.executable, "-m", "drivesql", "--version"],
@@ -569,13 +580,13 @@ def test_stats_names_the_pair_its_database_lacks(read_side, capsys):
     "request_text, where",
     [
         ('{"scenes": [{"scripts": [{"waypoints": [{"t": 0, "x": NaN, "y": 0}]}]}]}',
-         "scenes[0].scripts[0].waypoints[0]: x: expected a finite number, got nan"),
+         "scenes[0].scripts[0].waypoints[0].x: expected a finite number, got nan"),
         ('{"scenes": [{"scripts": [{"waypoints": [{"t": 0, "x": 1, "y": 1e400}]}]}]}',
-         "scenes[0].scripts[0].waypoints[0]: y: expected a finite number, got inf"),
+         "scenes[0].scripts[0].waypoints[0].y: expected a finite number, got inf"),
         ('{"scenes": [{"ego_speed": Infinity, "scripts": []}]}',
-         "scenes[0]: ego_speed: expected a finite number, got inf"),
-        ('{"scenes": [{"n_frames": 1e400, "scripts": []}]}', "scenes[0]: "),
-        ('{"sample": {"n_random": 1e400}}', "sample: "),
+         "scenes[0].ego_speed: expected a finite number, got inf"),
+        ('{"scenes": [{"n_frames": 1e400, "scripts": []}]}', "scenes[0].n_frames: "),
+        ('{"sample": {"n_random": 1e400}}', "sample.n_random: "),
     ],
     ids=["nan-x", "1e400-y", "infinite-ego-speed", "1e400-n-frames", "1e400-n-random"],
 )
@@ -590,32 +601,60 @@ def test_synth_script_names_a_non_finite_number(tmp_path, capsys, request_text, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "request_doc, where",
-    [
-        ({"sample": {"n_random": 2.7}}, "sample: n_random: expected an integer, got float"),
-        ({"sample": {"n_random": True}}, "sample: n_random: expected an integer, got bool"),
-        ({"sample": {"seed": "3"}}, "sample: seed: expected an integer, got str"),
+def _wrong_type_cases():
+    # The first eight cases keep the ids they were given when a reason
+    # followed its field after ": ".
+    named = [
+        ({"sample": {"n_random": 2.7}}, "sample.n_random: expected an integer, got float",
+         "sample: n_random: expected an integer, got float"),
+        ({"sample": {"n_random": True}}, "sample.n_random: expected an integer, got bool",
+         "sample: n_random: expected an integer, got bool"),
+        ({"sample": {"seed": "3"}}, "sample.seed: expected an integer, got str",
+         "sample: seed: expected an integer, got str"),
         ({"sample": {"include_curated": "no"}},
+         "sample.include_curated: expected true or false, got str",
          "sample: include_curated: expected true or false, got str"),
         ({"sample": {"include_curated": 0}},
+         "sample.include_curated: expected true or false, got int",
          "sample: include_curated: expected true or false, got int"),
         ({"scenes": [{"n_frames": 3.7, "scripts": []}]},
+         "scenes[0].n_frames: expected an integer, got float",
          "scenes[0]: n_frames: expected an integer, got float"),
         ({"scenes": [{"seed": False, "scripts": []}]},
+         "scenes[0].seed: expected an integer, got bool",
          "scenes[0]: seed: expected an integer, got bool"),
         ({"scenes": [{"scene_id": 5, "scripts": []}]},
+         "scenes[0].scene_id: expected a string, got int",
          "scenes[0]: scene_id: expected a string, got int"),
+    ]
+    for i, (request_doc, where, name) in enumerate(named):
+        yield pytest.param(request_doc, where, id=f"request_doc{i}-{name}")
+    waypoint = {"t": 0, "x": 1, "y": 0}
+    for request_doc, where in [
         ({"scenes": [{"scripts": [{"category": 1, "waypoints": []}]}]},
-         "scenes[0].scripts[0]: category: expected a string, got int"),
+         "scenes[0].scripts[0].category: expected a string, got int"),
         ({"scenes": [{"scripts": [{"lane": 2, "waypoints": []}]}]},
-         "scenes[0].scripts[0]: lane: expected a string, got int"),
+         "scenes[0].scripts[0].lane: expected a string, got int"),
         ({"scenes": [{"scripts": [{"kind": ["braking"], "waypoints": []}]}]},
-         "scenes[0].scripts[0]: kind: expected a string, got list"),
+         "scenes[0].scripts[0].kind: expected a string, got list"),
         ({"scenes": [{"scripts": [{"waypoints": [{"t": 0, "x": 1, "y": 0, "lane": 1}]}]}]},
-         "scenes[0].scripts[0].waypoints[0]: lane: expected a string, got int"),
-    ],
-)
+         "scenes[0].scripts[0].waypoints[0].lane: expected a string, got int"),
+        ({"scenes": [{"scripts": [{"waypoints": [{"x": 1, "y": 0}]}]}]},
+         "scenes[0].scripts[0].waypoints[0].t: missing required field"),
+        ({"scenes": [{"scripts": [{"kind": "distance", "waypoints": [waypoint]}]}]},
+         "scenes[0].scripts[0].kind: expected a risk kind, got 'distance'"),
+        ({"scenes": [{"scripts": [{"waypoints": []}]}]},
+         "scenes[0].scripts[0].waypoints: expected a non-empty array"),
+        ({"scenes": [{"n_frames": 0, "scripts": []}]},
+         "scenes[0].n_frames: a scene needs at least one frame"),
+        ({"sample": [1]}, "sample: expected an object, got list"),
+        ({"scenes": []}, "scenes: expected a non-empty array"),
+        ({}, "scenes: missing required field"),
+    ]:
+        yield (request_doc, where)
+
+
+@pytest.mark.parametrize("request_doc, where", _wrong_type_cases())
 def test_synth_request_refuses_a_field_of_the_wrong_type(tmp_path, capsys, request_doc, where):
     scripts = tmp_path / "scripts.json"
     scripts.write_text(json.dumps(request_doc), encoding="utf-8")
@@ -641,6 +680,31 @@ def test_non_finite_radius_is_refused_before_any_work(tmp_path, capsys, radius):
     err = capsys.readouterr().err
     assert err.startswith("error: argument --radius: expected a positive finite number")
     assert not (tmp_path / "db.json").exists()
+
+
+@pytest.mark.parametrize(
+    "option, refusal",
+    [
+        ("--windows=0", "--windows must be at least 1, got 0"),
+        ("--jobs=0", "--jobs must be at least 1, got 0"),
+        ("--max-instances=-1", "--max-instances must be at least 1, got -1"),
+        ("--thresholds={thresholds}",
+         "{thresholds}:1: threshold dis must be a positive finite number, got 0.0"),
+    ],
+    ids=["windows", "jobs", "max-instances", "thresholds"],
+)
+def test_generate_refuses_a_bad_setting_before_any_work(tmp_path, capsys, option, refusal):
+    thresholds = tmp_path / "thresholds.txt"
+    thresholds.write_text("dis=0\n", encoding="utf-8")
+    out = tmp_path / "pairs.jsonl"
+    argv = [
+        "generate", str(tmp_path / "missing.db.json"), "-o", str(out),
+        option.format(thresholds=thresholds),
+    ]
+    # The database does not exist: refusing the setting first exits 1, not 2.
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {refusal.format(thresholds=thresholds)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ratios", ["1,1,nan", "1,1,inf", "1e308,1e308,1"])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivesql import evaluation, generation, scene_db
+from drivesql import cli, evaluation, generation
 from drivesql.canonical import canonical_dumps
 from drivesql.errors import AnnotationSchemaError, DriveSqlError
 from drivesql.evaluation import (
@@ -135,23 +135,6 @@ def _built(doc):
         return str(err)
 
 
-def _refuse_every_row(raw, key, checks):
-    """Stands in for ``scene_db._check_row``, the pathless first pass over a
-    row, so that every row is checked by the path-naming walker alone."""
-    raise AnnotationSchemaError(key, "refused by the first pass")
-
-
-@settings(max_examples=100 * SCALE, deadline=None)
-@given(data=st.data())
-def test_fast_checks_agree_with_the_walker_on_a_mutated_database(database_doc, data):
-    # The path-naming walker alone is the reference: with every row sent to
-    # it, the same document must build to the same bytes or fail the same way.
-    doc = data.draw(_mutations(database_doc))
-    with mock.patch.object(scene_db, "_check_row", _refuse_every_row):
-        walked = _built(doc)
-    assert _built(doc) == walked
-
-
 @pytest.mark.parametrize("radius", [0, 0.0, -1.5])
 def test_load_database_names_a_radius_that_is_not_positive(tmp_path, database_doc, radius):
     path = tmp_path / "db.json"
@@ -244,20 +227,6 @@ def _rows_or_refusal(reader, path, line):
         return str(err)
 
 
-@pytest.mark.parametrize("lines", ["pairs", "predictions"])
-@settings(max_examples=100 * SCALE, deadline=None)
-@given(data=st.data())
-def test_fast_checks_agree_with_the_walker_on_a_mutated_line(workdir, line_docs, lines, data):
-    # As for the database: with every object sent to the path-naming walker,
-    # the same line must read to an equal row or be refused the same way.
-    reader, docs = line_docs[lines]
-    line = json.dumps(data.draw(_mutations(data.draw(st.sampled_from(docs)))))
-    path = workdir / f"walked.{lines}.jsonl"
-    with mock.patch.object(scene_db, "_check_row", _refuse_every_row):
-        walked = _rows_or_refusal(reader, path, line)
-    assert _rows_or_refusal(reader, path, line) == walked
-
-
 def _declared(fields, at=()):
     """``(key path, removable)`` for every field a field table declares, and
     below it: object fields, an array's first item, an optional field's
@@ -302,26 +271,57 @@ def _field_path(at):
 
 
 # A value of another JSON type than the valid one, for each valid type.
-_WRONG_TYPE = {str: 7, int: "7", float: "7", list: {"x": 1}, dict: [1]}
+_WRONG_TYPE = {str: 7, int: "7", float: "7", bool: "7", list: {"x": 1}, dict: [1]}
+
+# Synth requests that hold every field their form declares.
+_SYNTH_SAMPLE = {"sample": {"n_random": 1, "seed": 3, "include_curated": False}}
+_SYNTH_SCENES = {"scenes": [{
+    "scripts": [{
+        "kind": "braking",
+        "category": "car",
+        "lane": "2",
+        "waypoints": [
+            {"t": 0.0, "x": 14.0, "y": 0.0, "z": 0.0, "yaw": 0.0, "speed": 4.0, "lane": "3"},
+            {"t": 1.0, "x": 10.5, "y": 0.0, "speed": 0.0},
+        ],
+    }],
+    "n_frames": 3,
+    "seed": 5,
+    "scene_id": "every_field",
+    "ego_speed": 4.0,
+    "ego_yaw": 0.0,
+}]}
+
+
+def _read_synth_request(path):
+    return cli._synth_from_request(json.loads(path.read_text(encoding="utf-8")), path)
 
 
 def test_every_declared_field_is_refused_by_its_path(workdir, line_docs):
-    declared = {
-        "pairs": dict(_declared(generation._PAIR_FIELDS)),
-        "predictions": dict(_below(evaluation._PREDICTION_LINE, ())),
+    # Per boundary: its reader, valid inputs, its declared fields, and what
+    # follows the file's path in a refusal.
+    boundaries = {
+        "pairs": (*line_docs["pairs"], _declared(generation._PAIR_FIELDS), ":1"),
+        "predictions": (*line_docs["predictions"], _below(evaluation._PREDICTION_LINE, ()), ":1"),
+        "synth-sample": (
+            _read_synth_request, [_SYNTH_SAMPLE], _below(cli._SAMPLE, ("sample",)), ""
+        ),
+        "synth-scenes": (
+            _read_synth_request, [_SYNTH_SCENES], _declared({"scenes": cli._SCENES}), ""
+        ),
     }
-    for lines, (reader, docs) in line_docs.items():
-        path = workdir / f"declared.{lines}.jsonl"
-        for at, removable in declared[lines].items():
+    for name, (reader, docs, declared, line) in boundaries.items():
+        path = workdir / f"declared.{name}"
+        for at, removable in dict(declared).items():
             doc = next((d for d in docs if _holds(d, at)), None)
-            assert doc is not None, f"no valid {lines} line holds {_field_path(at)}"
-            field = _field_path(at)
+            assert doc is not None, f"no valid {name} input holds {_field_path(at)}"
+            field = f"{path}{line}: {_field_path(at)}"
             wrong = _WRONG_TYPE[type(_node(doc, at))]
             refusal = _rows_or_refusal(reader, path, json.dumps(_mutated(doc, at, wrong)))
-            assert isinstance(refusal, str) and refusal.startswith(f"{path}:1: {field}: "), refusal
+            assert isinstance(refusal, str) and refusal.startswith(f"{field}: "), refusal
             if removable:
                 refusal = _rows_or_refusal(reader, path, json.dumps(_mutated(doc, at, _REMOVE)))
-                assert refusal == f"{path}:1: {field}: missing required field"
+                assert refusal == f"{field}: missing required field"
             elif not isinstance(at[-1], int):
                 # An optional field may be left out.
                 assert not isinstance(_rows_or_refusal(reader, path, json.dumps(
