@@ -82,25 +82,24 @@ def _refuse_constant(name: str) -> Any:
 _JSONL_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
-def read_jsonl(
-    path: str | Path, read: Callable[[Any, str], T], unique: str | None = None
-) -> list[T]:
+def read_jsonl(path: str | Path, read: Callable[[Any], T], unique: str | None = None) -> list[T]:
     """Read each non-blank line of a JSONL file into a row.
 
-    ``read`` is given the line's value and the empty path, and names a
-    refused field by its path from the line. A line that is not JSON, holds
-    ``NaN`` or an infinity, or that ``read`` refuses with a ``ValueError``
-    raises ``DriveSqlError`` reading ``<path>:<line>: <field path>: <reason>``.
+    Only ``\\n`` ends a line: a JSON string may hold the other breaks that
+    ``str.splitlines`` splits on. ``read`` names a refused field by its path
+    from the line. A line that is not JSON, holds ``NaN`` or an infinity, or
+    that ``read`` refuses with a ``ValueError`` raises ``DriveSqlError``
+    reading ``<path>:<line>: <field path>: <reason>``.
     With ``unique``, so does a row whose ``unique`` attribute repeats an
     earlier row's, naming the earlier line.
     """
     rows = []
     first_on: dict[Any, int] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            row = read(_JSONL_DECODER.decode(line), "")
+            row = read(_JSONL_DECODER.decode(line))
         except ValueError as err:
             raise DriveSqlError(f"{path}:{lineno}: {err}") from None
         if unique is not None:

@@ -15,6 +15,7 @@ import hashlib
 import math
 import sys
 import time
+import urllib.parse
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -35,7 +36,6 @@ from .scene_db import (
     build_database,
     json_bool,
     json_int,
-    load_annotations,
     load_database,
     naming_file,
     save_database,
@@ -164,20 +164,33 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _non_empty(text: str) -> str:
+    """An option's value; the empty string is refused rather than read as absent."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty value")
+    return text
+
+
+def _reviewer_url(text: str) -> str:
+    """A reviewer endpoint: an http or https URL with a host."""
+    url = urllib.parse.urlsplit(text)
+    if url.scheme in ("http", "https") and url.hostname:
+        return text
+    raise argparse.ArgumentTypeError(f"expected an http or https URL with a host, got {text!r}")
+
+
 def _parse_subtasks(text: str) -> frozenset[Subtask]:
+    """Comma-separated subtask names, at least one."""
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
-        raise CliUsageError("--subtasks needs at least one name")
-    out = set()
+        raise argparse.ArgumentTypeError("expected at least one subtask name")
+    known = {subtask.value: subtask for subtask in Subtask}
     for name in names:
-        try:
-            out.add(Subtask(name))
-        except ValueError:
-            raise CliUsageError(
-                f"unknown subtask {name!r}; choose from "
-                + ", ".join(s.value for s in Subtask)
-            ) from None
-    return frozenset(out)
+        if name not in known:
+            raise argparse.ArgumentTypeError(
+                f"unknown subtask {name!r}; choose from {', '.join(known)}"
+            )
+    return frozenset(known[name] for name in names)
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
@@ -199,20 +212,27 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 # default given here.
 
 
-def _as_frame_count(value: Any, path: str) -> int:
-    n_frames = json_int(value, path)
+def _as_scene_count(value: Any) -> int:
+    n_scenes = json_int(value)
+    if n_scenes < 0:
+        raise AnnotationSchemaError("", f"expected a non-negative count, got {n_scenes}")
+    return n_scenes
+
+
+def _as_frame_count(value: Any) -> int:
+    n_frames = json_int(value)
     if n_frames < 1:
-        raise AnnotationSchemaError(path, "a scene needs at least one frame")
+        raise AnnotationSchemaError("", "a scene needs at least one frame")
     return n_frames
 
 
 _RISK_KINDS = {subtask.value: subtask for subtask in RISK_SUBTASKS}
 
 
-def _as_risk_kind(value: Any, path: str) -> Subtask:
-    name = _as_text(value, path)
+def _as_risk_kind(value: Any) -> Subtask:
+    name = _as_text(value)
     if name not in _RISK_KINDS:
-        raise AnnotationSchemaError(path, f"expected a risk kind, got {name!r}")
+        raise AnnotationSchemaError("", f"expected a risk kind, got {name!r}")
     return _RISK_KINDS[name]
 
 
@@ -221,7 +241,7 @@ def _waypoint(t: float, x: float, y: float, z: float, **rest: Any) -> Waypoint:
 
 
 _SAMPLE = _object(demo_corpus, {
-    "n_random": _optional(json_int, 20),
+    "n_random": _optional(_as_scene_count, 20),
     "seed": _optional(json_int, 0),
     "include_curated": _optional(json_bool, True),
 })
@@ -256,8 +276,8 @@ def _synth_from_request(doc: Any, path: Path) -> dict[str, Any]:
     one, else its ``scenes``."""
     with naming_file(path):
         if type(doc) is dict and "sample" in doc:
-            return _read_fields(doc, "", {"sample": _SAMPLE})["sample"]
-        scenes = _read_fields(doc, "", {"scenes": _SCENES})["scenes"]
+            return _read_fields(doc, {"sample": _SAMPLE})["sample"]
+        scenes = _read_fields(doc, {"scenes": _SCENES})["scenes"]
     for i, scene in enumerate(scenes):
         if scene["scene_id"] is None:
             scene["scene_id"] = f"scene_{i:04d}"
@@ -272,7 +292,7 @@ def _cmd_build_db(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     src = Path(args.annotations)
     with _timed(timings, "load"), naming_file(src):
-        db = build_database(load_annotations(src), important_radius=args.radius)
+        db = build_database(read_json(src), important_radius=args.radius)
     out = Path(args.output)
     with _timed(timings, "write"):
         save_database(db, out)
@@ -292,17 +312,14 @@ def _generation_config(args: argparse.Namespace) -> GenerationConfig:
         if count < 1:
             raise CliUsageError(f"{flag} must be at least 1, got {count}")
     thresholds = RiskThresholds()
-    if args.thresholds:
+    if args.thresholds is not None:
         thresholds = _parse_thresholds_file(Path(args.thresholds))
-    subtasks = frozenset(Subtask)
-    if args.subtasks:
-        subtasks = _parse_subtasks(args.subtasks)
     return GenerationConfig(
         master_seed=args.seed,
         windows_per_scene=args.windows,
         max_instances_per_subtask=args.max_instances,
         thresholds=thresholds,
-        enabled_subtasks=subtasks,
+        enabled_subtasks=args.subtasks,
     )
 
 
@@ -318,7 +335,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.output)
     with _timed(timings, "write"):
         write_pairs_jsonl(pairs, out)
-    inputs = [src] + ([Path(args.thresholds)] if args.thresholds else [])
+    inputs = [src] + ([Path(args.thresholds)] if args.thresholds is not None else [])
     _write_manifest(
         "generate",
         {"config_digest": config.digest(), "jobs": args.jobs},
@@ -340,9 +357,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     src = Path(args.pairs)
     with _timed(timings, "load"):
         pairs = read_pairs_jsonl(src)
-        db = load_database(Path(args.db)) if args.db else None
+        db = load_database(Path(args.db)) if args.db is not None else None
     with _timed(timings, "verify"):
-        result = verify_pairs(pairs, args.verifier or None, db)
+        result = verify_pairs(pairs, args.verifier, db)
     out = Path(args.output)
     report = {
         "kept": len(result.kept),
@@ -354,14 +371,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with _timed(timings, "write"):
         write_pairs_jsonl(result.kept, out)
         write_json(report_path, report)
-    inputs = [src] + ([Path(args.db)] if args.db else [])
+    inputs = [src] + ([Path(args.db)] if args.db is not None else [])
     _write_manifest(
         "verify",
         {"verifier": args.verifier or "offline", "db": args.db or ""},
         inputs,
         [out, report_path],
         started,
-        reviewer=result if args.verifier else None,
+        reviewer=result if args.verifier is not None else None,
         timings=timings,
     )
     print(
@@ -494,8 +511,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--windows", type=int, default=1)
     p.add_argument("--max-instances", type=int, default=3)
-    p.add_argument("--thresholds")
-    p.add_argument("--subtasks")
+    p.add_argument("--thresholds", type=_non_empty)
+    p.add_argument("--subtasks", type=_parse_subtasks, default=frozenset(Subtask))
     p.add_argument(
         "--jobs", type=int, default=1, help="worker processes for generation (default 1)"
     )
@@ -504,8 +521,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="filter pairs through the format rules")
     p.add_argument("pairs")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--db")
-    p.add_argument("--verifier")
+    p.add_argument("--db", type=_non_empty)
+    p.add_argument("--verifier", type=_reviewer_url)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("split", help="split pairs by scene into train/val/test")

@@ -17,12 +17,21 @@ class AnnotationSchemaError(DriveSqlError, ValueError):
 
     ``path`` locates the offending record and field, for example
     ``frames[id=f3].timestamp`` or, in a JSONL line, ``ground_truth.items[0]``;
-    the empty path is a whole JSONL line, and the message then stands alone.
+    the empty path is the whole value, and the message then stands alone. A
+    check refuses with a path relative to the value it was given, and each
+    container the refusal passes through puts its own step in front.
     """
 
     def __init__(self, path: str, message: str) -> None:
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
+        self.reason = message
+
+    def within(self, step: str) -> AnnotationSchemaError:
+        """This error with ``step``, the container's name for the refused value, before its path."""
+        self.path = step + ("" if self.path[:1] in "[ " else ".") + self.path
+        self.args = (f"{self.path}: {self.reason}",)
+        return self
 
 
 class RecordNotFound(DriveSqlError, LookupError):

@@ -41,7 +41,6 @@ from .scene_db import (
     _as_float,
     _as_positive,
     _as_text,
-    _join,
     _member_of,
     _object,
     _optional,
@@ -663,18 +662,14 @@ _PAIR_FIELDS: dict[str, Check] = {
 }
 
 
-def pair_from_dict(doc: Any, path: str = "") -> InstructionResponsePair:
+def pair_from_dict(doc: Any) -> InstructionResponsePair:
     """The pair a pairs line declares; a refusal names the field by its path."""
-    values = _read_fields(doc, path, _PAIR_FIELDS)
+    values = _read_fields(doc, _PAIR_FIELDS)
     task, subtask, frame_ids = values.pop("task"), values["subtask"], values["frame_ids"]
     if task != subtask.task.value:
-        raise AnnotationSchemaError(
-            _join(path, "task"), f"{task!r} does not match subtask {subtask.value}"
-        )
+        raise AnnotationSchemaError("task", f"{task!r} does not match subtask {subtask.value}")
     if len(frame_ids) != 3:
-        raise AnnotationSchemaError(
-            _join(path, "frame_ids"), f"expected 3 frame ids, got {len(frame_ids)}"
-        )
+        raise AnnotationSchemaError("frame_ids", f"expected 3 frame ids, got {len(frame_ids)}")
     return InstructionResponsePair(**values)
 
 

@@ -182,138 +182,135 @@ class SceneDatabase:
 
 # --------------------------------------------------------------------------
 # Validated parsing, shared by every JSON boundary. Every check reads one
-# JSON value and names a refused value by the path it is given; every check
-# but an ``_optional`` one refuses null. A container gives each item its own
-# path and checks a refused item again under the item's path (``[i]``,
-# ``[view]``, `` key``, ``.field``) to name it, so no path is built for an
-# accepted value.
+# JSON value, and all but an ``_optional`` one refuse null. A refusal names a
+# path relative to the checked value; each container it passes through puts
+# its step in front (``[i]``, ``[key]``, `` key``, ``.field``).
 
-Check = Callable[[Any, str], Any]
+Check = Callable[[Any], Any]
 
 
-def _expect_mapping(value: Any, path: str) -> Mapping[str, Any]:
+def _expect_mapping(value: Any) -> Mapping[str, Any]:
     if type(value) is dict or isinstance(value, Mapping):
         return value
-    raise AnnotationSchemaError(path, f"expected an object, got {type(value).__name__}")
+    raise AnnotationSchemaError("", f"expected an object, got {type(value).__name__}")
 
 
-def _expect_list(value: Any, path: str) -> list[Any]:
+def _expect_list(value: Any) -> list[Any]:
     if not isinstance(value, list):
-        raise AnnotationSchemaError(path, f"expected an array, got {type(value).__name__}")
+        raise AnnotationSchemaError("", f"expected an array, got {type(value).__name__}")
     return value
 
 
-def _as_str(value: Any, path: str) -> str:
+def _as_str(value: Any) -> str:
     if not isinstance(value, str) or not value:
-        raise AnnotationSchemaError(path, "expected a non-empty string")
+        raise AnnotationSchemaError("", "expected a non-empty string")
     return value
 
 
-def _as_text(value: Any, path: str) -> str:
+def _as_text(value: Any) -> str:
     """Any string, the empty one included."""
     if not isinstance(value, str):
-        raise AnnotationSchemaError(path, f"expected a string, got {type(value).__name__}")
+        raise AnnotationSchemaError("", f"expected a string, got {type(value).__name__}")
     return value
 
 
-def json_int(value: Any, path: str) -> int:
+def json_int(value: Any) -> int:
     """``value`` if it is an int, not a bool; anything else, a float with an
     integral value included, is refused."""
     if type(value) is not int:
-        raise AnnotationSchemaError(path, f"expected an integer, got {type(value).__name__}")
+        raise AnnotationSchemaError("", f"expected an integer, got {type(value).__name__}")
     return value
 
 
-def json_bool(value: Any, path: str) -> bool:
+def json_bool(value: Any) -> bool:
     """``value`` if it is ``true`` or ``false``; anything else is refused."""
     if type(value) is not bool:
-        raise AnnotationSchemaError(path, f"expected true or false, got {type(value).__name__}")
+        raise AnnotationSchemaError("", f"expected true or false, got {type(value).__name__}")
     return value
 
 
-def _as_float(value: Any, path: str) -> float:
+def _as_float(value: Any) -> float:
     if type(value) is float and math.isfinite(value):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise AnnotationSchemaError(path, "expected a number")
+        raise AnnotationSchemaError("", "expected a number")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise AnnotationSchemaError(path, f"expected a finite number, got {number!r}")
+        raise AnnotationSchemaError("", f"expected a finite number, got {number!r}")
     return number
 
 
-def _as_positive(value: Any, path: str) -> float:
-    number = _as_float(value, path)
+def _as_positive(value: Any) -> float:
+    number = _as_float(value)
     if number <= 0:
-        raise AnnotationSchemaError(path, "expected a positive number")
+        raise AnnotationSchemaError("", "expected a positive number")
     return number
 
 
-def _as_speed(value: Any, path: str) -> float:
-    speed = _as_float(value, path)
+def _as_speed(value: Any) -> float:
+    speed = _as_float(value)
     if speed < 0:
-        raise AnnotationSchemaError(path, "speed must be non-negative")
+        raise AnnotationSchemaError("", "speed must be non-negative")
     return speed
 
 
-def _as_floats(value: Any, path: str, count: int, noun: str) -> list[float]:
-    items = _expect_list(value, path)
+def _as_floats(value: Any, count: int, noun: str) -> list[float]:
+    items = _expect_list(value)
     if len(items) != count:
-        raise AnnotationSchemaError(path, f"expected {count} {noun}, got {len(items)}")
+        raise AnnotationSchemaError("", f"expected {count} {noun}, got {len(items)}")
     for item in items:
         if type(item) is not float or not math.isfinite(item):
             # Off the shortcut: read each item, naming a refused one.
-            return _read_floats(items, path)
+            return _read_floats(items)
     return items
 
 
-def _as_vec3(value: Any, path: str) -> Vec3:
-    return Vec3(*_as_floats(value, path, 3, "components"))
+def _as_vec3(value: Any) -> Vec3:
+    return Vec3(*_as_floats(value, 3, "components"))
 
 
-def _as_quaternion(value: Any, path: str) -> Quaternion:
-    q = Quaternion(*_as_floats(value, path, 4, "components"))
+def _as_quaternion(value: Any) -> Quaternion:
+    q = Quaternion(*_as_floats(value, 4, "components"))
     try:
         norm = q.norm()
     except OverflowError:  # squaring a finite component overflowed
         norm = math.inf
     if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
-        raise AnnotationSchemaError(path, f"quaternion norm {norm:.6f} is not within 1e-3 of 1")
+        raise AnnotationSchemaError("", f"quaternion norm {norm:.6f} is not within 1e-3 of 1")
     return q
 
 
-def _as_str_map(value: Any, path: str) -> dict[str, str]:
-    mapping = _expect_mapping(value, path)
+def _as_str_map(value: Any) -> dict[str, str]:
+    mapping = _expect_mapping(value)
     for key, item in mapping.items():
         try:
-            _as_str(item, path)
-            _as_str(key, path)
-        except AnnotationSchemaError:
-            _as_str(item, f"{path}[{key}]")
-            _as_str(key, f"{path} key")
-            raise
+            _as_str(item)
+        except AnnotationSchemaError as err:
+            raise err.within(f"[{key}]")
+        if not isinstance(key, str) or not key:
+            raise AnnotationSchemaError(" key", "expected a non-empty string")
     return dict(mapping)
 
 
-def _as_bbox(value: Any, path: str) -> BBox2D:
-    x1, y1, x2, y2 = _as_floats(value, path, 4, "coordinates")
+def _as_bbox(value: Any) -> BBox2D:
+    x1, y1, x2, y2 = _as_floats(value, 4, "coordinates")
     if not (x1 < x2 and y1 < y2):
-        raise AnnotationSchemaError(path, "box requires x1 < x2 and y1 < y2")
+        raise AnnotationSchemaError("", "box requires x1 < x2 and y1 < y2")
     return BBox2D(x1, y1, x2, y2)
 
 
 _BOX_VIEWS = {view.value: view for view in REAL_VIEWS}
 
 
-def _as_view(value: Any, path: str) -> View:
+def _as_view(value: Any) -> View:
     view = _BOX_VIEWS.get(value)
     if view is None:
         if value == View.ALL.value:
-            raise AnnotationSchemaError(path, "the union view cannot carry a box")
-        raise AnnotationSchemaError(path, "unknown view name")
+            raise AnnotationSchemaError("", "the union view cannot carry a box")
+        raise AnnotationSchemaError("", "unknown view name")
     return view
 
 
@@ -321,10 +318,10 @@ def _member_of(enum: type[Enum]) -> Check:
     """The check of a string naming a member of ``enum`` by its value."""
     members = {member.value: member for member in enum}
 
-    def read_member(value: Any, path: str) -> Any:
+    def read_member(value: Any) -> Any:
         if type(value) is str and value in members:
             return members[value]
-        raise AnnotationSchemaError(path, f"{value!r} is not a valid {enum.__name__}")
+        raise AnnotationSchemaError("", f"{value!r} is not a valid {enum.__name__}")
 
     return read_member
 
@@ -333,43 +330,38 @@ def _member_of(enum: type[Enum]) -> Check:
 _as_any_view = _member_of(View)
 
 
-def _as_camera_pos(value: Any, path: str) -> dict[View, BBox2D]:
-    mapping = _expect_mapping(value, path)
+def _as_camera_pos(value: Any) -> dict[View, BBox2D]:
+    mapping = _expect_mapping(value)
     if not mapping:
-        raise AnnotationSchemaError(path, "an instance must be visible in at least one view")
+        raise AnnotationSchemaError("", "an instance must be visible in at least one view")
     out: dict[View, BBox2D] = {}
     for key, item in mapping.items():
         try:
-            out[_as_view(key, path)] = _as_bbox(item, path)
-        except AnnotationSchemaError:
-            _as_view(key, f"{path}[{key}]")
-            _as_bbox(item, f"{path}[{key}]")
-            raise
+            view = _as_view(key)  # before the box, so a bad view is named first
+            out[view] = _as_bbox(item)
+        except AnnotationSchemaError as err:
+            raise err.within(f"[{key}]")
     return out
 
 
 # --------------------------------------------------------------------------
 # Field tables: a dict from each field's name to its check, in check order.
-# An object's fields are read once, each check given the object's path; a
-# refused field is checked again under its field path to name it.
 
 
 def _array(item: Check, non_empty: bool = False) -> Check:
     """The check of an array whose items ``item`` checks, read as a tuple;
     with ``non_empty``, the empty array is refused."""
 
-    def read_array(value: Any, path: str) -> tuple[Any, ...]:
-        items = value if type(value) is list else _expect_list(value, path)
+    def read_array(value: Any) -> tuple[Any, ...]:
+        items = value if type(value) is list else _expect_list(value)
         if non_empty and not items:
-            raise AnnotationSchemaError(path, "expected a non-empty array")
+            raise AnnotationSchemaError("", "expected a non-empty array")
         out = []
         try:
             for v in items:
-                out.append(item(v, path))
-        except AnnotationSchemaError:
-            i = len(out)
-            item(items[i], f"{path}[{i}]")
-            raise
+                out.append(item(v))
+        except AnnotationSchemaError as err:
+            raise err.within(f"[{len(out)}]")
         return tuple(out)
 
     return read_array
@@ -381,8 +373,8 @@ _read_floats = _array(_as_float)
 def _optional(kind: Check, default: Any = None) -> Check:
     """The check of a field that may be absent or null, read as ``default``."""
 
-    def read_optional(value: Any, path: str) -> Any:
-        return default if value is None else kind(value, path)
+    def read_optional(value: Any) -> Any:
+        return default if value is None else kind(value)
 
     return read_optional
 
@@ -391,8 +383,8 @@ def _object(record: Callable[..., Any], fields: dict[str, Check]) -> Check:
     """The check of an object read through the field table ``fields`` into
     ``record``, which takes the fields as keyword arguments."""
 
-    def read_object(value: Any, path: str) -> Any:
-        return record(**_read_fields(value, path, fields))
+    def read_object(value: Any) -> Any:
+        return record(**_read_fields(value, fields))
 
     return read_object
 
@@ -400,53 +392,35 @@ def _object(record: Callable[..., Any], fields: dict[str, Check]) -> Check:
 def _tagged(tag: str, variants: dict[str, Check]) -> Check:
     """The check of an object whose ``tag`` field names the variant that reads it."""
 
-    def read_tagged(value: Any, path: str) -> Any:
-        doc = value if type(value) is dict else _expect_mapping(value, path)
+    def read_tagged(value: Any) -> Any:
+        doc = value if type(value) is dict else _expect_mapping(value)
         name = doc.get(tag)
         variant = variants.get(name) if type(name) is str else None
         if variant is None:
             reason = f"expected one of {', '.join(variants)}, got {name!r}"
             if tag not in doc:
                 reason = "missing required field"
-            raise AnnotationSchemaError(_join(path, tag), reason)
-        return variant(doc, path)
+            raise AnnotationSchemaError(tag, reason)
+        return variant(doc)
 
     return read_tagged
 
 
-def _join(path: str, name: str) -> str:
-    return f"{path}.{name}" if path else name
-
-
-def _read_fields(
-    raw: Any, path: str, checks: dict[str, Check], row: int | None = None, by_id: bool = False
-) -> dict[str, Any]:
-    """The field values of the object ``raw`` at ``path``, each read by its
-    check. An absent field reads as null, and is missing if its check
-    refuses null; a field the check refuses is checked again under its own
-    path to name it. With ``row``, ``raw`` is that row of the table ``path``,
-    named ``path[row]``, or with ``by_id`` ``path[id=…]`` once its id, the
-    first field, is read."""
-    rec = raw if type(raw) is dict else _expect_mapping(raw, _row_path(path, row, None))
+def _read_fields(raw: Any, checks: dict[str, Check]) -> dict[str, Any]:
+    """The field values of the object ``raw``, each read by its check. An
+    absent field reads as null, and is missing if its check refuses null; a
+    refused field's name goes in front of the refusal's path."""
+    rec = raw if type(raw) is dict else _expect_mapping(raw)
     values: dict[str, Any] = {}
     for name, check in checks.items():
         value = rec.get(name)
         try:
-            values[name] = check(value, path)
-        except AnnotationSchemaError:
-            row_id = next(iter(values.values())) if by_id and values else None
-            field = _join(_row_path(path, row, row_id), name)
+            values[name] = check(value)
+        except AnnotationSchemaError as err:
             if name not in rec:
-                raise AnnotationSchemaError(field, "missing required field") from None
-            check(value, field)
-            raise
+                raise AnnotationSchemaError(name, "missing required field") from None
+            raise err.within(name)
     return values
-
-
-def _row_path(path: str, row: int | None, row_id: str | None) -> str:
-    if row is None:
-        return path
-    return f"{path}[{row}]" if row_id is None else f"{path}[id={row_id}]"
 
 
 # --------------------------------------------------------------------------
@@ -457,7 +431,7 @@ def _row_path(path: str, row: int | None, row_id: str | None) -> str:
 
 
 class _Kind(NamedTuple):
-    check: Callable[[Any, str], Any]
+    check: Check
     save: Callable[[Any], Any]
 
 
@@ -506,14 +480,19 @@ _TABLES: tuple[tuple[str, type, bool, dict[str, _Kind]], ...] = (
 
 
 def _parse_table(
-    doc: Mapping[str, Any], key: str, record: type, by_id: bool, fields: dict[str, _Kind]
+    tables: dict[str, list[Any]], key: str, record: type, by_id: bool, fields: dict[str, _Kind]
 ) -> dict[str, Any]:
-    rows = _read_fields(doc, "annotations", {key: _expect_list})[key]
     id_name = next(iter(fields))
     checks = {name: kind.check for name, kind in fields.items()}
     table: dict[str, Any] = {}
-    for i, raw in enumerate(rows):
-        values = _read_fields(raw, key, checks, i, by_id)
+    for i, raw in enumerate(tables[key]):
+        try:
+            values = _read_fields(raw, checks)
+        except AnnotationSchemaError as err:
+            # A row is named by its id once the id, its first field, is read.
+            if by_id and err.path not in ("", id_name):
+                raise err.within(f"{key}[id={raw[id_name]}]")
+            raise err.within(f"{key}[{i}]")
         row_id = values[id_name]
         if row_id in table:
             raise AnnotationSchemaError(f"{key}[{i}]", f"duplicate id {row_id!r}")
@@ -555,10 +534,13 @@ def build_database(
         raise ValueError(
             f"important_radius must be a positive finite number, got {important_radius!r}"
         )
-    doc = _expect_mapping(annotations, "annotations")
+    try:
+        tables = _read_fields(annotations, {key: _expect_list for key, *_ in _TABLES})
+    except AnnotationSchemaError as err:
+        raise err.within("annotations")
 
     with _collector_paused():
-        scenes, frames, ego, instances = (_parse_table(doc, *table) for table in _TABLES)
+        scenes, frames, ego, instances = (_parse_table(tables, *table) for table in _TABLES)
 
     # Referential integrity: every listed id resolves, every info row is
     # referenced exactly once, and every frame belongs to exactly one scene.
@@ -681,11 +663,8 @@ def naming_file(path: str | Path) -> Iterator[None]:
 def load_database(path: str | Path) -> SceneDatabase:
     with naming_file(path), _collector_paused():
         doc = read_json(path)
-        fields = _read_fields(doc, "database", {"important_radius": _as_positive})
-        return build_database(doc, important_radius=fields["important_radius"])
-
-
-def load_annotations(path: str | Path) -> Mapping[str, Any]:
-    """Read a canonical annotations JSON document."""
-    with naming_file(path):
-        return _expect_mapping(read_json(path), "annotations")
+        try:
+            radius = _read_fields(doc, {"important_radius": _as_positive})["important_radius"]
+        except AnnotationSchemaError as err:
+            raise err.within("database")
+        return build_database(doc, important_radius=radius)

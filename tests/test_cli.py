@@ -219,6 +219,13 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     assert run(["not-a-command"]) == 1
 
 
+def test_build_db_names_annotations_that_are_not_an_object_once(tmp_path, capsys):
+    ann = tmp_path / "ann.json"
+    ann.write_text("[]\n", encoding="utf-8")
+    assert run(["build-db", str(ann), "-o", str(tmp_path / "db.json")]) == 1
+    assert capsys.readouterr().err == f"error: {ann}: annotations: expected an object, got list\n"
+
+
 def test_bad_radius_is_a_usage_error(pipeline, capsys):
     tmp_path, ann, _, _ = pipeline
     assert run(["build-db", str(ann), "-o", str(tmp_path / "x.json"), "--radius", "0"]) == 1
@@ -650,6 +657,8 @@ def _wrong_type_cases():
         ({"sample": [1]}, "sample: expected an object, got list"),
         ({"scenes": []}, "scenes: expected a non-empty array"),
         ({}, "scenes: missing required field"),
+        ({"sample": {"n_random": -3, "include_curated": False}},
+         "sample.n_random: expected a non-negative count, got -3"),
     ]:
         yield (request_doc, where)
 
@@ -705,6 +714,54 @@ def test_generate_refuses_a_bad_setting_before_any_work(tmp_path, capsys, option
     assert run(argv) == 1
     assert capsys.readouterr().err == f"error: {refusal.format(thresholds=thresholds)}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["generate", "{missing}", "--subtasks="], "--subtasks"),
+        (["generate", "{missing}", "--thresholds="], "--thresholds"),
+        (["verify", "{missing}", "--db="], "--db"),
+        (["verify", "{missing}", "--verifier="], "--verifier"),
+    ],
+    ids=["subtasks", "thresholds", "db", "verifier"],
+)
+def test_an_empty_flag_value_is_refused_before_any_work(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.jsonl"
+    argv = [a.format(missing=tmp_path / "missing") for a in argv] + ["-o", str(out)]
+    # The input does not exist: refusing the empty value first exits 1, not 2.
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verifier", ["notaurl", "ftp://x/y", "http:///review"])
+def test_verify_refuses_a_verifier_that_is_not_an_http_url(tmp_path, capsys, verifier):
+    out = tmp_path / "kept.jsonl"
+    argv = ["verify", str(tmp_path / "missing.jsonl"), "-o", str(out), f"--verifier={verifier}"]
+    # The pairs file does not exist: refusing the endpoint first exits 1, not 2.
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: argument --verifier: expected an http or https URL with a host, got {verifier!r}\n"
+    )
+    assert not out.exists()
+
+
+def test_jsonl_lines_may_hold_unicode_line_breaks_in_strings(tmp_path, demo_pairs, capsys):
+    # U+2028, U+2029 and U+0085 are legal raw inside a JSON string, and
+    # ``ensure_ascii=False`` writes them raw; only ``\n`` ends a line.
+    docs = [pair_to_dict(p) for p in demo_pairs]
+    docs[0]["instruction"] += "\u0085\u2029"
+    rows = [{"pair_id": d["pair_id"], "response_text": d["response"]} for d in docs]
+    rows[0]["response_text"] += "\u2028"
+    pairs, preds = tmp_path / "pairs.jsonl", tmp_path / "preds.jsonl"
+    for path, lines in ((pairs, docs), (preds, rows)):
+        path.write_text("".join(json.dumps(x, ensure_ascii=False) + "\n" for x in lines), "utf-8")
+    assert read_pairs_jsonl(pairs)[0].instruction == docs[0]["instruction"]
+    assert read_predictions_jsonl(preds)[0].response_text == rows[0]["response_text"]
+    assert run(["verify", str(pairs), "-o", str(tmp_path / "kept.jsonl")]) == 0
+    assert run(["eval", str(pairs), str(preds), "-o", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("ratios", ["1,1,nan", "1,1,inf", "1e308,1e308,1"])

@@ -4,12 +4,21 @@ import hashlib
 import json
 import math
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from drivesql import cli, synth
 from drivesql.canonical import canonical_dumps, write_jsonl
 from drivesql.cli import run
-from drivesql.errors import AnnotationSchemaError, RecordNotFound
+from drivesql.errors import AnnotationSchemaError, DriveSqlError, RecordNotFound
+from drivesql.evaluation import (
+    predictions_from_pairs,
+    read_predictions_jsonl,
+    write_predictions_jsonl,
+)
+from drivesql.generation import DetectionList, pair_to_dict, read_pairs_jsonl
 from drivesql.geometry import Vec3
 from drivesql.scene_db import (
     BBox2D,
@@ -29,7 +38,15 @@ from drivesql.synth import (
 )
 
 from _oracles import SceneOracle
-from test_loader_properties import _REMOVE, _built, _mutated, _node_paths
+from test_loader_properties import (
+    _REMOVE,
+    _SYNTH_SAMPLE,
+    _SYNTH_SCENES,
+    _built,
+    _mutated,
+    _node_paths,
+    _read_synth_request,
+)
 
 
 def _static_track(x, y, *, speed=0.0, category="car", lane="2"):
@@ -446,3 +463,84 @@ def test_float_edges_match_golden_digest():
     joined = "\n".join(built).encode("utf-8")
     assert sum(not b.startswith("{") for b in built) > 1000
     assert hashlib.sha256(joined).hexdigest() == FLOAT_EDGES_SHA256
+
+
+# --------------------------------------------------------------------------
+# Golden digests of the line and request readers' messages: the refusal, or
+# ``accepted``, of every ``_BAD_VALUES`` corruption of one pairs line per
+# ground-truth kind, one predictions line with detections, and each synth
+# request form. A change to a digest is a change of a reader's messages or
+# of the values it accepts.
+
+READER_MESSAGES_SHA256 = {
+    "pairs": "3c30d8420962afc50afbf3ee4a9601b538763d47eb5106a332b61345b5e5ca68",
+    "predictions": "dc6beb8c6ce4932648aba8b6a613185cfdc3066b8ad7a9084df9a350d443036f",
+    "synth-sample": "618ff29ff818c420b223e369f4fe27f0949030c9bdb4fc4ffba504ea637c4028",
+    "synth-scenes": "51ead9958f1cef65e5b7cba5b575878dd4f9b658e336f9fa154ba94ac7205a40",
+}
+
+
+def _every_corruption(doc):
+    """Copies of ``doc`` with the whole value, or one node below it,
+    replaced by a bad value or removed."""
+    yield from _BAD_VALUES
+    for path in _node_paths(doc):
+        for value in _BAD_VALUES + (_REMOVE,):
+            yield _mutated(doc, path, value)
+
+
+class _Synthesized(Exception):
+    """Raised in place of synthesizing a scene from an accepted request."""
+
+
+def _synthesized(*args, **kwargs):
+    raise _Synthesized
+
+
+def _reader_docs(pairs, tmp_path):
+    """Per form: its reader and the valid inputs whose corruptions it reads."""
+    by_kind = {}
+    for pair in pairs:
+        if getattr(pair.ground_truth, "items", True):
+            by_kind.setdefault(type(pair.ground_truth), pair)
+    preds = tmp_path / "preds.jsonl"
+    write_predictions_jsonl(predictions_from_pairs([by_kind[DetectionList]]), preds)
+    return {
+        "pairs": (read_pairs_jsonl, [pair_to_dict(p) for p in by_kind.values()]),
+        "predictions": (read_predictions_jsonl, [json.loads(preds.read_text(encoding="utf-8"))]),
+        "synth-sample": (_read_synth_request, [_SYNTH_SAMPLE]),
+        "synth-scenes": (_read_synth_request, [_SYNTH_SCENES]),
+    }
+
+
+def _reader_messages(reader, docs):
+    """The refusal, or ``accepted``, of each corruption of each of ``docs``
+    read from ``line.json`` in the working directory. An accepted synth
+    request stops before any scene is synthesized."""
+    path = Path("line.json")
+    messages = []
+    with mock.patch.object(cli, "synth_scene", _synthesized), mock.patch.object(
+        synth, "random_scene", _synthesized
+    ):
+        for doc in docs:
+            for bad in _every_corruption(doc):
+                path.write_text(json.dumps(bad) + "\n", encoding="utf-8")
+                try:
+                    reader(path)
+                    messages.append("accepted")
+                except _Synthesized:
+                    messages.append("accepted")
+                except DriveSqlError as err:
+                    messages.append(str(err))
+    return messages
+
+
+@pytest.mark.parametrize("form", list(READER_MESSAGES_SHA256))
+def test_reader_messages_match_golden_digest(demo_pairs, tmp_path, monkeypatch, form):
+    reader, docs = _reader_docs(demo_pairs, tmp_path)[form]
+    # A relative path keeps the messages free of the temporary directory.
+    monkeypatch.chdir(tmp_path)
+    messages = _reader_messages(reader, docs)
+    joined = "\n".join(messages).encode("utf-8")
+    assert sum(m != "accepted" for m in messages) > 100
+    assert hashlib.sha256(joined).hexdigest() == READER_MESSAGES_SHA256[form]
