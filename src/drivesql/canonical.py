@@ -82,16 +82,15 @@ def _refuse_constant(name: str) -> Any:
 _JSONL_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
-def read_jsonl(path: str | Path, read: Callable[[Any], T], unique: str | None = None) -> list[T]:
+def read_jsonl(path: str | Path, read: Callable[[Any], T]) -> list[T]:
     """Read each non-blank line of a JSONL file into a row.
 
     Only ``\\n`` ends a line: a JSON string may hold the other breaks that
     ``str.splitlines`` splits on. ``read`` names a refused field by its path
     from the line. A line that is not JSON, holds ``NaN`` or an infinity, or
     that ``read`` refuses with a ``ValueError`` raises ``DriveSqlError``
-    reading ``<path>:<line>: <field path>: <reason>``.
-    With ``unique``, so does a row whose ``unique`` attribute repeats an
-    earlier row's, naming the earlier line.
+    reading ``<path>:<line>: <field path>: <reason>``. So does a row whose
+    ``pair_id`` repeats an earlier row's, naming the earlier line.
     """
     rows = []
     first_on: dict[Any, int] = {}
@@ -102,12 +101,10 @@ def read_jsonl(path: str | Path, read: Callable[[Any], T], unique: str | None = 
             row = read(_JSONL_DECODER.decode(line))
         except ValueError as err:
             raise DriveSqlError(f"{path}:{lineno}: {err}") from None
-        if unique is not None:
-            key = getattr(row, unique)
-            first = first_on.setdefault(key, lineno)
-            if first != lineno:
-                raise DriveSqlError(
-                    f"{path}:{lineno}: {unique}: {key!r} is repeated, first on line {first}"
-                )
+        first = first_on.setdefault(row.pair_id, lineno)
+        if first != lineno:
+            raise DriveSqlError(
+                f"{path}:{lineno}: pair_id: {row.pair_id!r} is repeated, first on line {first}"
+            )
         rows.append(row)
     return rows

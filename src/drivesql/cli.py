@@ -172,8 +172,13 @@ def _non_empty(text: str) -> str:
 
 
 def _reviewer_url(text: str) -> str:
-    """A reviewer endpoint: an http or https URL with a host."""
+    """A reviewer endpoint: an http or https URL with a host, and a port, if
+    it names one, that is a number from 0 to 65535."""
     url = urllib.parse.urlsplit(text)
+    try:
+        url.port
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a port from 0 to 65535, got {text!r}") from None
     if url.scheme in ("http", "https") and url.hostname:
         return text
     raise argparse.ArgumentTypeError(f"expected an http or https URL with a host, got {text!r}")

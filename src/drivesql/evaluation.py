@@ -518,7 +518,8 @@ def predictions_from_pairs(pairs: Iterable[InstructionResponsePair]) -> list[Pre
 # ----------------------------------------------------------------- file I/O
 
 
-# A predictions line, declared once; ``write_predictions_jsonl`` writes it.
+# A predictions line, declared once: the table both reads the line and, in
+# ``write_predictions_jsonl``, writes it.
 _PREDICTION_LINE = _object(Prediction, {
     "pair_id": _as_text,
     "response_text": _as_text,
@@ -531,17 +532,9 @@ _PREDICTION_LINE = _object(Prediction, {
 
 
 def read_predictions_jsonl(path: str | Path) -> list[Prediction]:
+    """The predictions of a JSONL file; a repeated ``pair_id`` is refused."""
     return read_jsonl(path, _PREDICTION_LINE)
 
 
 def write_predictions_jsonl(preds: Iterable[Prediction], path: str | Path) -> None:
-    rows = []
-    for pred in preds:
-        doc: dict[str, Any] = {"pair_id": pred.pair_id, "response_text": pred.response_text}
-        if pred.detections is not None:
-            doc["detections"] = [
-                {"view": d.view.value, "bbox": d.bbox.as_list(), "score": d.score}
-                for d in pred.detections
-            ]
-        rows.append(doc)
-    write_jsonl(path, rows)
+    write_jsonl(path, map(_PREDICTION_LINE.save, preds))

@@ -41,6 +41,7 @@ from .scene_db import (
     _as_float,
     _as_positive,
     _as_text,
+    _fields_saver,
     _member_of,
     _object,
     _optional,
@@ -600,43 +601,9 @@ def generate_dataset(
 # JSON serialization of pairs.
 
 
-def ground_truth_to_dict(truth: GroundTruth) -> dict[str, Any]:
-    if isinstance(truth, Numeric):
-        return {"kind": "numeric", "values": list(truth.values)}
-    if isinstance(truth, Label):
-        return {"kind": "label", "value": truth.value}
-    if isinstance(truth, DetectionList):
-        return {
-            "kind": "detection",
-            "items": [
-                {"view": d.view.value, "bbox": d.bbox.as_list(), "instance_id": d.instance_id}
-                for d in truth.items
-            ],
-        }
-    if isinstance(truth, FreeText):
-        return {"kind": "free_text", "text": truth.text}
-    raise TypeError(f"unknown ground truth {truth!r}")
-
-
-def pair_to_dict(pair: InstructionResponsePair) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "pair_id": pair.pair_id,
-        "scene_id": pair.scene_id,
-        "frame_ids": list(pair.frame_ids),
-        "task": pair.task,
-        "subtask": pair.subtask.value,
-        "views_used": [v.value for v in pair.views_used],
-        "instruction": pair.instruction,
-        "response": pair.response,
-        "ground_truth": ground_truth_to_dict(pair.ground_truth),
-    }
-    if pair.thresholds_used is not None:
-        doc["thresholds_used"] = pair.thresholds_used.as_dict()
-    return doc
-
-
 # A pairs line, declared once: its fields, each field's check, and the
-# ground truth chosen by its ``kind``. ``pair_to_dict`` writes it.
+# ground truth chosen by its ``kind``. The table both reads the line and,
+# through ``pair_to_dict``, writes it; ``task`` is the pair's property.
 _PAIR_FIELDS: dict[str, Check] = {
     "pair_id": _as_text,
     "scene_id": _as_text,
@@ -661,6 +628,9 @@ _PAIR_FIELDS: dict[str, Check] = {
     )),
 }
 
+# The pairs line of a pair, each field saved by its check.
+pair_to_dict = _fields_saver(_PAIR_FIELDS)
+
 
 def pair_from_dict(doc: Any) -> InstructionResponsePair:
     """The pair a pairs line declares; a refusal names the field by its path."""
@@ -679,7 +649,7 @@ def write_pairs_jsonl(pairs: Iterable[InstructionResponsePair], path: str | Path
 
 def read_pairs_jsonl(path: str | Path) -> list[InstructionResponsePair]:
     """The pairs of a JSONL file; a repeated ``pair_id`` is refused."""
-    return read_jsonl(path, pair_from_dict, unique="pair_id")
+    return read_jsonl(path, pair_from_dict)
 
 
 # --------------------------------------------------------------------------
@@ -802,7 +772,7 @@ def _consult_external(endpoint: str, pair: InstructionResponsePair) -> tuple[Any
         "instruction": pair.instruction,
         "response": pair.response,
         "subtask": pair.subtask.value,
-        "ground_truth": ground_truth_to_dict(pair.ground_truth),
+        "ground_truth": _PAIR_FIELDS["ground_truth"].save(pair.ground_truth),
     }
     for attempt in range(REVIEW_RETRIES + 1):
         try:

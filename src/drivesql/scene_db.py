@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator
 
 from .canonical import read_json, write_json
 from .errors import AnnotationSchemaError, RecordNotFound
@@ -184,7 +184,9 @@ class SceneDatabase:
 # Validated parsing, shared by every JSON boundary. Every check reads one
 # JSON value, and all but an ``_optional`` one refuse null. A refusal names a
 # path relative to the checked value; each container it passes through puts
-# its step in front (``[i]``, ``[key]``, `` key``, ``.field``).
+# its step in front (``[i]``, ``[key]``, `` key``, ``.field``). A check whose
+# result is not the JSON value itself carries, as ``save``, the inverse that
+# writes the result back; a value without one saves as it is.
 
 Check = Callable[[Any], Any]
 
@@ -272,6 +274,9 @@ def _as_vec3(value: Any) -> Vec3:
     return Vec3(*_as_floats(value, 3, "components"))
 
 
+_as_vec3.save = Vec3.as_list
+
+
 def _as_quaternion(value: Any) -> Quaternion:
     q = Quaternion(*_as_floats(value, 4, "components"))
     try:
@@ -281,6 +286,9 @@ def _as_quaternion(value: Any) -> Quaternion:
     if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
         raise AnnotationSchemaError("", f"quaternion norm {norm:.6f} is not within 1e-3 of 1")
     return q
+
+
+_as_quaternion.save = Quaternion.as_list
 
 
 def _as_str_map(value: Any) -> dict[str, str]:
@@ -300,6 +308,9 @@ def _as_bbox(value: Any) -> BBox2D:
     if not (x1 < x2 and y1 < y2):
         raise AnnotationSchemaError("", "box requires x1 < x2 and y1 < y2")
     return BBox2D(x1, y1, x2, y2)
+
+
+_as_bbox.save = BBox2D.as_list
 
 
 _BOX_VIEWS = {view.value: view for view in REAL_VIEWS}
@@ -323,6 +334,7 @@ def _member_of(enum: type[Enum]) -> Check:
             return members[value]
         raise AnnotationSchemaError("", f"{value!r} is not a valid {enum.__name__}")
 
+    read_member.save = {member: value for value, member in members.items()}.__getitem__
     return read_member
 
 
@@ -344,13 +356,17 @@ def _as_camera_pos(value: Any) -> dict[View, BBox2D]:
     return out
 
 
+_as_camera_pos.save = lambda boxes: {view.value: box.as_list() for view, box in boxes.items()}
+
+
 # --------------------------------------------------------------------------
 # Field tables: a dict from each field's name to its check, in check order.
+# A table both reads its format and, through its checks' inverses, writes it.
 
 
 def _array(item: Check, non_empty: bool = False) -> Check:
-    """The check of an array whose items ``item`` checks, read as a tuple;
-    with ``non_empty``, the empty array is refused."""
+    """The check of an array whose items ``item`` checks, read as a tuple and
+    saved as a list; with ``non_empty``, the empty array is refused."""
 
     def read_array(value: Any) -> tuple[Any, ...]:
         items = value if type(value) is list else _expect_list(value)
@@ -364,6 +380,8 @@ def _array(item: Check, non_empty: bool = False) -> Check:
             raise err.within(f"[{len(out)}]")
         return tuple(out)
 
+    save = getattr(item, "save", None)
+    read_array.save = list if save is None else lambda items: list(map(save, items))
     return read_array
 
 
@@ -376,21 +394,26 @@ def _optional(kind: Check, default: Any = None) -> Check:
     def read_optional(value: Any) -> Any:
         return default if value is None else kind(value)
 
+    read_optional.save = getattr(kind, "save", None)
     return read_optional
 
 
 def _object(record: Callable[..., Any], fields: dict[str, Check]) -> Check:
     """The check of an object read through the field table ``fields`` into
-    ``record``, which takes the fields as keyword arguments."""
+    ``record``, which takes the fields as keyword arguments, and saved from
+    the record's attributes of the same names."""
 
     def read_object(value: Any) -> Any:
         return record(**_read_fields(value, fields))
 
+    read_object.record = record
+    read_object.save = _fields_saver(fields)
     return read_object
 
 
 def _tagged(tag: str, variants: dict[str, Check]) -> Check:
-    """The check of an object whose ``tag`` field names the variant that reads it."""
+    """The check of an object whose ``tag`` field names the ``_object``
+    variant that reads it; a record saves with its variant's name as the tag."""
 
     def read_tagged(value: Any) -> Any:
         doc = value if type(value) is dict else _expect_mapping(value)
@@ -403,6 +426,13 @@ def _tagged(tag: str, variants: dict[str, Check]) -> Check:
             raise AnnotationSchemaError(tag, reason)
         return variant(doc)
 
+    by_record = {variant.record: (name, variant.save) for name, variant in variants.items()}
+
+    def save_tagged(record: Any) -> dict[str, Any]:
+        name, save = by_record[type(record)]
+        return {tag: name, **save(record)}
+
+    read_tagged.save = save_tagged
     return read_tagged
 
 
@@ -423,71 +453,69 @@ def _read_fields(raw: Any, checks: dict[str, Check]) -> dict[str, Any]:
     return values
 
 
+def _fields_saver(checks: dict[str, Check]) -> Callable[[Any], dict[str, Any]]:
+    """The inverse of ``_read_fields(..., checks)``: the object of a record's
+    attributes named in ``checks``, in table order, each saved by its check.
+    A None attribute is left out, as an absent field reads as null."""
+    savers = tuple((name, getattr(check, "save", None)) for name, check in checks.items())
+
+    def save_fields(record: Any) -> dict[str, Any]:
+        doc = {}
+        for name, save in savers:
+            value = getattr(record, name)
+            if value is not None:
+                doc[name] = value if save is None else save(value)
+        return doc
+
+    return save_fields
+
+
 # --------------------------------------------------------------------------
-# The database format, declared once. Each field kind pairs its check, which
-# reads any document value into a record and names the field on failure,
-# with the function that saves it back; ``str`` and ``float`` return a str
-# or float as it is.
-
-
-class _Kind(NamedTuple):
-    check: Check
-    save: Callable[[Any], Any]
-
-
-_TEXT = _Kind(_as_str, str)
-_TEXTS = _Kind(_array(_as_str), list)
-_NUMBER = _Kind(_as_float, float)
-_SPEED = _Kind(_as_speed, float)
-_VEC3 = _Kind(_as_vec3, Vec3.as_list)
-_ROTATION = _Kind(_as_quaternion, Quaternion.as_list)
-_TEXT_MAP = _Kind(_as_str_map, lambda texts: texts)
-_CAMERA_POS = _Kind(_as_camera_pos, lambda boxes: {v.value: b.as_list() for v, b in boxes.items()})
-
+# The database format, declared once: the field tables below both load the
+# document and save it.
 # Per table: its key in the document and in ``SceneDatabase``, its record
 # type, whether a row's error paths name it by id once the id is read (or
 # keep its index), and its fields in check order, the row id first.
-_TABLES: tuple[tuple[str, type, bool, dict[str, _Kind]], ...] = (
-    ("scenes", SceneRecord, False, {"scene_id": _TEXT, "frame_ids": _TEXTS}),
+_TABLES: tuple[tuple[str, type, bool, dict[str, Check]], ...] = (
+    ("scenes", SceneRecord, False, {"scene_id": _as_str, "frame_ids": _array(_as_str)}),
     ("frames", FrameRecord, True, {
-        "frame_id": _TEXT,
-        "ego_info_id": _TEXT,
-        "instance_info_ids": _TEXTS,
-        "timestamp": _NUMBER,
+        "frame_id": _as_str,
+        "ego_info_id": _as_str,
+        "instance_info_ids": _array(_as_str),
+        "timestamp": _as_float,
     }),
     ("ego", EgoInfo, True, {
-        "info_id": _TEXT,
-        "velocity": _SPEED,
-        "pose": _VEC3,
-        "rotation": _ROTATION,
-        "road_info": _TEXT_MAP,
-        "camera_info": _TEXT_MAP,
+        "info_id": _as_str,
+        "velocity": _as_speed,
+        "pose": _as_vec3,
+        "rotation": _as_quaternion,
+        "road_info": _as_str_map,
+        "camera_info": _as_str_map,
     }),
     ("instances", InstanceInfo, True, {
-        "info_id": _TEXT,
-        "velocity": _SPEED,
-        "instance_id": _TEXT,
-        "category": _TEXT,
-        "attribute": _TEXT,
-        "global_t": _VEC3,
-        "global_r": _ROTATION,
-        "local_t": _VEC3,
-        "local_r": _ROTATION,
-        "road_info": _TEXT_MAP,
-        "camera_pos": _CAMERA_POS,
+        "info_id": _as_str,
+        "velocity": _as_speed,
+        "instance_id": _as_str,
+        "category": _as_str,
+        "attribute": _as_str,
+        "global_t": _as_vec3,
+        "global_r": _as_quaternion,
+        "local_t": _as_vec3,
+        "local_r": _as_quaternion,
+        "road_info": _as_str_map,
+        "camera_pos": _as_camera_pos,
     }),
 )
 
 
 def _parse_table(
-    tables: dict[str, list[Any]], key: str, record: type, by_id: bool, fields: dict[str, _Kind]
+    tables: dict[str, list[Any]], key: str, record: type, by_id: bool, fields: dict[str, Check]
 ) -> dict[str, Any]:
     id_name = next(iter(fields))
-    checks = {name: kind.check for name, kind in fields.items()}
     table: dict[str, Any] = {}
     for i, raw in enumerate(tables[key]):
         try:
-            values = _read_fields(raw, checks)
+            values = _read_fields(raw, fields)
         except AnnotationSchemaError as err:
             # A row is named by its id once the id, its first field, is read.
             if by_id and err.path not in ("", id_name):
@@ -635,13 +663,12 @@ def build_database(
 
 
 def database_to_document(db: SceneDatabase) -> dict[str, Any]:
+    """The saved document of ``db``: each table's rows in id order, each
+    row saved through its table's fields."""
     doc: dict[str, Any] = {"important_radius": db.important_radius}
     for key, _, _, fields in _TABLES:
-        rows = getattr(db, key)
-        doc[key] = [
-            {name: kind.save(getattr(rows[row_id], name)) for name, kind in fields.items()}
-            for row_id in sorted(rows)
-        ]
+        rows, save = getattr(db, key), _fields_saver(fields)
+        doc[key] = [save(rows[row_id]) for row_id in sorted(rows)]
     return doc
 
 

@@ -495,6 +495,19 @@ def test_pairs_readers_refuse_a_repeated_pair_id(read_side, capsys, command):
     assert not out.exists()
 
 
+def test_eval_refuses_a_repeated_pair_id_in_the_predictions(read_side, capsys):
+    tmp_path, db, docs, preds = read_side
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(canonical_dumps(d) + "\n" for d in docs), encoding="utf-8")
+    lines = preds.read_text(encoding="utf-8").splitlines(keepends=True)
+    preds.write_text("".join((*lines, lines[1])), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["eval", str(pairs), str(preds), "-o", str(out)]) == 1
+    repeated = f"pair_id: {docs[1]['pair_id']!r} is repeated, first on line 2"
+    assert capsys.readouterr().err == f"error: {preds}:4: {repeated}\n"
+    assert not out.exists()
+
+
 def _one_detection(doc, update):
     """The prediction's line with its first detection updated by ``update``."""
     return json.dumps({**doc, "detections": [{**doc["detections"][0], **update}]})
@@ -743,6 +756,18 @@ def test_verify_refuses_a_verifier_that_is_not_an_http_url(tmp_path, capsys, ver
     assert run(argv) == 1
     assert capsys.readouterr().err == (
         f"error: argument --verifier: expected an http or https URL with a host, got {verifier!r}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verifier", ["http://127.0.0.1:x/review", "http://127.0.0.1:99999/review"])
+def test_verify_refuses_a_verifier_with_a_bad_port(tmp_path, capsys, verifier):
+    out = tmp_path / "kept.jsonl"
+    argv = ["verify", str(tmp_path / "missing.jsonl"), "-o", str(out), f"--verifier={verifier}"]
+    # Refused at argument parsing, before the missing pairs file is read.
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: argument --verifier: expected a port from 0 to 65535, got {verifier!r}\n"
     )
     assert not out.exists()
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -444,6 +446,20 @@ def test_predictions_jsonl_round_trip(tmp_path, demo_pairs):
     write_predictions_jsonl(preds, path)
     loaded = read_predictions_jsonl(path)
     assert loaded == preds
+
+
+# The bytes of the demo echo predictions, detection lines and the others
+# alike; taken before the writer was derived from the predictions line table.
+GOLDEN_PREDICTIONS_SHA256 = "6d1006a7360ea81f68525296b43db2ce022d0928c0d119fb356bdea2421be7b4"
+
+
+def test_demo_predictions_match_golden_digest(tmp_path, demo_pairs):
+    path = tmp_path / "preds.jsonl"
+    write_predictions_jsonl(predictions_from_pairs(demo_pairs), path)
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert {"detections" in line for line in lines} == {True, False}
+    assert any(line.get("detections") for line in lines)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_PREDICTIONS_SHA256
 
 
 def test_report_as_dict(demo_pairs):

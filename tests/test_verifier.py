@@ -13,6 +13,7 @@ from drivesql.generation import (
     Label,
     Numeric,
     offline_check,
+    pair_to_dict,
     verify_pairs,
 )
 from drivesql.scene_db import BBox2D, View
@@ -166,6 +167,18 @@ def test_external_keep_and_payload_shape(demo_pairs):
         assert sent["pair_id"] == pair.pair_id
         assert sent["subtask"] == pair.subtask.value
         assert sent["response"] == pair.response
+
+
+def test_external_payload_carries_the_ground_truth_as_the_pairs_line_writes_it(samples):
+    # One pair of each kind: numeric, label, detection with and without
+    # items, and free text.
+    pairs = list(samples.values())
+    with mock_reviewer(lambda payload: {"verdict": "keep"}) as (server, url):
+        verify_pairs(pairs, url)
+    sent_by_id = {sent["pair_id"]: sent for sent in server.requests}
+    assert len(server.requests) == len(pairs)
+    for pair in pairs:
+        assert sent_by_id[pair.pair_id]["ground_truth"] == pair_to_dict(pair)["ground_truth"]
 
 
 def test_external_drop_records_reason(demo_pairs):
