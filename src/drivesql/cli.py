@@ -18,14 +18,13 @@ import time
 import urllib.parse
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .canonical import canonical_dumps, read_json, read_text, write_json
 from .errors import AnnotationSchemaError, DriveSqlError, RecordNotFound
 from .evaluation import evaluate, read_predictions_jsonl, split_dataset
 from .generation import (
     GenerationConfig,
-    VerificationResult,
     generate_dataset,
     read_pairs_jsonl,
     verify_pairs,
@@ -68,51 +67,47 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------- manifest
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+class _Stage:
+    """One subcommand's run, written as its manifest once the handler returns.
 
+    The handler sets ``config``, ``inputs`` and ``outputs``, the first of
+    which places the manifest, and wraps each phase in ``phase``.
+    """
 
-def _sha256_file(path: Path) -> str:
-    return _sha256_bytes(path.read_bytes())
+    def __init__(self, command: str) -> None:
+        self.command = command
+        self.config: dict[str, Any] = {}
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
+        self.timings: dict[str, float] = {}
+        self.reviewer: dict[str, int] | None = None
+        self._started = time.monotonic()
 
+    @contextmanager
+    def phase(self, name: str) -> Iterator[None]:
+        """Record the seconds the block takes as phase ``name``."""
+        start = time.monotonic()
+        yield
+        self.timings[name] = round(time.monotonic() - start, 3)
 
-@contextmanager
-def _timed(timings: dict[str, float], name: str) -> Iterator[None]:
-    """Record the seconds the block takes as phase ``name`` of ``timings``."""
-    start = time.monotonic()
-    yield
-    timings[name] = round(time.monotonic() - start, 3)
-
-
-def _write_manifest(
-    command: str,
-    config: dict[str, Any],
-    inputs: Iterable[Path],
-    outputs: Sequence[Path],
-    started: float,
-    reviewer: VerificationResult | None = None,
-    timings: dict[str, float] | None = None,
-) -> Path:
-    manifest: dict[str, Any] = {
-        "command": command,
-        "config_digest": _sha256_bytes(canonical_dumps(config).encode("utf-8")),
-        "input_digests": {str(p): _sha256_file(p) for p in inputs},
-        "output_paths": [str(p) for p in outputs],
-        "tool_version": TOOL_VERSION,
-        "wall_time_s": round(time.monotonic() - started, 3),
-    }
-    if timings is not None:
-        manifest["timings"] = timings
-    if reviewer is not None:
-        manifest["reviewer"] = {
-            "requests": reviewer.requests,
-            "retries": reviewer.retries,
-            "unverified": len(reviewer.unverified),
+    def write_manifest(self) -> None:
+        config = canonical_dumps(self.config).encode("utf-8")
+        manifest: dict[str, Any] = {
+            "command": self.command,
+            "config_digest": hashlib.sha256(config).hexdigest(),
+            "input_digests": {
+                str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in self.inputs
+            },
+            "output_paths": [str(p) for p in self.outputs],
+            "timings": self.timings,
+            "tool_version": TOOL_VERSION,
+            "wall_time_s": round(time.monotonic() - self._started, 3),
         }
-    primary = outputs[0]
-    target = primary / "manifest.json" if primary.is_dir() else Path(f"{primary}.manifest.json")
-    write_json(target, manifest)
-    return target
+        if self.reviewer is not None:
+            manifest["reviewer"] = self.reviewer
+        primary = self.outputs[0]
+        target = primary / "manifest.json" if primary.is_dir() else Path(f"{primary}.manifest.json")
+        write_json(target, manifest)
 
 
 # ------------------------------------------------------------ option parsing
@@ -217,18 +212,30 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 # default given here.
 
 
-def _as_scene_count(value: Any) -> int:
-    n_scenes = json_int(value)
-    if n_scenes < 0:
-        raise AnnotationSchemaError("", f"expected a non-negative count, got {n_scenes}")
-    return n_scenes
+# The largest counts a request may ask for. 10,000 random scenes hold about
+# half the instance rows of the reference scale (850 scenes, 321k rows), and
+# 1,000 keyframes are 25 times a 40-keyframe scene.
+MAX_RANDOM_SCENES = 10_000
+MAX_SCENE_FRAMES = 1_000
 
 
-def _as_frame_count(value: Any) -> int:
-    n_frames = json_int(value)
-    if n_frames < 1:
-        raise AnnotationSchemaError("", "a scene needs at least one frame")
-    return n_frames
+def _count(low: int, high: int, too_few: str) -> Callable[[Any], int]:
+    """The check of an integer from ``low`` to ``high``; ``too_few`` words the
+    refusal of a smaller one, with ``{}`` standing for the value."""
+
+    def read_count(value: Any) -> int:
+        count = json_int(value)
+        if count < low:
+            raise AnnotationSchemaError("", too_few.format(count))
+        if count > high:
+            raise AnnotationSchemaError("", f"expected at most {high}, got {count}")
+        return count
+
+    return read_count
+
+
+_as_scene_count = _count(0, MAX_RANDOM_SCENES, "expected a non-negative count, got {}")
+_as_frame_count = _count(1, MAX_SCENE_FRAMES, "a scene needs at least one frame")
 
 
 _RISK_KINDS = {subtask.value: subtask for subtask in RISK_SUBTASKS}
@@ -292,16 +299,15 @@ def _synth_from_request(doc: Any, path: Path) -> dict[str, Any]:
 # --------------------------------------------------------------- subcommands
 
 
-def _cmd_build_db(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    timings: dict[str, float] = {}
+def _cmd_build_db(args: argparse.Namespace, stage: _Stage) -> int:
     src = Path(args.annotations)
-    with _timed(timings, "load"), naming_file(src):
+    with stage.phase("load"), naming_file(src):
         db = build_database(read_json(src), important_radius=args.radius)
     out = Path(args.output)
-    with _timed(timings, "write"):
+    with stage.phase("write"):
         save_database(db, out)
-    _write_manifest("build-db", {"radius": args.radius}, [src], [out], started, timings=timings)
+    stage.config = {"radius": args.radius}
+    stage.inputs, stage.outputs = [src], [out]
     print(
         f"built database: {len(db.scenes)} scenes, {len(db.frames)} frames, "
         f"{len(db.instances)} instance rows -> {out}"
@@ -328,27 +334,26 @@ def _generation_config(args: argparse.Namespace) -> GenerationConfig:
     )
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    timings: dict[str, float] = {}
+def _cmd_generate(args: argparse.Namespace, stage: _Stage) -> int:
     src = Path(args.database)
     config = _generation_config(args)
-    with _timed(timings, "load"):
+    with stage.phase("load"):
         db = load_database(src)
-    with _timed(timings, "generate"):
+    with stage.phase("generate"):
         pairs, diag = generate_dataset(db, config, jobs=args.jobs)
     out = Path(args.output)
-    with _timed(timings, "write"):
+    with stage.phase("write"):
         write_pairs_jsonl(pairs, out)
-    inputs = [src] + ([Path(args.thresholds)] if args.thresholds is not None else [])
-    _write_manifest(
-        "generate",
-        {"config_digest": config.digest(), "jobs": args.jobs},
-        inputs,
-        [out],
-        started,
-        timings=timings,
-    )
+    stage.config = {
+        "seed": args.seed,
+        "windows": args.windows,
+        "max_instances": args.max_instances,
+        "subtasks": sorted(subtask.value for subtask in args.subtasks),
+        "thresholds": config.thresholds.as_dict(),
+        "jobs": args.jobs,
+    }
+    stage.inputs = [src] + ([Path(args.thresholds)] if args.thresholds is not None else [])
+    stage.outputs = [out]
     print(
         f"generated {len(pairs)} pairs from {diag.eligible_scenes} scenes "
         f"({diag.windows_unique} windows) -> {out}"
@@ -356,14 +361,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    timings: dict[str, float] = {}
+def _cmd_verify(args: argparse.Namespace, stage: _Stage) -> int:
     src = Path(args.pairs)
-    with _timed(timings, "load"):
+    with stage.phase("load"):
         pairs = read_pairs_jsonl(src)
         db = load_database(Path(args.db)) if args.db is not None else None
-    with _timed(timings, "verify"):
+    with stage.phase("verify"):
         result = verify_pairs(pairs, args.verifier, db)
     out = Path(args.output)
     report = {
@@ -373,19 +376,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "revised": sorted(result.revised),
     }
     report_path = Path(f"{out}.report.json")
-    with _timed(timings, "write"):
+    with stage.phase("write"):
         write_pairs_jsonl(result.kept, out)
         write_json(report_path, report)
-    inputs = [src] + ([Path(args.db)] if args.db is not None else [])
-    _write_manifest(
-        "verify",
-        {"verifier": args.verifier or "offline", "db": args.db or ""},
-        inputs,
-        [out, report_path],
-        started,
-        reviewer=result if args.verifier is not None else None,
-        timings=timings,
-    )
+    stage.config = {"verifier": args.verifier or "offline", "db": args.db or ""}
+    stage.inputs = [src] + ([Path(args.db)] if args.db is not None else [])
+    stage.outputs = [out, report_path]
+    if args.verifier is not None:
+        stage.reviewer = {
+            "requests": result.requests,
+            "retries": result.retries,
+            "unverified": len(result.unverified),
+        }
     print(
         f"kept {len(result.kept)}/{len(pairs)} pairs "
         f"({len(result.rejected)} rejected, {len(result.unverified)} unverified, "
@@ -394,30 +396,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_split(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_split(args: argparse.Namespace, stage: _Stage) -> int:
     ratios = _parse_ratios(args.ratios)
     src = Path(args.pairs)
-    pairs = read_pairs_jsonl(src)
+    with stage.phase("load"):
+        pairs = read_pairs_jsonl(src)
     if not pairs:
         raise CliUsageError(f"{src}: no pairs to split")
-    scene_ids = {pair.scene_id for pair in pairs}
-    split = split_dataset(scene_ids, ratios=ratios, seed=args.seed)
+    with stage.phase("split"):
+        scene_ids = {pair.scene_id for pair in pairs}
+        split = split_dataset(scene_ids, ratios=ratios, seed=args.seed)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for name, ids in (("train", split.train), ("val", split.val), ("test", split.test)):
-        bucket = set(ids)
-        target = out_dir / f"{name}.jsonl"
-        write_pairs_jsonl([p for p in pairs if p.scene_id in bucket], target)
-        outputs.append(target)
-    _write_manifest(
-        "split",
-        {"ratios": list(ratios), "seed": args.seed},
-        [src],
-        [out_dir, *outputs],
-        started,
-    )
+    stage.config = {"ratios": list(ratios), "seed": args.seed}
+    stage.inputs, stage.outputs = [src], [out_dir]
+    with stage.phase("write"):
+        for name, ids in (("train", split.train), ("val", split.val), ("test", split.test)):
+            bucket = set(ids)
+            target = out_dir / f"{name}.jsonl"
+            write_pairs_jsonl([p for p in pairs if p.scene_id in bucket], target)
+            stage.outputs.append(target)
     print(
         f"split {len(scene_ids)} scenes into "
         f"{len(split.train)}/{len(split.val)}/{len(split.test)} -> {out_dir}"
@@ -425,15 +423,13 @@ def _cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    timings: dict[str, float] = {}
+def _cmd_stats(args: argparse.Namespace, stage: _Stage) -> int:
     pairs_path = Path(args.pairs)
     db_path = Path(args.database)
-    with _timed(timings, "load"):
+    with stage.phase("load"):
         pairs = read_pairs_jsonl(pairs_path)
         db = load_database(db_path)
-    with _timed(timings, "stats"):
+    with stage.phase("stats"):
         try:
             stats = compute_stats(pairs, db)
         except RecordNotFound as err:
@@ -442,12 +438,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             raise CliUsageError(f"{pairs_path}: pair {pair.pair_id}: {err}") from None
     out = Path(args.output)
     csv_path = Path(f"{out}.views.csv")
-    with _timed(timings, "write"):
+    with stage.phase("write"):
         write_json(out, stats.as_dict())
         view_percent_csv(stats, csv_path)
-    _write_manifest(
-        "stats", {}, [pairs_path, db_path], [out, csv_path], started, timings=timings
-    )
+    stage.inputs, stage.outputs = [pairs_path, db_path], [out, csv_path]
     print(
         f"{stats.pairs_total} pairs, {stats.keyframes} keyframes, "
         f"{stats.avg_instances_per_keyframe:.2f} instances/keyframe -> {out}"
@@ -455,16 +449,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_eval(args: argparse.Namespace, stage: _Stage) -> int:
     pairs_path = Path(args.pairs)
     preds_path = Path(args.predictions)
-    pairs = read_pairs_jsonl(pairs_path)
-    preds = read_predictions_jsonl(preds_path)
-    report = evaluate(pairs, preds)
+    with stage.phase("load"):
+        pairs = read_pairs_jsonl(pairs_path)
+        preds = read_predictions_jsonl(preds_path)
+    with stage.phase("eval"):
+        report = evaluate(pairs, preds)
     out = Path(args.output)
-    write_json(out, report.as_dict())
-    _write_manifest("eval", {}, [pairs_path, preds_path], [out], started)
+    with stage.phase("write"):
+        write_json(out, report.as_dict())
+    stage.inputs, stage.outputs = [pairs_path, preds_path], [out]
     undefined = [name for name, value in report.groups.items() if value is None]
     for name, value in report.groups.items():
         shown = "undefined" if value is None else f"{value:.4f}"
@@ -476,14 +472,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_synth(args: argparse.Namespace, stage: _Stage) -> int:
     src = Path(args.scripts)
-    request = read_json(src)
-    annotations = _synth_from_request(request, src)
+    with stage.phase("synth"):
+        annotations = _synth_from_request(read_json(src), src)
     out = Path(args.output)
-    write_json(out, annotations)
-    _write_manifest("synth", {}, [src], [out], started)
+    with stage.phase("write"):
+        write_json(out, annotations)
+    stage.inputs, stage.outputs = [src], [out]
     print(
         f"synthesized {len(annotations['scenes'])} scenes, "
         f"{len(annotations['frames'])} frames -> {out}"
@@ -561,7 +557,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        stage = _Stage(args.command)
+        code = args.handler(args, stage)
+        stage.write_manifest()
+        return code
     except (DriveSqlError, CliUsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ from typing import Any, Iterable, Iterator, Mapping
 # The reviewer's HTTP client and the worker pools are imported where they are
 # used, so that a stage that needs neither does not pay to load them.
 
-from .canonical import canonical_dumps, read_jsonl, write_jsonl
+from .canonical import canonical_dumps, read_jsonl, write_jsonl  # noqa: F401 (bench traces it)
 from .errors import AnnotationSchemaError, TemplateError, VerifierProtocolError
 from .geometry import planar_norm
 from .scene_db import (
@@ -139,16 +139,6 @@ class GenerationConfig:
     max_instances_per_subtask: int = 3
     thresholds: RiskThresholds = field(default_factory=RiskThresholds)
     enabled_subtasks: frozenset[Subtask] = frozenset(Subtask)
-
-    def digest(self) -> str:
-        doc = {
-            "master_seed": self.master_seed,
-            "windows_per_scene": self.windows_per_scene,
-            "max_instances_per_subtask": self.max_instances_per_subtask,
-            "thresholds": self.thresholds.as_dict(),
-            "enabled_subtasks": sorted(s.value for s in self.enabled_subtasks),
-        }
-        return hashlib.sha256(canonical_dumps(doc).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -842,7 +832,8 @@ def verify_pairs(
     A pair that fails an offline rule is rejected with a reason. The
     reviewer gets up to ``MAX_IN_FLIGHT`` requests at once, but verdicts are
     applied in input order, so the result does not depend on reply timing.
-    A pair whose reply breaks the wire contract, or whose reviewer stays
+    A revised pair must pass the offline rules again, or it is rejected. A
+    pair whose reply breaks the wire contract, or whose reviewer stays
     unreachable through all retries, is kept and flagged unverified.
     """
     result = VerificationResult(kept=[], rejected=[])
@@ -872,6 +863,12 @@ def verify_pairs(
             result.rejected.append((pair.pair_id, str(reply.get("reason") or "dropped by verifier")))
             continue
         if revised:
+            reason = offline_check(updated, db)
+            if reason is not None:
+                result.rejected.append(
+                    (pair.pair_id, f"format contract: revised response: {reason}")
+                )
+                continue
             result.revised.add(pair.pair_id)
         result.kept.append(updated)
     return result

@@ -11,6 +11,7 @@ share one follower sweep (``_followers``) and one ego move (``status_ego``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -91,8 +92,8 @@ class RiskThresholds:
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"threshold {name} must be positive, got {value!r}")
+            if type(value) not in (int, float) or not 0 < value < math.inf:
+                raise ValueError(f"threshold {name} must be positive and finite, got {value!r}")
 
     def as_dict(self) -> dict[str, float]:
         return {"dis": self.dis, "dis_x": self.dis_x, "dis_y": self.dis_y, "s": self.s}

@@ -114,16 +114,28 @@ def test_manifest_contents(pipeline):
 
     kept = tmp_path / "kept.jsonl"
     stats = tmp_path / "stats.json"
+    splits = tmp_path / "splits"
+    preds = tmp_path / "preds.jsonl"
+    scores = tmp_path / "eval.json"
     assert run(["verify", str(pairs), "-o", str(kept), "--db", str(db)]) == 0
     assert run(["stats", str(kept), str(db), "-o", str(stats)]) == 0
+    assert run(["split", str(kept), "-o", str(splits)]) == 0
+    write_predictions_jsonl(predictions_from_pairs(read_pairs_jsonl(kept)), preds)
+    assert run(["eval", str(kept), str(preds), "-o", str(scores)]) == 0
     phases = {
+        ann: ["synth", "write"],
         db: ["load", "write"],
         pairs: ["generate", "load", "write"],
         kept: ["load", "verify", "write"],
+        splits: ["load", "split", "write"],
         stats: ["load", "stats", "write"],
+        scores: ["eval", "load", "write"],
     }
     for output, names in phases.items():
-        timings = _manifest(output)["timings"]
+        path = output / "manifest.json" if output.is_dir() else Path(f"{output}.manifest.json")
+        manifest = json.loads(path.read_text())
+        assert "reviewer" not in manifest
+        timings = manifest["timings"]
         assert sorted(timings) == names
         assert all(math.isfinite(s) and s >= 0 for s in timings.values())
 
@@ -672,6 +684,10 @@ def _wrong_type_cases():
         ({}, "scenes: missing required field"),
         ({"sample": {"n_random": -3, "include_curated": False}},
          "sample.n_random: expected a non-negative count, got -3"),
+        ({"sample": {"n_random": 100000, "include_curated": False}},
+         "sample.n_random: expected at most 10000, got 100000"),
+        ({"scenes": [{"n_frames": 1001, "scripts": []}]},
+         "scenes[0].n_frames: expected at most 1000, got 1001"),
     ]:
         yield (request_doc, where)
 
@@ -888,7 +904,13 @@ def test_verify_with_reviewer_matches_one_request_at_a_time(
     assert pooled_report == Path(f"{serial}.report.json").read_bytes()
     report = json.loads(pooled_report)
     assert set(report) == {"kept", "rejected", "unverified", "revised"}
-    assert (report["kept"], len(report["rejected"]), len(report["revised"])) == (16, 8, 8)
+    # Two of the eight revisions turn an empty detection answer "No." into
+    # "No.!", which fails the offline rules again, so they are rejected.
+    assert (report["kept"], len(report["rejected"]), len(report["revised"])) == (14, 10, 6)
+    revised_away = [r["reason"] for r in report["rejected"] if "revised response" in r["reason"]]
+    assert revised_away == [
+        "format contract: revised response: empty detection list requires the response 'No.'"
+    ] * 2
     manifest = _manifest(pooled)
     assert manifest["reviewer"] == {"requests": 24, "retries": 0, "unverified": 0}
 

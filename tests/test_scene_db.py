@@ -475,8 +475,8 @@ def test_float_edges_match_golden_digest():
 READER_MESSAGES_SHA256 = {
     "pairs": "3c30d8420962afc50afbf3ee4a9601b538763d47eb5106a332b61345b5e5ca68",
     "predictions": "dc6beb8c6ce4932648aba8b6a613185cfdc3066b8ad7a9084df9a350d443036f",
-    "synth-sample": "618ff29ff818c420b223e369f4fe27f0949030c9bdb4fc4ffba504ea637c4028",
-    "synth-scenes": "51ead9958f1cef65e5b7cba5b575878dd4f9b658e336f9fa154ba94ac7205a40",
+    "synth-sample": "4669585e87a529ad4d2cd61bd9ba0fd2add8795fb131df13a22f510d3940046b",
+    "synth-scenes": "218c138c30509bf318f5ad4ae9696719e77fe9dfb5900bdb1af8c71f39b6cc71",
 }
 
 

@@ -251,4 +251,7 @@ def test_thresholds_validation():
         RiskThresholds(dis=-1.0)
     with pytest.raises(ValueError):
         RiskThresholds(s=0.0)
+    for value in (math.inf, math.nan, True):
+        with pytest.raises(ValueError, match="^threshold dis_x must be positive and finite, got "):
+            RiskThresholds(dis_x=value)
     assert RiskThresholds().as_dict() == {"dis": 20.0, "dis_x": 3.0, "dis_y": 3.0, "s": 0.5}

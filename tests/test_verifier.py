@@ -226,6 +226,20 @@ def test_external_revise_keeps_structured_truth(samples):
     assert result.revised == {pair.pair_id}
 
 
+def test_external_revision_that_breaks_a_format_rule_is_rejected(samples):
+    pair = samples["numeric"]
+    with mock_reviewer(
+        lambda payload: {"verdict": "revise", "revised_response": "no idea"}
+    ) as (_, url):
+        result = verify_pairs([pair], url)
+    assert result.kept == [] and result.revised == set()
+    needs = len(pair.ground_truth.values)
+    assert result.rejected == [(
+        pair.pair_id,
+        f"format contract: revised response: response has 0 parseable numbers, needs {needs}",
+    )]
+
+
 def test_external_unknown_verdict_keeps_unverified(samples):
     pair = samples["label"]
     with mock_reviewer(lambda payload: {"verdict": "maybe"}) as (_, url):
