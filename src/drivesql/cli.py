@@ -285,7 +285,7 @@ _SCENES = _array(_object(dict, {
 
 def _synth_from_request(doc: Any, path: Path) -> dict[str, Any]:
     """The annotations a synth request asks for: its ``sample`` if it has
-    one, else its ``scenes``."""
+    one, else its ``scenes``. A request holding both is refused."""
     with naming_file(path):
         if type(doc) is dict and "sample" in doc:
             return _read_fields(doc, {"sample": _SAMPLE})["sample"]

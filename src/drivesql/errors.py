@@ -61,7 +61,3 @@ class TemplateError(DriveSqlError, ValueError):
 
 class UndefinedScore(DriveSqlError, ValueError):
     """A metric was asked to score an empty or fully unscorable input."""
-
-
-class VerifierProtocolError(DriveSqlError, ValueError):
-    """An external verifier answered outside the wire contract."""

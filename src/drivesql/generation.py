@@ -23,8 +23,8 @@ from typing import Any, Iterable, Iterator, Mapping
 # The reviewer's HTTP client and the worker pools are imported where they are
 # used, so that a stage that needs neither does not pay to load them.
 
-from .canonical import canonical_dumps, read_jsonl, write_jsonl  # noqa: F401 (bench traces it)
-from .errors import AnnotationSchemaError, TemplateError, VerifierProtocolError
+from .canonical import _JSONL_DECODER, read_jsonl, write_jsonl
+from .errors import AnnotationSchemaError, TemplateError
 from .geometry import planar_norm
 from .scene_db import (
     IMAGE_HEIGHT,
@@ -40,6 +40,7 @@ from .scene_db import (
     _as_bbox,
     _as_float,
     _as_positive,
+    _as_str,
     _as_text,
     _fields_saver,
     _member_of,
@@ -381,6 +382,7 @@ def _pairs_for_window(
     enabled = config.enabled_subtasks
     ctx = window_context(db, *window)
     current = ctx.current
+    all_views = _all_views_seen(current)
     pairs: list[InstructionResponsePair] = []
 
     def emit(
@@ -427,7 +429,7 @@ def _pairs_for_window(
             if info is None:
                 continue
             instruction = render_instruction(Subtask.CLOSEST, {"view_phrase": _view_phrase(view)})
-            views = _all_views_seen(current) if view is View.ALL else (view,)
+            views = all_views if view is View.ALL else (view,)
             emit(Subtask.CLOSEST, view.value, views, instruction, (view, info))
 
     if Subtask.INSTANCE_NUMBER in enabled:
@@ -439,7 +441,7 @@ def _pairs_for_window(
                     Subtask.INSTANCE_NUMBER,
                     {"category": _category_phrase(category), "view_phrase": _view_phrase(view)},
                 )
-                views = _all_views_seen(current) if view is View.ALL else (view,)
+                views = all_views if view is View.ALL else (view,)
                 target = f"{view.value}:{category}"
                 result = (view, category, per_view[category])
                 emit(Subtask.INSTANCE_NUMBER, target, views, instruction, result)
@@ -472,12 +474,16 @@ def _pairs_for_window(
         return pairs
     diag.skipped_instances += len(current) - ctx.full_window_rows
     plan = ctx.plan(config.thresholds)
+    # Each risk hit's view, once per instance row, in the order of first hit.
+    hit_views = {
+        info.info_id: _grounding_view(info) for kind in RISK_SUBTASKS for info in plan.risks[kind]
+    }
 
     for kind in risk_enabled:
         items = tuple(
             DetectionRef(
-                view=_grounding_view(info),
-                bbox=info.camera_pos[_grounding_view(info)],
+                view=hit_views[info.info_id],
+                bbox=info.camera_pos[hit_views[info.info_id]],
                 instance_id=info.instance_id,
             )
             for info in plan.risks[kind]
@@ -486,11 +492,7 @@ def _pairs_for_window(
         emit(kind, "risk", views, render_instruction(kind, {}), items)
 
     if Subtask.PLANNING_WITH_REASONING in enabled:
-        contributing = tuple(
-            dict.fromkeys(
-                _grounding_view(info) for kind in RISK_SUBTASKS for info in plan.risks[kind]
-            )
-        ) or (View.FRONT,)
+        contributing = tuple(dict.fromkeys(hit_views.values())) or (View.FRONT,)
         instruction = render_instruction(Subtask.PLANNING_WITH_REASONING, {})
         emit(Subtask.PLANNING_WITH_REASONING, "plan", contributing, instruction, plan)
 
@@ -621,6 +623,18 @@ _PAIR_FIELDS: dict[str, Check] = {
 # The pairs line of a pair, each field saved by its check.
 pair_to_dict = _fields_saver(_PAIR_FIELDS)
 
+# A reviewer reply, declared once: each verdict reads as its name and its
+# text, the drop reason or the revised response.
+_REPLY = _tagged("verdict", {
+    "keep": _object(lambda: ("keep", None), {}),
+    "drop": _object(lambda reason: ("drop", reason), {
+        "reason": _optional(_as_text, "dropped by verifier"),
+    }),
+    "revise": _object(lambda revised_response: ("revise", revised_response), {
+        "revised_response": _as_str,
+    }),
+})
+
 
 def pair_from_dict(doc: Any) -> InstructionResponsePair:
     """The pair a pairs line declares; a refusal names the field by its path."""
@@ -748,12 +762,13 @@ def _post_json(url: str, payload: dict[str, Any]) -> Any:
         url, data=body, headers={"Content-Type": "application/json"}, method="POST"
     )
     with urllib.request.urlopen(request, timeout=REVIEW_TIMEOUT_S) as response:
-        return json.loads(response.read().decode("utf-8"))
+        return _JSONL_DECODER.decode(response.read().decode("utf-8"))
 
 
 def _consult_external(endpoint: str, pair: InstructionResponsePair) -> tuple[Any, int]:
-    """The reviewer's parsed reply, or None once every attempt failed, and
-    the number of attempts made."""
+    """The reviewer's decoded reply, or None once every attempt failed, and
+    the number of attempts made. A reply that is not JSON, or holds ``NaN``
+    or an infinity, fails its attempt."""
     import http.client
     import urllib.error
 
@@ -796,32 +811,6 @@ def _consult_in_order(
             yield done, *future.result()
 
 
-def _apply_verdict(
-    pair: InstructionResponsePair, reply: Any
-) -> tuple[InstructionResponsePair | None, bool]:
-    """Returns the surviving pair (None for drop) and a revised flag.
-
-    A reply outside the wire contract, including one that is not a JSON
-    object, raises ``VerifierProtocolError``.
-    """
-    if not isinstance(reply, Mapping):
-        raise VerifierProtocolError(f"reply is {type(reply).__name__}, not an object")
-    verdict = reply.get("verdict")
-    if verdict == "keep":
-        return pair, False
-    if verdict == "drop":
-        return None, False
-    if verdict == "revise":
-        revised = reply.get("revised_response")
-        if not isinstance(revised, str) or not revised:
-            raise VerifierProtocolError("revise verdict without a revised_response")
-        truth = pair.ground_truth
-        if isinstance(truth, FreeText):
-            truth = FreeText(revised)
-        return dataclasses.replace(pair, response=revised, ground_truth=truth), True
-    raise VerifierProtocolError(f"unknown verdict {verdict!r}")
-
-
 def verify_pairs(
     pairs: Iterable[InstructionResponsePair],
     endpoint: str | None = None,
@@ -833,8 +822,8 @@ def verify_pairs(
     reviewer gets up to ``MAX_IN_FLIGHT`` requests at once, but verdicts are
     applied in input order, so the result does not depend on reply timing.
     A revised pair must pass the offline rules again, or it is rejected. A
-    pair whose reply breaks the wire contract, or whose reviewer stays
-    unreachable through all retries, is kept and flagged unverified.
+    pair whose reply ``_REPLY`` refuses, or whose reviewer stays unreachable
+    through all retries, is kept and flagged unverified.
     """
     result = VerificationResult(kept=[], rejected=[])
     survivors: list[InstructionResponsePair] = []
@@ -854,21 +843,23 @@ def verify_pairs(
         try:
             # An unreachable reviewer leaves the reply None, which is refused
             # like any other reply that is not an object.
-            updated, revised = _apply_verdict(pair, reply)
-        except VerifierProtocolError:
+            verdict, text = _REPLY(reply)
+        except AnnotationSchemaError:
             result.unverified.add(pair.pair_id)
             result.kept.append(pair)
             continue
-        if updated is None:
-            result.rejected.append((pair.pair_id, str(reply.get("reason") or "dropped by verifier")))
+        if verdict == "drop":
+            result.rejected.append((pair.pair_id, text))
             continue
-        if revised:
-            reason = offline_check(updated, db)
+        if verdict == "revise":
+            truth = FreeText(text) if isinstance(pair.ground_truth, FreeText) else pair.ground_truth
+            pair = dataclasses.replace(pair, response=text, ground_truth=truth)
+            reason = offline_check(pair, db)
             if reason is not None:
                 result.rejected.append(
                     (pair.pair_id, f"format contract: revised response: {reason}")
                 )
                 continue
             result.revised.add(pair.pair_id)
-        result.kept.append(updated)
+        result.kept.append(pair)
     return result

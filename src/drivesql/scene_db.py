@@ -413,18 +413,19 @@ def _object(record: Callable[..., Any], fields: dict[str, Check]) -> Check:
 
 def _tagged(tag: str, variants: dict[str, Check]) -> Check:
     """The check of an object whose ``tag`` field names the ``_object``
-    variant that reads it; a record saves with its variant's name as the tag."""
+    variant that reads its other fields; a record saves with its variant's
+    name as the tag."""
 
     def read_tagged(value: Any) -> Any:
-        doc = value if type(value) is dict else _expect_mapping(value)
-        name = doc.get(tag)
+        fields = dict(value if type(value) is dict else _expect_mapping(value))
+        name = fields.pop(tag, None)
         variant = variants.get(name) if type(name) is str else None
         if variant is None:
             reason = f"expected one of {', '.join(variants)}, got {name!r}"
-            if tag not in doc:
+            if tag not in value:
                 reason = "missing required field"
             raise AnnotationSchemaError(tag, reason)
-        return variant(doc)
+        return variant(fields)
 
     by_record = {variant.record: (name, variant.save) for name, variant in variants.items()}
 
@@ -439,7 +440,9 @@ def _tagged(tag: str, variants: dict[str, Check]) -> Check:
 def _read_fields(raw: Any, checks: dict[str, Check]) -> dict[str, Any]:
     """The field values of the object ``raw``, each read by its check. An
     absent field reads as null, and is missing if its check refuses null; a
-    refused field's name goes in front of the refusal's path."""
+    refused field's name goes in front of the refusal's path. Once every
+    declared field is read, the first key that ``checks`` does not declare
+    is refused: no table is open to keys it does not name."""
     rec = raw if type(raw) is dict else _expect_mapping(raw)
     values: dict[str, Any] = {}
     for name, check in checks.items():
@@ -450,6 +453,10 @@ def _read_fields(raw: Any, checks: dict[str, Check]) -> dict[str, Any]:
             if name not in rec:
                 raise AnnotationSchemaError(name, "missing required field") from None
             raise err.within(name)
+    if not rec.keys() <= checks.keys():
+        key = str(next(key for key in rec if key not in checks))
+        # Quoted, a key that ``within`` would read as a step is named as it is.
+        raise AnnotationSchemaError(f'"{key}"' if key[:1] in "[ " else key, "unexpected field")
     return values
 
 
@@ -507,6 +514,9 @@ _TABLES: tuple[tuple[str, type, bool, dict[str, Check]], ...] = (
     }),
 )
 
+# The top level of an annotations document: the four tables.
+_DOCUMENT: dict[str, Check] = {key: _expect_list for key, *_ in _TABLES}
+
 
 def _parse_table(
     tables: dict[str, list[Any]], key: str, record: type, by_id: bool, fields: dict[str, Check]
@@ -563,7 +573,7 @@ def build_database(
             f"important_radius must be a positive finite number, got {important_radius!r}"
         )
     try:
-        tables = _read_fields(annotations, {key: _expect_list for key, *_ in _TABLES})
+        tables = _read_fields(annotations, _DOCUMENT)
     except AnnotationSchemaError as err:
         raise err.within("annotations")
 
@@ -689,9 +699,9 @@ def naming_file(path: str | Path) -> Iterator[None]:
 
 def load_database(path: str | Path) -> SceneDatabase:
     with naming_file(path), _collector_paused():
-        doc = read_json(path)
         try:
-            radius = _read_fields(doc, {"important_radius": _as_positive})["important_radius"]
+            tables = _read_fields(read_json(path), {"important_radius": _as_positive, **_DOCUMENT})
         except AnnotationSchemaError as err:
             raise err.within("database")
-        return build_database(doc, important_radius=radius)
+        radius = tables.pop("important_radius")
+        return build_database(tables, important_radius=radius)

@@ -238,6 +238,18 @@ def test_build_db_names_annotations_that_are_not_an_object_once(tmp_path, capsys
     assert capsys.readouterr().err == f"error: {ann}: annotations: expected an object, got list\n"
 
 
+def test_build_db_refuses_annotations_holding_a_radius(pipeline, capsys):
+    # ``--radius`` sets the radius; only a saved database holds one.
+    tmp_path, ann, _, _ = pipeline
+    doc = json.loads(ann.read_text(encoding="utf-8"))
+    ann.write_text(json.dumps({**doc, "important_radius": 30.0}), encoding="utf-8")
+    out = tmp_path / "x.json"
+    assert run(["build-db", str(ann), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {ann}: annotations.important_radius: unexpected field\n"
+    assert not out.exists()
+
+
 def test_bad_radius_is_a_usage_error(pipeline, capsys):
     tmp_path, ann, _, _ = pipeline
     assert run(["build-db", str(ann), "-o", str(tmp_path / "x.json"), "--radius", "0"]) == 1
@@ -454,6 +466,14 @@ _BAD_PAIRS = [
         lambda doc: _detection_truth(doc, {"bbox": [5, 5, 1, 1]}),
         "ground_truth.items[0].bbox: box requires x1 < x2 and y1 < y2",
     ),
+    (
+        lambda doc: json.dumps({**doc, "thresholds_usd": {"dis": 1.0}}),
+        "thresholds_usd: unexpected field",
+    ),
+    (
+        lambda doc: _detection_truth(doc, {"score": 1.0}),
+        "ground_truth.items[0].score: unexpected field",
+    ),
 ]
 
 _PAIRS_READERS = {
@@ -481,6 +501,7 @@ def read_side(tmp_path, demo_db, demo_pairs):
     ids=[
         "nan", "minus-infinity", "1e400", "bool", "null-instruction", "int-pair-id", "str-frames",
         "bogus-view", "bogus-detection-view", "str-detection", "degenerate-box",
+        "misspelled-thresholds", "undeclared-detection-field",
     ],
 )
 def test_pairs_readers_refuse_non_finite_numbers_and_non_text(
@@ -540,10 +561,16 @@ def _one_detection(doc, update):
          "detections[0]: expected an object, got str"),
         (lambda doc: _one_detection(doc, {"bbox": [5, 5, 1, 1]}),
          "detections[0].bbox: box requires x1 < x2 and y1 < y2"),
+        # Read as absent, the misspelled key would score the risk line 0.
+        (lambda doc: json.dumps(doc).replace('"detections":', '"detection":'),
+         "detection: unexpected field"),
+        (lambda doc: _one_detection(doc, {"label": "car"}),
+         "detections[0].label: unexpected field"),
     ],
     ids=[
         "nan-score", "1e400-score", "null-response-text", "int-pair-id", "object-detections",
-        "bogus-view", "str-detection", "degenerate-box",
+        "bogus-view", "str-detection", "degenerate-box", "misspelled-detections",
+        "undeclared-detection-field",
     ],
 )
 def test_eval_refuses_non_finite_and_non_text_predictions(
@@ -688,6 +715,13 @@ def _wrong_type_cases():
          "sample.n_random: expected at most 10000, got 100000"),
         ({"scenes": [{"n_frames": 1001, "scripts": []}]},
          "scenes[0].n_frames: expected at most 1000, got 1001"),
+        ({"sample": {"n_randm": 1, "include_curated": False}}, "sample.n_randm: unexpected field"),
+        ({"sample": {"[0]": 1}}, 'sample."[0]": unexpected field'),
+        ({"sample": {"n_random": 1}, "n_random": 1}, "n_random: unexpected field"),
+        ({"sample": {"n_random": 1}, "scenes": [{"scripts": []}]}, "scenes: unexpected field"),
+        ({"scenes": [{"n_frame": 5, "scripts": []}]}, "scenes[0].n_frame: unexpected field"),
+        ({"scenes": [{"scripts": [{"waypoints": [{**waypoint, "speeed": 2}]}]}]},
+         "scenes[0].scripts[0].waypoints[0].speeed: unexpected field"),
     ]:
         yield (request_doc, where)
 

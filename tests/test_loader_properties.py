@@ -3,7 +3,8 @@ DriveSqlError, and nothing else.
 
 Each boundary gets two properties: an arbitrary JSON value in place of the
 whole input, and a valid input with one node replaced by an arbitrary JSON
-value (or removed), which reaches the deeper field checks.
+value, removed, or given a key no field table declares, which reaches the
+deeper field checks.
 """
 
 import inspect
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivesql import cli, evaluation, generation
+from drivesql import cli, evaluation, generation, scene_db
 from drivesql.canonical import canonical_dumps
 from drivesql.errors import AnnotationSchemaError, DriveSqlError
 from drivesql.evaluation import (
@@ -61,6 +62,9 @@ edge_values = st.sampled_from(
 
 _REMOVE = object()
 
+# A key that no field table declares.
+_UNDECLARED = "undeclared"
+
 
 def _node_paths(doc, prefix=()):
     """Key paths to every node below the root of a JSON document."""
@@ -91,8 +95,11 @@ def _mutated(doc, path, value):
 def _mutations(doc):
     paths = list(_node_paths(doc))
     value = edge_values | json_values | st.just(_REMOVE)
+    objects = [at for at in [(), *paths] if isinstance(_node(doc, at), dict)]
     return st.tuples(st.sampled_from(paths), value).map(
         lambda pv: _mutated(doc, *pv)
+    ) | st.tuples(st.sampled_from(objects), json_values).map(
+        lambda ov: _mutated(doc, ov[0] + (_UNDECLARED,), ov[1])
     )
 
 
@@ -228,12 +235,14 @@ def _rows_or_refusal(reader, path, line):
 
 
 def _declared(fields, at=()):
-    """``(key path, removable)`` for every field a field table declares, and
+    """``(key path, rule)`` for every field a field table declares, and
     below it: object fields, an array's first item, an optional field's
     value and every variant of a tagged object, read from the checks'
-    closures."""
+    closures. The rule is ``required``, ``optional`` or ``item``; and each
+    table's object gets an ``undeclared`` key, which it refuses."""
+    yield at + (_UNDECLARED,), "undeclared"
     for name, check in fields.items():
-        yield at + (name,), check.__name__ != "read_optional"
+        yield at + (name,), "optional" if check.__name__ == "read_optional" else "required"
         yield from _below(check, at + (name,))
 
 
@@ -242,12 +251,12 @@ def _below(check, at):
     if check.__name__ == "read_optional":
         yield from _below(inner["kind"], at)
     elif check.__name__ == "read_array":
-        yield at + (0,), False
+        yield at + (0,), "item"
         yield from _below(inner["item"], at + (0,))
     elif check.__name__ == "read_object":
         yield from _declared(inner["fields"], at)
     elif check.__name__ == "read_tagged":
-        yield at + (inner["tag"],), True
+        yield at + (inner["tag"],), "required"
         for variant in inner["variants"].values():
             yield from _below(variant, at)
 
@@ -297,7 +306,7 @@ def _read_synth_request(path):
     return cli._synth_from_request(json.loads(path.read_text(encoding="utf-8")), path)
 
 
-def test_every_declared_field_is_refused_by_its_path(workdir, line_docs):
+def test_every_declared_field_is_refused_by_its_path(workdir, line_docs, database_doc):
     # Per boundary: its reader, valid inputs, its declared fields, and what
     # follows the file's path in a refusal.
     boundaries = {
@@ -312,26 +321,72 @@ def test_every_declared_field_is_refused_by_its_path(workdir, line_docs):
     }
     for name, (reader, docs, declared, line) in boundaries.items():
         path = workdir / f"declared.{name}"
-        for at, removable in dict(declared).items():
+        for at, rule in dict(declared).items():
+            field = f"{path}{line}: {_field_path(at)}"
+            if rule == "undeclared":
+                # Every valid input that holds the object, so that each
+                # variant of a tagged object is tried.
+                holders = [d for d in docs if _holds(d, at[:-1])]
+                assert holders, f"no valid {name} input holds {_field_path(at[:-1]) or 'a line'}"
+                for doc in holders:
+                    refusal = _rows_or_refusal(reader, path, json.dumps(_mutated(doc, at, 1)))
+                    assert refusal == f"{field}: unexpected field"
+                continue
             doc = next((d for d in docs if _holds(d, at)), None)
             assert doc is not None, f"no valid {name} input holds {_field_path(at)}"
-            field = f"{path}{line}: {_field_path(at)}"
             wrong = _WRONG_TYPE[type(_node(doc, at))]
             refusal = _rows_or_refusal(reader, path, json.dumps(_mutated(doc, at, wrong)))
             assert isinstance(refusal, str) and refusal.startswith(f"{field}: "), refusal
-            if removable:
+            if rule == "required":
                 refusal = _rows_or_refusal(reader, path, json.dumps(_mutated(doc, at, _REMOVE)))
                 assert refusal == f"{field}: missing required field"
-            elif not isinstance(at[-1], int):
-                # An optional field may be left out.
+            elif rule == "optional":
                 assert not isinstance(_rows_or_refusal(reader, path, json.dumps(
                     _mutated(doc, at, _REMOVE))), str)
+
+    # The database names a row by its id once the id is read, or by its
+    # index in ``scenes``; its top level and every row refuse an undeclared key.
+    path = workdir / "declared.db.json"
+    undeclared = {(_UNDECLARED,): f"database.{_UNDECLARED}"}
+    for key, _, by_id, fields in scene_db._TABLES:
+        row = f"{key}[id={database_doc[key][0][next(iter(fields))]}]" if by_id else f"{key}[0]"
+        undeclared[(key, 0, _UNDECLARED)] = f"{row}.{_UNDECLARED}"
+    for at, name in undeclared.items():
+        path.write_text(json.dumps(_mutated(database_doc, at, 1)), encoding="utf-8")
+        with pytest.raises(AnnotationSchemaError) as err:
+            load_database(path)
+        assert str(err.value) == f"{path}: {name}: unexpected field"
 
 
 replies = json_values | st.fixed_dictionaries(
     {"verdict": st.sampled_from(["keep", "drop", "revise", "maybe"]) | json_values},
-    optional={"reason": json_values, "revised_response": st.text(max_size=8) | json_values},
+    optional={
+        "reason": json_values,
+        "revised_response": st.text(max_size=8) | json_values,
+        _UNDECLARED: json_values,
+    },
 )
+
+# Per verdict, the fields beside ``verdict`` that a reply may hold, each with
+# the types it may take, and whether it must be there.
+_VERDICT_FIELDS = {
+    "keep": {},
+    "drop": {"reason": ((str, type(None)), False)},
+    "revise": {"revised_response": ((str,), True)},
+}
+
+
+def _declared_reply(reply):
+    """Whether ``reply`` is a verdict the reply table reads."""
+    verdict = reply.get("verdict") if isinstance(reply, dict) else None
+    fields = _VERDICT_FIELDS.get(verdict) if isinstance(verdict, str) else None
+    if fields is None:
+        return False
+    rest = {key: value for key, value in reply.items() if key != "verdict"}
+    return rest.keys() <= fields.keys() and all(
+        isinstance(rest[name], types) if name in rest else not required
+        for name, (types, required) in fields.items()
+    ) and rest.get("revised_response") != ""
 
 
 @settings(max_examples=100 * SCALE, deadline=None)
@@ -344,9 +399,13 @@ def test_any_reviewer_reply_keeps_rejects_or_flags_the_pair(demo_pairs, reply):
     rejected_ids = [pid for pid, _ in result.rejected]
     assert sorted(kept_ids + rejected_ids) == [pair.pair_id]
     assert all(isinstance(reason, str) for _, reason in result.rejected)
-    verdict = reply.get("verdict") if isinstance(reply, dict) else None
-    if verdict in ("keep", "drop"):
-        assert result.unverified == set()
-    elif verdict != "revise":
+    if not _declared_reply(reply):
         assert result.unverified == {pair.pair_id} and result.kept == [pair]
+    else:
+        assert result.unverified == set()
+        if reply["verdict"] == "drop":
+            reason = reply.get("reason")
+            assert result.rejected == [
+                (pair.pair_id, "dropped by verifier" if reason is None else reason)
+            ]
     assert result.requests == 1

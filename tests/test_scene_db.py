@@ -475,8 +475,8 @@ def test_float_edges_match_golden_digest():
 READER_MESSAGES_SHA256 = {
     "pairs": "3c30d8420962afc50afbf3ee4a9601b538763d47eb5106a332b61345b5e5ca68",
     "predictions": "dc6beb8c6ce4932648aba8b6a613185cfdc3066b8ad7a9084df9a350d443036f",
-    "synth-sample": "4669585e87a529ad4d2cd61bd9ba0fd2add8795fb131df13a22f510d3940046b",
-    "synth-scenes": "218c138c30509bf318f5ad4ae9696719e77fe9dfb5900bdb1af8c71f39b6cc71",
+    "synth-sample": "a3be7b233814b63c90d65e325d22e7496bffc079706b70a3fd08a5774558d48e",
+    "synth-scenes": "85b3e17b3a6ae0fb5dd5836502048750c0c913389e5daba84bdbd69a1c0b9e08",
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import socketserver
 import threading
 import time
@@ -342,6 +343,40 @@ def test_external_non_object_reply_keeps_unverified(samples, reply):
     assert result.unverified == {pair.pair_id}
     assert result.rejected == []
     assert len(server.requests) == 1
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        {"verdict": "keep", "note": "looks fine"},
+        {"verdict": "drop", "reason": "no", "revised_response": "no"},
+        {"verdict": "drop", "reason": {"a": 1}},
+        {"verdict": "drop", "reason": 3},
+        {"verdict": "revise", "revised_response": ""},
+        {"verdict": "revise", "revised_response": "Yes.", "reason": "typo"},
+    ],
+    ids=["keep-extra-key", "drop-extra-key", "object-reason", "int-reason", "empty-revision",
+         "revise-extra-key"],
+)
+def test_external_reply_the_reply_table_refuses_keeps_unverified(samples, reply):
+    pair = samples["label"]
+    with mock_reviewer(lambda payload: reply) as (server, url):
+        result = verify_pairs([pair], url)
+    assert result.kept == [pair] and result.rejected == []
+    assert result.unverified == {pair.pair_id}
+    assert (result.requests, result.retries) == (1, 0)
+
+
+def test_external_reply_holding_nan_is_not_json_and_is_retried(samples, monkeypatch):
+    monkeypatch.setattr(generation, "REVIEW_RETRIES", 1)
+    monkeypatch.setattr(generation.time, "sleep", lambda _: None)
+    pair = samples["label"]
+    # The stdlib encoder writes NaN, which is not JSON.
+    with mock_reviewer(lambda payload: {"verdict": "drop", "reason": math.nan}) as (_, url):
+        result = verify_pairs([pair], url)
+    assert result.kept == [pair] and result.rejected == []
+    assert result.unverified == {pair.pair_id}
+    assert (result.requests, result.retries) == (2, 1)
 
 
 def test_external_malformed_http_reply_keeps_unverified(samples, monkeypatch):
