@@ -40,6 +40,7 @@ from .scene_db import (
     save_database,
     _array,
     _as_float,
+    _as_speed,
     _as_text,
     _object,
     _optional,
@@ -203,6 +204,10 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
         raise CliUsageError(f"--ratios contains a non-number: {text!r}") from None
     if not math.isfinite(a + b + c):
         raise CliUsageError(f"--ratios needs finite numbers with a finite sum, got {text!r}")
+    if min(a, b, c) < 0 or a + b + c == 0:
+        raise CliUsageError(
+            f"--ratios needs non-negative numbers with a positive sum, got {text!r}"
+        )
     return (a, b, c)
 
 
@@ -271,14 +276,14 @@ _SCENES = _array(_object(dict, {
             "y": _as_float,
             "z": _optional(_as_float, 0.0),
             "yaw": _optional(_as_float, 0.0),
-            "speed": _optional(_as_float, 0.0),
+            "speed": _optional(_as_speed, 0.0),
             "lane": _optional(_as_text),
         }), non_empty=True),
     })), ()),
     "n_frames": _optional(_as_frame_count, 3),
     "seed": _optional(json_int, 0),
     "scene_id": _optional(_as_text),
-    "ego_speed": _optional(_as_float, 5.0),
+    "ego_speed": _optional(_as_speed, 5.0),
     "ego_yaw": _optional(_as_float, 0.0),
 }), non_empty=True)
 

@@ -55,13 +55,14 @@ from .task_sql import (
     RiskThresholds,
     Subtask,
     Task,
+    WindowContext,
     closest,
     distance,
     instance_number,
+    nearest_first,
     same_road,
     speeds,
     status,
-    window_context,
 )
 from .textutil import count_mentions, extract_numbers, tokenize
 
@@ -352,20 +353,6 @@ def _pair_id(scene_id: str, window: tuple[str, str, str], subtask: Subtask, targ
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
-def _grounding_view(info: InstanceInfo) -> View:
-    """Deterministic view choice for referencing an instance in text."""
-    for view in View:
-        if view in info.camera_pos:
-            return view
-    raise ValueError(f"instance {info.info_id!r} is visible in no view")
-
-
-def _nearest_first(infos: Iterable[InstanceInfo], cap: int) -> list[InstanceInfo]:
-    """Deterministic per-instance selection: nearest planar range first."""
-    ranked = sorted(infos, key=lambda i: (planar_norm(i.local_t), i.info_id))
-    return ranked[:cap]
-
-
 # Risk and planning pairs record the thresholds their detections used.
 _THRESHOLD_TASKS = (Task.RISK, Task.PLANNING_WITH_REASONING)
 
@@ -380,8 +367,9 @@ def _pairs_for_window(
     frame_i = window[1]
     cap = config.max_instances_per_subtask
     enabled = config.enabled_subtasks
-    ctx = window_context(db, *window)
+    ctx = WindowContext(db, *window)
     current = ctx.current
+    ranked = nearest_first(current)
     all_views = _all_views_seen(current)
     pairs: list[InstructionResponsePair] = []
 
@@ -404,13 +392,11 @@ def _pairs_for_window(
         )
 
     def emit_grounded(subtask: Subtask, info: InstanceInfo, result: Any) -> None:
-        view = _grounding_view(info)
-        instruction = render_instruction(
-            subtask, {"grounding": format_grounding(view, info.camera_pos[view])}
-        )
+        view, box = next(iter(info.camera_pos.items()))
+        instruction = render_instruction(subtask, {"grounding": format_grounding(view, box)})
         emit(subtask, info.info_id, (view,), instruction, result)
 
-    selected = _nearest_first(current, cap)
+    selected = ranked[:cap]
     per_instance_perception = (
         (Subtask.DISTANCE, lambda info: distance(db, info.info_id)),
         (Subtask.SPEEDS, lambda info: speeds(db, info.info_id)),
@@ -448,7 +434,7 @@ def _pairs_for_window(
 
     if enabled & {Subtask.MOTION_OTHERS, Subtask.STATUS_OTHERS}:
         diag.skipped_instances += len(current) - len(ctx.followers)
-    movers = _nearest_first((info for info in current if info.info_id in ctx.followers), cap)
+        movers = [info for info in ranked if info.info_id in ctx.followers][:cap]
 
     if Subtask.MOTION_EGO in enabled:
         instruction = render_instruction(Subtask.MOTION_EGO, {})
@@ -474,27 +460,21 @@ def _pairs_for_window(
         return pairs
     diag.skipped_instances += len(current) - ctx.full_window_rows
     plan = ctx.plan(config.thresholds)
-    # Each risk hit's view, once per instance row, in the order of first hit.
-    hit_views = {
-        info.info_id: _grounding_view(info) for kind in RISK_SUBTASKS for info in plan.risks[kind]
-    }
 
     for kind in risk_enabled:
         items = tuple(
-            DetectionRef(
-                view=hit_views[info.info_id],
-                bbox=info.camera_pos[hit_views[info.info_id]],
-                instance_id=info.instance_id,
-            )
+            DetectionRef(*next(iter(info.camera_pos.items())), info.instance_id)
             for info in plan.risks[kind]
         )
         views = tuple(dict.fromkeys(d.view for d in items)) or (View.FRONT,)
         emit(kind, "risk", views, render_instruction(kind, {}), items)
 
     if Subtask.PLANNING_WITH_REASONING in enabled:
-        contributing = tuple(dict.fromkeys(hit_views.values())) or (View.FRONT,)
+        hits = (info for kind_hits in plan.risks.values() for info in kind_hits)
+        contributing = tuple(dict.fromkeys(next(iter(info.camera_pos)) for info in hits))
         instruction = render_instruction(Subtask.PLANNING_WITH_REASONING, {})
-        emit(Subtask.PLANNING_WITH_REASONING, "plan", contributing, instruction, plan)
+        views = contributing or (View.FRONT,)
+        emit(Subtask.PLANNING_WITH_REASONING, "plan", views, instruction, plan)
 
     return pairs
 

@@ -343,17 +343,20 @@ _as_any_view = _member_of(View)
 
 
 def _as_camera_pos(value: Any) -> dict[View, BBox2D]:
+    """An instance's boxes, checked in input order so a refusal names the
+    first bad key, and held in ``View`` order: the first box is the view a
+    pair's text names the instance by."""
     mapping = _expect_mapping(value)
     if not mapping:
         raise AnnotationSchemaError("", "an instance must be visible in at least one view")
-    out: dict[View, BBox2D] = {}
+    boxes: dict[str, BBox2D] = {}
     for key, item in mapping.items():
         try:
-            view = _as_view(key)  # before the box, so a bad view is named first
-            out[view] = _as_bbox(item)
+            _as_view(key)  # before the box, so a bad view is named first
+            boxes[key] = _as_bbox(item)
         except AnnotationSchemaError as err:
             raise err.within(f"[{key}]")
-    return out
+    return {view: boxes[key] for key, view in _BOX_VIEWS.items() if key in boxes}
 
 
 _as_camera_pos.save = lambda boxes: {view.value: box.as_list() for view, box in boxes.items()}

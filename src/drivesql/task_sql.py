@@ -3,8 +3,11 @@
 Each public function answers one subtask for a window of up to three
 consecutive keyframes (previous, current, next). Perception subtasks read
 the current frame, prediction subtasks relate the current frame to the next
-one, and risk detection relates all three. ``window_context`` computes a
-window's motions, risk inputs and ego move once; the risk predicates and
+one, and risk detection relates all three. ``nearest_first`` is the one
+ranking of a frame's rows, by planar range and then info id. A
+``WindowContext`` holds a window's facts, each computed on its first read:
+the current rows and the ego move with the window check, the follower sweep
+and the risk inputs when a subtask reads them. The risk predicates and
 planning read them from there. The prediction operations and the context
 share one follower sweep (``_followers``) and one ego move (``status_ego``).
 """
@@ -14,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Iterable
 
 from .errors import NonConsecutiveFrames
 from .geometry import Vec3, planar_norm, relative_motion
@@ -118,27 +123,19 @@ def distance(db: SceneDatabase, instance_info_id: str) -> tuple[float, float, fl
     return x, y, planar_norm(info.local_t)
 
 
+def nearest_first(rows: Iterable[InstanceInfo]) -> list[InstanceInfo]:
+    """Rows ranked by planar ego range; ties go to the smaller info id."""
+    return sorted(rows, key=lambda info: (planar_norm(info.local_t), info.info_id))
+
+
 def closest(db: SceneDatabase, frame_id: str) -> dict[View, InstanceInfo]:
-    """Nearest instance per view, including the union view.
-
-    Distance is the planar ego range; ties go to the smaller info id. Views
-    with no visible instance are absent from the result.
-    """
+    """Nearest instance per view, including the union view, ranked by
+    ``nearest_first``. Views with no visible instance are absent from the
+    result."""
     best: dict[View, InstanceInfo] = {}
-
-    def consider(view: View, info: InstanceInfo) -> None:
-        cur = best.get(view)
-        if cur is None:
-            best[view] = info
-            return
-        d_new, d_cur = planar_norm(info.local_t), planar_norm(cur.local_t)
-        if d_new < d_cur or (d_new == d_cur and info.info_id < cur.info_id):
-            best[view] = info
-
-    for info in db.instances_in_frame(frame_id):
-        for view in info.camera_pos:
-            consider(view, info)
-        consider(View.ALL, info)
+    for info in nearest_first(db.instances_in_frame(frame_id)):
+        for view in (*info.camera_pos, View.ALL):
+            best.setdefault(view, info)
     return best
 
 
@@ -341,21 +338,49 @@ _PREDICATES = {
 _NEEDS_NEXT = {kind: kind is not Subtask.LANE_CHANGING for kind in RISK_SUBTASKS}
 
 
-@dataclass(frozen=True)
 class WindowContext:
-    """Facts of one (previous, current, next) window, computed once.
+    """Facts of one (previous, current, next) window of consecutive
+    keyframes, each computed once and only when first read.
 
+    ``current`` and the ego move are computed with the window check.
     ``followers`` maps each current info id with an appearance at the next
     frame to that row and the displacement toward it; ``risk_rows`` pairs
     each current row that has a previous appearance with its predicate
     inputs. Both keep the current frame's row order.
     """
 
-    current: tuple[InstanceInfo, ...]
-    followers: dict[str, tuple[InstanceInfo, Vec3]]
-    risk_rows: tuple[tuple[InstanceInfo, _RiskContext], ...]
-    ego_speed_delta: float
-    ego_motion: Vec3
+    def __init__(self, db: SceneDatabase, frame_prev: str, frame_i: str, frame_next: str):
+        _check_window(db, frame_prev, frame_i, frame_next)
+        self._db, self._window = db, (frame_prev, frame_i, frame_next)
+        self.current = db.instances_in_frame(frame_i)
+        self.ego_speed_delta, self.ego_motion = status_ego(db, frame_i, frame_next)
+
+    @cached_property
+    def followers(self) -> dict[str, tuple[InstanceInfo, Vec3]]:
+        return _followers(self._db, self.current, self._window[2])
+
+    @cached_property
+    def risk_rows(self) -> tuple[tuple[InstanceInfo, _RiskContext], ...]:
+        db, (frame_prev, frame_i, _) = self._db, self._window
+        ego_prev, ego_i = db.ego_in_frame(frame_prev), db.ego_in_frame(frame_i)
+        rows: list[tuple[InstanceInfo, _RiskContext]] = []
+        for info in self.current:
+            prev = db.instance_at_frame(info.instance_id, frame_prev)
+            if prev is None:
+                continue
+            follower = self.followers.get(info.info_id)
+            risk = _RiskContext(
+                m_prev=relative_motion(info.global_t, info.global_r, prev.global_t),
+                m_next=None if follower is None else follower[1],
+                l_i=planar_norm(info.local_t),
+                l_prev=planar_norm(prev.local_t),
+                v_i=info.velocity,
+                v_prev=prev.velocity,
+                same_now=info.road_info == ego_i.road_info,
+                same_prev=prev.road_info == ego_prev.road_info,
+            )
+            rows.append((info, risk))
+        return tuple(rows)
 
     @property
     def full_window_rows(self) -> int:
@@ -381,41 +406,6 @@ class WindowContext:
         )
 
 
-def window_context(
-    db: SceneDatabase, frame_prev: str, frame_i: str, frame_next: str
-) -> WindowContext:
-    """Build the shared facts of a window of three consecutive keyframes."""
-    _check_window(db, frame_prev, frame_i, frame_next)
-    ego_prev, ego_i = db.ego_in_frame(frame_prev), db.ego_in_frame(frame_i)
-    current = db.instances_in_frame(frame_i)
-    followers = _followers(db, current, frame_next)
-    risk_rows: list[tuple[InstanceInfo, _RiskContext]] = []
-    for info in current:
-        prev = db.instance_at_frame(info.instance_id, frame_prev)
-        if prev is None:
-            continue
-        follower = followers.get(info.info_id)
-        risk = _RiskContext(
-            m_prev=relative_motion(info.global_t, info.global_r, prev.global_t),
-            m_next=None if follower is None else follower[1],
-            l_i=planar_norm(info.local_t),
-            l_prev=planar_norm(prev.local_t),
-            v_i=info.velocity,
-            v_prev=prev.velocity,
-            same_now=info.road_info == ego_i.road_info,
-            same_prev=prev.road_info == ego_prev.road_info,
-        )
-        risk_rows.append((info, risk))
-    ego_speed_delta, ego_motion = status_ego(db, frame_i, frame_next)
-    return WindowContext(
-        current=current,
-        followers=followers,
-        risk_rows=tuple(risk_rows),
-        ego_speed_delta=ego_speed_delta,
-        ego_motion=ego_motion,
-    )
-
-
 def detect_risk(
     db: SceneDatabase,
     kind: Subtask,
@@ -431,8 +421,7 @@ def detect_risk(
     """
     if kind not in RISK_SUBTASKS:
         raise ValueError(f"{kind} is not a risk kind")
-    ctx = window_context(db, frame_prev, frame_i, frame_next)
-    return ctx.risk_hits(kind, thresholds)
+    return WindowContext(db, frame_prev, frame_i, frame_next).risk_hits(kind, thresholds)
 
 
 def planning_with_reasoning(
@@ -443,4 +432,4 @@ def planning_with_reasoning(
     thresholds: RiskThresholds = RiskThresholds(),
 ) -> PlanningResult:
     """Combine all six risk detections with the ego's own next move."""
-    return window_context(db, frame_prev, frame_i, frame_next).plan(thresholds)
+    return WindowContext(db, frame_prev, frame_i, frame_next).plan(thresholds)

@@ -722,6 +722,10 @@ def _wrong_type_cases():
         ({"scenes": [{"n_frame": 5, "scripts": []}]}, "scenes[0].n_frame: unexpected field"),
         ({"scenes": [{"scripts": [{"waypoints": [{**waypoint, "speeed": 2}]}]}]},
          "scenes[0].scripts[0].waypoints[0].speeed: unexpected field"),
+        ({"scenes": [{"ego_speed": -1.0, "scripts": [{"waypoints": [waypoint]}]}]},
+         "scenes[0].ego_speed: speed must be non-negative"),
+        ({"scenes": [{"scripts": [{"waypoints": [{**waypoint, "speed": -2.0}]}]}]},
+         "scenes[0].scripts[0].waypoints[0].speed: speed must be non-negative"),
     ]:
         yield (request_doc, where)
 
@@ -839,14 +843,23 @@ def test_jsonl_lines_may_hold_unicode_line_breaks_in_strings(tmp_path, demo_pair
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("ratios", ["1,1,nan", "1,1,inf", "1e308,1e308,1"])
+_RATIO_REFUSALS = {
+    "1,1,nan": "finite numbers with a finite sum",
+    "1,1,inf": "finite numbers with a finite sum",
+    "1e308,1e308,1": "finite numbers with a finite sum",
+    "-1,1,1": "non-negative numbers with a positive sum",
+    "0,0,0": "non-negative numbers with a positive sum",
+}
+
+
+@pytest.mark.parametrize("ratios", list(_RATIO_REFUSALS))
 def test_split_refuses_ratios_without_a_finite_sum(tmp_path, capsys, ratios):
     out = tmp_path / "splits"
     # The pairs file does not exist: refusing the ratios first exits 1, not 2.
     argv = ["split", str(tmp_path / "missing.jsonl"), "-o", str(out), f"--ratios={ratios}"]
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: --ratios needs finite numbers with a finite sum")
+    assert err.startswith(f"error: --ratios needs {_RATIO_REFUSALS[ratios]}")
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -452,12 +452,18 @@ def test_each_window_computes_each_motion_once(demo_db, monkeypatch):
     calls = []
     counted = lambda *args: calls.append(args) or relative_motion(*args)  # noqa: E731
     monkeypatch.setattr(task_sql, "relative_motion", counted)
-    config = GenerationConfig()
-    for scene in demo_db.scenes.values():
-        for start in range(len(scene.frame_ids) - 2):
-            window = tuple(scene.frame_ids[start : start + 3])
-            calls.clear()
-            diag = GenerationDiagnostics()
-            pairs = _pairs_for_window(demo_db, scene.scene_id, window, config, diag)
-            assert pairs[-1].subtask is Subtask.PLANNING_WITH_REASONING
-            assert len(calls) <= 2 * len(demo_db.instances_in_frame(window[1])) + 1
+    # Per enabled set: its last subtask and the most motions a window computes
+    # for ``n`` current rows. The ego move alone sweeps no row.
+    for enabled, last, most in (
+        (frozenset(Subtask), Subtask.PLANNING_WITH_REASONING, lambda n: 2 * n + 1),
+        (frozenset({Subtask.MOTION_EGO}), Subtask.MOTION_EGO, lambda n: 1),
+    ):
+        config = GenerationConfig(enabled_subtasks=enabled)
+        for scene in demo_db.scenes.values():
+            for start in range(len(scene.frame_ids) - 2):
+                window = tuple(scene.frame_ids[start : start + 3])
+                calls.clear()
+                diag = GenerationDiagnostics()
+                pairs = _pairs_for_window(demo_db, scene.scene_id, window, config, diag)
+                assert pairs[-1].subtask is last
+                assert len(calls) <= most(len(demo_db.instances_in_frame(window[1])))

@@ -260,6 +260,22 @@ def test_persistence_round_trip(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+def test_boxes_are_held_in_view_order(tmp_path):
+    ann = random_corpus(6, seed=3)
+    rng = random.Random(5)
+    for row in ann["instances"]:
+        keys = list(row["camera_pos"])
+        rng.shuffle(keys)
+        row["camera_pos"] = {key: row["camera_pos"][key] for key in keys}
+    assert any(len(row["camera_pos"]) > 1 for row in ann["instances"])
+    built, path = build_database(ann), tmp_path / "db.json"
+    save_database(built, path)
+    # A saved database holds each row's boxes with their keys sorted.
+    for db in (built, load_database(path)):
+        for info in db.instances.values():
+            assert list(info.camera_pos) == [v for v in View if v in info.camera_pos]
+
+
 def test_document_order_is_canonical():
     ann = random_corpus(4, seed=8)
     db = build_database(ann)
@@ -476,7 +492,7 @@ READER_MESSAGES_SHA256 = {
     "pairs": "3c30d8420962afc50afbf3ee4a9601b538763d47eb5106a332b61345b5e5ca68",
     "predictions": "dc6beb8c6ce4932648aba8b6a613185cfdc3066b8ad7a9084df9a350d443036f",
     "synth-sample": "a3be7b233814b63c90d65e325d22e7496bffc079706b70a3fd08a5774558d48e",
-    "synth-scenes": "85b3e17b3a6ae0fb5dd5836502048750c0c913389e5daba84bdbd69a1c0b9e08",
+    "synth-scenes": "cf058a5878c8874108a286166db50206250c93c461f1d8c9a5b9b4e8e45b7b27",
 }
 
 
