@@ -29,6 +29,7 @@ from .geometry import planar_norm
 from .scene_db import (
     IMAGE_HEIGHT,
     IMAGE_WIDTH,
+    REAL_VIEWS,
     BBox2D,
     Check,
     InstanceInfo,
@@ -56,9 +57,9 @@ from .task_sql import (
     Subtask,
     Task,
     WindowContext,
-    closest,
+    category_counts,
     distance,
-    instance_number,
+    first_per_view,
     nearest_first,
     same_road,
     speeds,
@@ -370,7 +371,6 @@ def _pairs_for_window(
     ctx = WindowContext(db, *window)
     current = ctx.current
     ranked = nearest_first(current)
-    all_views = _all_views_seen(current)
     pairs: list[InstructionResponsePair] = []
 
     def emit(
@@ -408,8 +408,12 @@ def _pairs_for_window(
             for info in selected:
                 emit_grounded(subtask, info, op(info))
 
+    if enabled & {Subtask.CLOSEST, Subtask.INSTANCE_NUMBER}:
+        counts = category_counts(current)
+        all_views = tuple(view for view in REAL_VIEWS if counts[view]) or (View.FRONT,)
+
     if Subtask.CLOSEST in enabled:
-        nearest = closest(db, frame_i)
+        nearest = first_per_view(ranked)
         for view in View:
             info = nearest.get(view)
             if info is None:
@@ -419,7 +423,6 @@ def _pairs_for_window(
             emit(Subtask.CLOSEST, view.value, views, instruction, (view, info))
 
     if Subtask.INSTANCE_NUMBER in enabled:
-        counts = instance_number(db, frame_i)
         for view in View:
             per_view = counts[view]
             for category in sorted(per_view):
@@ -477,11 +480,6 @@ def _pairs_for_window(
         emit(Subtask.PLANNING_WITH_REASONING, "plan", views, instruction, plan)
 
     return pairs
-
-
-def _all_views_seen(infos: tuple[InstanceInfo, ...]) -> tuple[View, ...]:
-    seen = [v for v in View if any(v in info.camera_pos for info in infos)]
-    return tuple(seen) or (View.FRONT,)
 
 
 def _generate_scene(
@@ -683,6 +681,11 @@ def offline_check(pair: InstructionResponsePair, db: SceneDatabase | None = None
         for frame_id in pair.frame_ids:
             if frame_id not in db.frames:
                 return f"pair references unknown frame {frame_id!r}"
+        if not db.are_consecutive(*pair.frame_ids):
+            return "pair frames are not consecutive keyframes of one scene"
+        scene_id = db.scene_of_frame(pair.frame_ids[0]).scene_id
+        if scene_id != pair.scene_id:
+            return f"pair frames belong to scene {scene_id!r}, not {pair.scene_id!r}"
     if not _truth_fits_subtask(pair):
         return f"ground truth type does not fit subtask {pair.subtask.value}"
     truth = pair.ground_truth

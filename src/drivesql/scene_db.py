@@ -51,13 +51,6 @@ class View(Enum):
 REAL_VIEWS: tuple[View, ...] = tuple(v for v in View if v is not View.ALL)
 
 
-class TableKind(Enum):
-    SCENE = "scene"
-    FRAME = "frame"
-    EGO = "ego"
-    INSTANCE = "instance"
-
-
 @dataclass(frozen=True)
 class BBox2D:
     """Axis-aligned pixel box with x1 < x2 and y1 < y2."""
@@ -132,51 +125,42 @@ class SceneDatabase:
     important_radius: float
     frame_to_scene: dict[str, str]
 
-    def query(self, table: TableKind | str, record_id: str):
-        kind = TableKind(table) if isinstance(table, str) else table
-        store: Mapping[str, Any] = {
-            TableKind.SCENE: self.scenes,
-            TableKind.FRAME: self.frames,
-            TableKind.EGO: self.ego,
-            TableKind.INSTANCE: self.instances,
-        }[kind]
+    def frame(self, frame_id: str) -> FrameRecord:
         try:
-            return store[record_id]
+            return self.frames[frame_id]
         except KeyError:
-            raise RecordNotFound(kind.value, record_id) from None
+            raise RecordNotFound("frame", frame_id) from None
+
+    def instance(self, info_id: str) -> InstanceInfo:
+        try:
+            return self.instances[info_id]
+        except KeyError:
+            raise RecordNotFound("instance", info_id) from None
 
     def instance_at_frame(self, instance_id: str, frame_id: str) -> InstanceInfo | None:
         """Appearance row of a persistent instance at one frame, if any."""
-        if frame_id not in self.frames:
-            raise RecordNotFound(TableKind.FRAME.value, frame_id)
+        self.frame(frame_id)
         info_id = self.instance_frame_index.get((instance_id, frame_id))
         if info_id is None:
             return None
         return self.instances[info_id]
 
     def instances_in_frame(self, frame_id: str) -> tuple[InstanceInfo, ...]:
-        frame: FrameRecord = self.query(TableKind.FRAME, frame_id)
-        return tuple(self.instances[i] for i in frame.instance_info_ids)
+        return tuple(self.instances[i] for i in self.frame(frame_id).instance_info_ids)
 
     def ego_in_frame(self, frame_id: str) -> EgoInfo:
-        frame: FrameRecord = self.query(TableKind.FRAME, frame_id)
-        return self.ego[frame.ego_info_id]
+        return self.ego[self.frame(frame_id).ego_info_id]
 
     def scene_of_frame(self, frame_id: str) -> SceneRecord:
-        if frame_id not in self.frames:
-            raise RecordNotFound(TableKind.FRAME.value, frame_id)
+        self.frame(frame_id)
         return self.scenes[self.frame_to_scene[frame_id]]
 
     def are_consecutive(self, *frame_ids: str) -> bool:
         """True when the frames sit adjacently, in order, in one scene."""
         if not frame_ids:
             return False
-        scene = self.scene_of_frame(frame_ids[0])
-        order = scene.frame_ids
-        try:
-            start = order.index(frame_ids[0])
-        except ValueError:
-            return False
+        order = self.scene_of_frame(frame_ids[0]).frame_ids
+        start = order.index(frame_ids[0])
         return order[start : start + len(frame_ids)] == tuple(frame_ids)
 
 

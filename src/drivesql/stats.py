@@ -75,7 +75,7 @@ def compute_stats(
     task_view: dict[Task, Counter[View]] = {task: Counter() for task in Task}
     for pair in pairs:
         for frame_id in pair.frame_ids:
-            db.query("frame", frame_id)
+            db.frame(frame_id)
         per_subtask[pair.subtask] += 1
         task = pair.subtask.task
         per_task[task] += 1
@@ -95,8 +95,8 @@ def compute_stats(
             for view in REAL_VIEWS
         }
 
-    appearances = len(db.instance_frame_index)
-    distinct_instances = {iid for iid, _ in db.instance_frame_index}
+    appearances = len(db.instances)
+    distinct_instances = {info.instance_id for info in db.instances.values()}
     return DatasetStats(
         pairs_total=total,
         pairs_per_subtask={s: per_subtask[s] for s in Subtask},

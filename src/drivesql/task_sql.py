@@ -4,7 +4,9 @@ Each public function answers one subtask for a window of up to three
 consecutive keyframes (previous, current, next). Perception subtasks read
 the current frame, prediction subtasks relate the current frame to the next
 one, and risk detection relates all three. ``nearest_first`` is the one
-ranking of a frame's rows, by planar range and then info id. A
+ranking of a frame's rows, by planar range and then info id; ``closest``
+and ``instance_number`` wrap the row-level ``first_per_view`` and
+``category_counts`` that generation calls on a window's rows. A
 ``WindowContext`` holds a window's facts, each computed on its first read:
 the current rows and the ego move with the window check, the follower sweep
 and the risk inputs when a subtask reads them. The risk predicates and
@@ -118,7 +120,7 @@ class PlanningResult:
 
 def distance(db: SceneDatabase, instance_info_id: str) -> tuple[float, float, float]:
     """Planar offsets of an instance in the ego frame plus their norm."""
-    info: InstanceInfo = db.query("instance", instance_info_id)
+    info = db.instance(instance_info_id)
     x, y = info.local_t.x, info.local_t.y
     return x, y, planar_norm(info.local_t)
 
@@ -128,25 +130,22 @@ def nearest_first(rows: Iterable[InstanceInfo]) -> list[InstanceInfo]:
     return sorted(rows, key=lambda info: (planar_norm(info.local_t), info.info_id))
 
 
-def closest(db: SceneDatabase, frame_id: str) -> dict[View, InstanceInfo]:
-    """Nearest instance per view, including the union view, ranked by
-    ``nearest_first``. Views with no visible instance are absent from the
-    result."""
+def first_per_view(ranked: Iterable[InstanceInfo]) -> dict[View, InstanceInfo]:
+    """Each view's first row of ``ranked``, including the union view. Views
+    with no visible row are absent from the result."""
     best: dict[View, InstanceInfo] = {}
-    for info in nearest_first(db.instances_in_frame(frame_id)):
+    for info in ranked:
         for view in (*info.camera_pos, View.ALL):
             best.setdefault(view, info)
     return best
 
 
-def instance_number(db: SceneDatabase, frame_id: str) -> dict[View, dict[str, int]]:
-    """Category counts per view; a missing category means a count of zero.
-
-    The union view counts each frame instance exactly once, regardless of
-    how many cameras see it.
-    """
+def category_counts(rows: Iterable[InstanceInfo]) -> dict[View, dict[str, int]]:
+    """Category counts of ``rows`` per view; a missing category means a
+    count of zero. The union view counts each row exactly once, regardless
+    of how many cameras see it."""
     counts: dict[View, dict[str, int]] = {view: {} for view in View}
-    for info in db.instances_in_frame(frame_id):
+    for info in rows:
         for view in info.camera_pos:
             per_view = counts[view]
             per_view[info.category] = per_view.get(info.category, 0) + 1
@@ -155,22 +154,29 @@ def instance_number(db: SceneDatabase, frame_id: str) -> dict[View, dict[str, in
     return counts
 
 
+def closest(db: SceneDatabase, frame_id: str) -> dict[View, InstanceInfo]:
+    """Nearest instance per view of the frame, ranked by ``nearest_first``."""
+    return first_per_view(nearest_first(db.instances_in_frame(frame_id)))
+
+
+def instance_number(db: SceneDatabase, frame_id: str) -> dict[View, dict[str, int]]:
+    """Category counts per view of the frame's instances."""
+    return category_counts(db.instances_in_frame(frame_id))
+
+
 def speeds(db: SceneDatabase, instance_info_id: str) -> float:
     """Annotated speed of the appearance row, in meters per second."""
-    info: InstanceInfo = db.query("instance", instance_info_id)
-    return info.velocity
+    return db.instance(instance_info_id).velocity
 
 
 def status(db: SceneDatabase, instance_info_id: str) -> str:
     """Annotated movement attribute of the appearance row."""
-    info: InstanceInfo = db.query("instance", instance_info_id)
-    return info.attribute
+    return db.instance(instance_info_id).attribute
 
 
 def same_road(db: SceneDatabase, instance_info_id: str, frame_id: str) -> bool:
     """Whether the instance's road map equals the ego's at this frame."""
-    info: InstanceInfo = db.query("instance", instance_info_id)
-    return info.road_info == db.ego_in_frame(frame_id).road_info
+    return db.instance(instance_info_id).road_info == db.ego_in_frame(frame_id).road_info
 
 
 # ---------------------------------------------------------------- prediction
@@ -231,7 +237,7 @@ def status_others(
 
 def _check_window(db: SceneDatabase, *frame_ids: str) -> None:
     for frame_id in frame_ids:
-        db.query("frame", frame_id)
+        db.frame(frame_id)
     if not db.are_consecutive(*frame_ids):
         raise NonConsecutiveFrames(
             f"frames {frame_ids!r} are not consecutive keyframes of one scene"

@@ -992,6 +992,36 @@ def test_verify_db_rejects_pairs_whose_frames_it_does_not_hold(pipeline):
     ]
 
 
+def test_verify_db_rejects_pairs_whose_frames_are_not_a_window_of_their_scene(pipeline):
+    import dataclasses
+
+    tmp_path, _, db, pairs_path = pipeline
+    pairs = read_pairs_jsonl(pairs_path)
+    relabelled, reordered, foreign = [p for p in pairs if p.subtask.value == "distance"][:3]
+    there = next(p for p in pairs if p.scene_id not in (relabelled.scene_id, foreign.scene_id))
+    first, mid, _ = foreign.frame_ids
+    edited = tmp_path / "edited.jsonl"
+    write_pairs_jsonl(
+        [
+            dataclasses.replace(relabelled, scene_id=there.scene_id),
+            dataclasses.replace(reordered, frame_ids=reordered.frame_ids[::-1]),
+            dataclasses.replace(foreign, frame_ids=(first, mid, there.frame_ids[0])),
+        ],
+        edited,
+    )
+    kept = tmp_path / "kept.jsonl"
+    assert run(["verify", str(edited), "-o", str(kept), "--db", str(db)]) == 0
+    report = json.loads(Path(f"{kept}.report.json").read_text())
+    assert report["kept"] == 0
+    consecutive = "format contract: pair frames are not consecutive keyframes of one scene"
+    assert [r["reason"] for r in report["rejected"]] == [
+        f"format contract: pair frames belong to scene {relabelled.scene_id!r}, "
+        f"not {there.scene_id!r}",
+        consecutive,
+        consecutive,
+    ]
+
+
 def test_verify_manifest_counts_retries_to_an_unreachable_reviewer(tmp_path, demo_pairs, capsys):
     pairs = tmp_path / "pairs.jsonl"
     write_pairs_jsonl(demo_pairs[:3], pairs)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from drivesql import task_sql
+from drivesql import generation, task_sql
 from drivesql.canonical import canonical_dumps
 from drivesql.errors import IneligibleScene, TemplateError
 from drivesql.generation import (
@@ -467,3 +467,27 @@ def test_each_window_computes_each_motion_once(demo_db, monkeypatch):
                 pairs = _pairs_for_window(demo_db, scene.scene_id, window, config, diag)
                 assert pairs[-1].subtask is last
                 assert len(calls) <= most(len(demo_db.instances_in_frame(window[1])))
+
+
+def test_each_window_reads_and_ranks_its_current_frame_once(demo_db, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    monkeypatch.setattr(
+        SceneDatabase,
+        "instances_in_frame",
+        counted("read", SceneDatabase.instances_in_frame),
+    )
+    ranked = counted("rank", task_sql.nearest_first)
+    monkeypatch.setattr(task_sql, "nearest_first", ranked)
+    monkeypatch.setattr(generation, "nearest_first", ranked)
+    for scene in demo_db.scenes.values():
+        for start in range(len(scene.frame_ids) - 2):
+            window = tuple(scene.frame_ids[start : start + 3])
+            calls.clear()
+            _pairs_for_window(
+                demo_db, scene.scene_id, window, GenerationConfig(), GenerationDiagnostics()
+            )
+            assert calls == {"read": 1, "rank": 1}, window

@@ -92,15 +92,24 @@ def test_filter_matches_brute_force_oracle():
         assert list(frame.instance_info_ids) == oracle.frames[frame_id]["instance_info_ids"]
 
 
-def test_query_roundtrip_and_missing(small_annotations):
+def test_lookups_return_rows_and_name_missing_ids(small_annotations):
     db = build_database(small_annotations)
-    frame_id = next(iter(db.frames))
-    assert db.query("frame", frame_id).frame_id == frame_id
-    with pytest.raises(RecordNotFound) as err:
-        db.query("frame", "missing")
-    assert "frame" in str(err.value) and "missing" in str(err.value)
-    with pytest.raises(ValueError):
-        db.query("not_a_table", frame_id)
+    frame_id, info_id = next(iter(db.frames)), next(iter(db.instances))
+    assert db.frame(frame_id) is db.frames[frame_id]
+    assert db.instance(info_id) is db.instances[info_id]
+    with pytest.raises(RecordNotFound, match="^no instance record with id 'missing'$"):
+        db.instance("missing")
+    frame_lookups = (
+        db.frame,
+        db.instances_in_frame,
+        db.ego_in_frame,
+        lambda frame_id: db.instance_at_frame("any", frame_id),
+        db.scene_of_frame,
+    )
+    for lookup in frame_lookups:
+        with pytest.raises(RecordNotFound, match="^no frame record with id 'missing'$") as err:
+            lookup("missing")
+        assert (err.value.table, err.value.record_id) == ("frame", "missing")
 
 
 def test_instance_at_frame_matches_linear_scan():

@@ -115,6 +115,24 @@ def test_pair_with_a_frame_outside_the_database(demo_db, samples):
         assert offline_check(broken, demo_db) == "pair references unknown frame 'nowhere'"
 
 
+def test_pair_whose_frames_are_not_a_window_of_its_scene(demo_db, samples):
+    pair = samples["numeric"]
+    here = demo_db.scenes[pair.scene_id]
+    there = next(scene for scene in demo_db.scenes.values() if scene is not here)
+    first, mid, last = pair.frame_ids
+    consecutive = "pair frames are not consecutive keyframes of one scene"
+    for broken, reason in (
+        (
+            dataclasses.replace(pair, scene_id=there.scene_id),
+            f"pair frames belong to scene {here.scene_id!r}, not {there.scene_id!r}",
+        ),
+        (dataclasses.replace(pair, frame_ids=(mid, first, last)), consecutive),
+        (dataclasses.replace(pair, frame_ids=(first, mid, there.frame_ids[0])), consecutive),
+    ):
+        assert offline_check(broken) is None  # without a database frames are unchecked
+        assert offline_check(broken, demo_db) == reason
+
+
 def test_risk_pair_requires_thresholds(samples):
     broken = dataclasses.replace(samples["risk_empty"], thresholds_used=None)
     assert "thresholds" in offline_check(broken)
