@@ -14,6 +14,11 @@ from .errors import DriveSqlError
 T = TypeVar("T")
 
 
+# One encoder for every call: ``json.dumps`` with options builds a new one
+# each time, which costs about a third of a pairs line's encoding.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_dumps(obj: Any) -> str:
     """Serialize with sorted keys and compact separators.
 
@@ -21,7 +26,7 @@ def canonical_dumps(obj: Any) -> str:
     a loaded document reproduces the original bytes. NaN and infinity are
     not JSON and raise ``ValueError``.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:

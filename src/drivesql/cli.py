@@ -12,48 +12,68 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import math
 import sys
 import time
 import urllib.parse
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from .canonical import canonical_dumps, read_json, read_text, write_json
-from .errors import AnnotationSchemaError, DriveSqlError, RecordNotFound
-from .evaluation import evaluate, read_predictions_jsonl, split_dataset
-from .generation import (
-    GenerationConfig,
-    generate_dataset,
-    read_pairs_jsonl,
-    verify_pairs,
-    write_pairs_jsonl,
-)
+from .errors import DriveSqlError, RecordNotFound
 from .scene_db import (
     DEFAULT_IMPORTANT_RADIUS,
     build_database,
-    json_bool,
-    json_int,
     load_database,
     naming_file,
     save_database,
-    _array,
-    _as_float,
-    _as_speed,
-    _as_text,
-    _object,
-    _optional,
-    _read_fields,
 )
-from .stats import compute_stats, view_percent_csv
-from .synth import ScenarioScript, Waypoint, demo_corpus, merge_scenes, synth_scene
-from .task_sql import RISK_SUBTASKS, RiskThresholds, Subtask
-from .geometry import Vec3
+from .task_sql import RiskThresholds, Subtask
+
+if TYPE_CHECKING:
+    from .generation import GenerationConfig
 
 __all__ = ["main", "run"]
 
 TOOL_VERSION = "0.1.0"
+
+
+# Names from modules that only some subcommands run, imported on first read
+# and then bound here, so that each subcommand loads only what it runs:
+# build-db loads none of generation, evaluation, stats and synth, and
+# generate none of the last three. The handlers read them through ``_lazy``,
+# this module, so that a caller who replaces one here (a tracer, say)
+# replaces it for them too.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("generation", (
+            "GenerationConfig",
+            "generate_dataset",
+            "read_pairs_jsonl",
+            "verify_pairs",
+            "write_pairs_jsonl",
+        )),
+        ("evaluation", ("evaluate", "read_predictions_jsonl", "split_dataset")),
+        ("stats", ("compute_stats", "view_percent_csv")),
+        ("synth", ("read_synth_request",)),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str) -> Any:
+    """A name of ``_LAZY``, imported and bound here on its first read."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_lazy = sys.modules[__name__]
 
 
 class CliUsageError(ValueError):
@@ -211,96 +231,6 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     return (a, b, c)
 
 
-# ------------------------------------------------------------- synth request
-# The synth request, declared once as field tables: a sample of the demo
-# corpus, or scripted scenes. An absent or null optional field takes the
-# default given here.
-
-
-# The largest counts a request may ask for. 10,000 random scenes hold about
-# half the instance rows of the reference scale (850 scenes, 321k rows), and
-# 1,000 keyframes are 25 times a 40-keyframe scene.
-MAX_RANDOM_SCENES = 10_000
-MAX_SCENE_FRAMES = 1_000
-
-
-def _count(low: int, high: int, too_few: str) -> Callable[[Any], int]:
-    """The check of an integer from ``low`` to ``high``; ``too_few`` words the
-    refusal of a smaller one, with ``{}`` standing for the value."""
-
-    def read_count(value: Any) -> int:
-        count = json_int(value)
-        if count < low:
-            raise AnnotationSchemaError("", too_few.format(count))
-        if count > high:
-            raise AnnotationSchemaError("", f"expected at most {high}, got {count}")
-        return count
-
-    return read_count
-
-
-_as_scene_count = _count(0, MAX_RANDOM_SCENES, "expected a non-negative count, got {}")
-_as_frame_count = _count(1, MAX_SCENE_FRAMES, "a scene needs at least one frame")
-
-
-_RISK_KINDS = {subtask.value: subtask for subtask in RISK_SUBTASKS}
-
-
-def _as_risk_kind(value: Any) -> Subtask:
-    name = _as_text(value)
-    if name not in _RISK_KINDS:
-        raise AnnotationSchemaError("", f"expected a risk kind, got {name!r}")
-    return _RISK_KINDS[name]
-
-
-def _waypoint(t: float, x: float, y: float, z: float, **rest: Any) -> Waypoint:
-    return Waypoint(t=t, pos=Vec3(x, y, z), **rest)
-
-
-_SAMPLE = _object(demo_corpus, {
-    "n_random": _optional(_as_scene_count, 20),
-    "seed": _optional(json_int, 0),
-    "include_curated": _optional(json_bool, True),
-})
-
-# Each scene reads as ``synth_scene``'s arguments; a scene without an id is
-# named by its index.
-_SCENES = _array(_object(dict, {
-    "scripts": _optional(_array(_object(ScenarioScript, {
-        "kind": _optional(_as_risk_kind),
-        "category": _optional(_as_text, "car"),
-        "lane": _optional(_as_text, "2"),
-        "waypoints": _array(_object(_waypoint, {
-            "t": _as_float,
-            "x": _as_float,
-            "y": _as_float,
-            "z": _optional(_as_float, 0.0),
-            "yaw": _optional(_as_float, 0.0),
-            "speed": _optional(_as_speed, 0.0),
-            "lane": _optional(_as_text),
-        }), non_empty=True),
-    })), ()),
-    "n_frames": _optional(_as_frame_count, 3),
-    "seed": _optional(json_int, 0),
-    "scene_id": _optional(_as_text),
-    "ego_speed": _optional(_as_speed, 5.0),
-    "ego_yaw": _optional(_as_float, 0.0),
-}), non_empty=True)
-
-
-def _synth_from_request(doc: Any, path: Path) -> dict[str, Any]:
-    """The annotations a synth request asks for: its ``sample`` if it has
-    one, else its ``scenes``. A request holding both is refused."""
-    with naming_file(path):
-        if type(doc) is dict and "sample" in doc:
-            return _read_fields(doc, {"sample": _SAMPLE})["sample"]
-        scenes = _read_fields(doc, {"scenes": _SCENES})["scenes"]
-    for i, scene in enumerate(scenes):
-        if scene["scene_id"] is None:
-            scene["scene_id"] = f"scene_{i:04d}"
-    return merge_scenes([synth_scene(**scene) for scene in scenes])
-
-
 # --------------------------------------------------------------- subcommands
 
 
@@ -330,7 +260,7 @@ def _generation_config(args: argparse.Namespace) -> GenerationConfig:
     thresholds = RiskThresholds()
     if args.thresholds is not None:
         thresholds = _parse_thresholds_file(Path(args.thresholds))
-    return GenerationConfig(
+    return _lazy.GenerationConfig(
         master_seed=args.seed,
         windows_per_scene=args.windows,
         max_instances_per_subtask=args.max_instances,
@@ -345,10 +275,10 @@ def _cmd_generate(args: argparse.Namespace, stage: _Stage) -> int:
     with stage.phase("load"):
         db = load_database(src)
     with stage.phase("generate"):
-        pairs, diag = generate_dataset(db, config, jobs=args.jobs)
+        pairs, diag = _lazy.generate_dataset(db, config, jobs=args.jobs)
     out = Path(args.output)
     with stage.phase("write"):
-        write_pairs_jsonl(pairs, out)
+        _lazy.write_pairs_jsonl(pairs, out)
     stage.config = {
         "seed": args.seed,
         "windows": args.windows,
@@ -369,10 +299,10 @@ def _cmd_generate(args: argparse.Namespace, stage: _Stage) -> int:
 def _cmd_verify(args: argparse.Namespace, stage: _Stage) -> int:
     src = Path(args.pairs)
     with stage.phase("load"):
-        pairs = read_pairs_jsonl(src)
+        pairs = _lazy.read_pairs_jsonl(src)
         db = load_database(Path(args.db)) if args.db is not None else None
     with stage.phase("verify"):
-        result = verify_pairs(pairs, args.verifier, db)
+        result = _lazy.verify_pairs(pairs, args.verifier, db)
     out = Path(args.output)
     report = {
         "kept": len(result.kept),
@@ -382,7 +312,7 @@ def _cmd_verify(args: argparse.Namespace, stage: _Stage) -> int:
     }
     report_path = Path(f"{out}.report.json")
     with stage.phase("write"):
-        write_pairs_jsonl(result.kept, out)
+        _lazy.write_pairs_jsonl(result.kept, out)
         write_json(report_path, report)
     stage.config = {"verifier": args.verifier or "offline", "db": args.db or ""}
     stage.inputs = [src] + ([Path(args.db)] if args.db is not None else [])
@@ -405,12 +335,12 @@ def _cmd_split(args: argparse.Namespace, stage: _Stage) -> int:
     ratios = _parse_ratios(args.ratios)
     src = Path(args.pairs)
     with stage.phase("load"):
-        pairs = read_pairs_jsonl(src)
+        pairs = _lazy.read_pairs_jsonl(src)
     if not pairs:
         raise CliUsageError(f"{src}: no pairs to split")
     with stage.phase("split"):
         scene_ids = {pair.scene_id for pair in pairs}
-        split = split_dataset(scene_ids, ratios=ratios, seed=args.seed)
+        split = _lazy.split_dataset(scene_ids, ratios=ratios, seed=args.seed)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage.config = {"ratios": list(ratios), "seed": args.seed}
@@ -419,7 +349,7 @@ def _cmd_split(args: argparse.Namespace, stage: _Stage) -> int:
         for name, ids in (("train", split.train), ("val", split.val), ("test", split.test)):
             bucket = set(ids)
             target = out_dir / f"{name}.jsonl"
-            write_pairs_jsonl([p for p in pairs if p.scene_id in bucket], target)
+            _lazy.write_pairs_jsonl([p for p in pairs if p.scene_id in bucket], target)
             stage.outputs.append(target)
     print(
         f"split {len(scene_ids)} scenes into "
@@ -432,11 +362,11 @@ def _cmd_stats(args: argparse.Namespace, stage: _Stage) -> int:
     pairs_path = Path(args.pairs)
     db_path = Path(args.database)
     with stage.phase("load"):
-        pairs = read_pairs_jsonl(pairs_path)
+        pairs = _lazy.read_pairs_jsonl(pairs_path)
         db = load_database(db_path)
     with stage.phase("stats"):
         try:
-            stats = compute_stats(pairs, db)
+            stats = _lazy.compute_stats(pairs, db)
         except RecordNotFound as err:
             # The first pair that names the missing frame is the one refused.
             pair = next(p for p in pairs if err.record_id in p.frame_ids)
@@ -445,7 +375,7 @@ def _cmd_stats(args: argparse.Namespace, stage: _Stage) -> int:
     csv_path = Path(f"{out}.views.csv")
     with stage.phase("write"):
         write_json(out, stats.as_dict())
-        view_percent_csv(stats, csv_path)
+        _lazy.view_percent_csv(stats, csv_path)
     stage.inputs, stage.outputs = [pairs_path, db_path], [out, csv_path]
     print(
         f"{stats.pairs_total} pairs, {stats.keyframes} keyframes, "
@@ -458,10 +388,10 @@ def _cmd_eval(args: argparse.Namespace, stage: _Stage) -> int:
     pairs_path = Path(args.pairs)
     preds_path = Path(args.predictions)
     with stage.phase("load"):
-        pairs = read_pairs_jsonl(pairs_path)
-        preds = read_predictions_jsonl(preds_path)
+        pairs = _lazy.read_pairs_jsonl(pairs_path)
+        preds = _lazy.read_predictions_jsonl(preds_path)
     with stage.phase("eval"):
-        report = evaluate(pairs, preds)
+        report = _lazy.evaluate(pairs, preds)
     out = Path(args.output)
     with stage.phase("write"):
         write_json(out, report.as_dict())
@@ -480,7 +410,7 @@ def _cmd_eval(args: argparse.Namespace, stage: _Stage) -> int:
 def _cmd_synth(args: argparse.Namespace, stage: _Stage) -> int:
     src = Path(args.scripts)
     with stage.phase("synth"):
-        annotations = _synth_from_request(read_json(src), src)
+        annotations = _lazy.read_synth_request(read_json(src), src)
     out = Path(args.output)
     with stage.phase("write"):
         write_json(out, annotations)

@@ -10,6 +10,7 @@ offline format rules and, optionally, an external reviewing service.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -55,7 +56,6 @@ from .task_sql import (
     PlanningResult,
     RiskThresholds,
     Subtask,
-    Task,
     WindowContext,
     category_counts,
     distance,
@@ -195,16 +195,19 @@ def derive_scene_seed(master_seed: int, scene_id: str) -> int:
 
 def format_grounding(view: View, bbox: BBox2D) -> str:
     """Instance reference of the form ``<front, x1, y1, x2, y2>``."""
-    return (
-        f"<{view.phrase}, {bbox.x1:.1f}, {bbox.y1:.1f}, {bbox.x2:.1f}, {bbox.y2:.1f}>"
-    )
+    # ``%`` formats a float as ``format(x, ".1f")`` does, in less time.
+    return "<%s, %.1f, %.1f, %.1f, %.1f>" % (view.phrase, bbox.x1, bbox.y1, bbox.x2, bbox.y2)
 
 
-def _view_phrase(view: View) -> str:
-    return "all views" if view is View.ALL else f"the {view.phrase} view"
+_VIEW_PHRASES = {
+    view: "all views" if view is View.ALL else f"the {view.phrase} view" for view in View
+}
 
 
+@functools.lru_cache(maxsize=1024)
 def _category_phrase(category: str) -> str:
+    """A category or attribute as words; a dataset has a few dozen of them,
+    each rendered into thousands of pairs."""
     return category.replace("_", " ").replace(".", " ")
 
 
@@ -257,7 +260,7 @@ _RISK_CLAUSE: dict[Subtask, str] = {
 def render_instruction(subtask: Subtask, context: Mapping[str, Any]) -> str:
     template = _INSTRUCTIONS[subtask]
     try:
-        return template.format(**context)
+        return template.format_map(context)
     except KeyError as exc:
         raise TemplateError(
             f"instruction for {subtask.value} is missing context field {exc.args[0]!r}"
@@ -282,17 +285,12 @@ def render_response(subtask: Subtask, result: Any) -> tuple[str, GroundTruth]:
     if subtask is Subtask.CLOSEST:
         view, info = result
         text = (
-            f"The closest object in {_view_phrase(view)} is "
+            f"The closest object in {_VIEW_PHRASES[view]} is "
             f"a {_category_phrase(info.category)}."
         )
         return text, Label(info.category)
     if subtask is Subtask.INSTANCE_NUMBER:
-        view, category, count = result
-        text = (
-            f"There are {count} instances of {_category_phrase(category)} "
-            f"in {_view_phrase(view)}."
-        )
-        return text, Numeric((float(count),))
+        return _count_response(*result)
     if subtask is Subtask.SPEEDS:
         return f"{result:.1f} m/s", Numeric((result,))
     if subtask is Subtask.STATUS:
@@ -317,6 +315,22 @@ def render_response(subtask: Subtask, result: Any) -> tuple[str, GroundTruth]:
     if subtask is Subtask.PLANNING_WITH_REASONING:
         return _render_planning(result)
     raise TemplateError(f"no response template for {subtask!r}")
+
+
+# Half of a dataset's pairs are ``instance_number`` pairs, but they repeat a
+# few hundred sentences at most (136 responses and 55 instructions in 4,021
+# pairs on a 4-scene bench corpus), so each sentence is rendered once and its
+# frozen ground truth shared.
+@functools.lru_cache(maxsize=4096, typed=True)  # a count of 3.0 prints as 3.0
+def _count_response(view: View, category: str, count: int) -> tuple[str, Numeric]:
+    text = f"There are {count} instances of {_category_phrase(category)} in {_VIEW_PHRASES[view]}."
+    return text, Numeric((float(count),))
+
+
+@functools.lru_cache(maxsize=4096)
+def _count_instruction(category: str, view_phrase: str) -> str:
+    context = {"category": _category_phrase(category), "view_phrase": view_phrase}
+    return render_instruction(Subtask.INSTANCE_NUMBER, context)
 
 
 def _render_planning(result: PlanningResult) -> tuple[str, FreeText]:
@@ -355,7 +369,7 @@ def _pair_id(scene_id: str, window: tuple[str, str, str], subtask: Subtask, targ
 
 
 # Risk and planning pairs record the thresholds their detections used.
-_THRESHOLD_TASKS = (Task.RISK, Task.PLANNING_WITH_REASONING)
+_THRESHOLD_SUBTASKS = frozenset((*RISK_SUBTASKS, Subtask.PLANNING_WITH_REASONING))
 
 
 def _pairs_for_window(
@@ -377,23 +391,32 @@ def _pairs_for_window(
         subtask: Subtask, target: str, views: tuple[View, ...], instruction: str, result: Any
     ) -> None:
         response, truth = render_response(subtask, result)
+        thresholds = config.thresholds if subtask in _THRESHOLD_SUBTASKS else None
+        # Positional: a frozen record's keyword call costs a microsecond more.
         pairs.append(
             InstructionResponsePair(
-                pair_id=_pair_id(scene_id, window, subtask, target),
-                scene_id=scene_id,
-                frame_ids=window,
-                subtask=subtask,
-                views_used=views,
-                instruction=instruction,
-                response=response,
-                ground_truth=truth,
-                thresholds_used=config.thresholds if subtask.task in _THRESHOLD_TASKS else None,
+                _pair_id(scene_id, window, subtask, target),
+                scene_id,
+                window,
+                subtask,
+                views,
+                instruction,
+                response,
+                truth,
+                thresholds,
             )
         )
 
+    # Each grounded row's view and reference text, rendered on its first pair.
+    groundings: dict[str, tuple[View, str]] = {}
+
     def emit_grounded(subtask: Subtask, info: InstanceInfo, result: Any) -> None:
-        view, box = next(iter(info.camera_pos.items()))
-        instruction = render_instruction(subtask, {"grounding": format_grounding(view, box)})
+        grounding = groundings.get(info.info_id)
+        if grounding is None:
+            view, box = next(iter(info.camera_pos.items()))
+            grounding = groundings[info.info_id] = (view, format_grounding(view, box))
+        view, text = grounding
+        instruction = render_instruction(subtask, {"grounding": text})
         emit(subtask, info.info_id, (view,), instruction, result)
 
     selected = ranked[:cap]
@@ -414,26 +437,23 @@ def _pairs_for_window(
 
     if Subtask.CLOSEST in enabled:
         nearest = first_per_view(ranked)
-        for view in View:
+        for view, view_phrase in _VIEW_PHRASES.items():
             info = nearest.get(view)
             if info is None:
                 continue
-            instruction = render_instruction(Subtask.CLOSEST, {"view_phrase": _view_phrase(view)})
+            instruction = render_instruction(Subtask.CLOSEST, {"view_phrase": view_phrase})
             views = all_views if view is View.ALL else (view,)
             emit(Subtask.CLOSEST, view.value, views, instruction, (view, info))
 
     if Subtask.INSTANCE_NUMBER in enabled:
-        for view in View:
+        for view, view_phrase in _VIEW_PHRASES.items():
             per_view = counts[view]
+            views = all_views if view is View.ALL else (view,)
+            view_key = view.value
             for category in sorted(per_view):
-                instruction = render_instruction(
-                    Subtask.INSTANCE_NUMBER,
-                    {"category": _category_phrase(category), "view_phrase": _view_phrase(view)},
-                )
-                views = all_views if view is View.ALL else (view,)
-                target = f"{view.value}:{category}"
+                instruction = _count_instruction(category, view_phrase)
                 result = (view, category, per_view[category])
-                emit(Subtask.INSTANCE_NUMBER, target, views, instruction, result)
+                emit(Subtask.INSTANCE_NUMBER, f"{view_key}:{category}", views, instruction, result)
 
     if enabled & {Subtask.MOTION_OTHERS, Subtask.STATUS_OTHERS}:
         diag.skipped_instances += len(current) - len(ctx.followers)
@@ -723,10 +743,12 @@ def offline_check(pair: InstructionResponsePair, db: SceneDatabase | None = None
                 return "detection box leaves the image bounds"
             if not det.instance_id:
                 return "detection references an empty instance id"
-            if db is not None and not any(
-                db.instance_at_frame(det.instance_id, f) for f in pair.frame_ids
-            ):
-                return f"detection references unknown instance {det.instance_id!r}"
+            # A risk hit is a row of the window's current frame.
+            if db is not None and db.instance_at_frame(det.instance_id, pair.frame_ids[1]) is None:
+                return (
+                    f"detection references unknown instance {det.instance_id!r} "
+                    f"at the current frame {pair.frame_ids[1]!r}"
+                )
             if format_grounding(det.view, det.bbox) not in pair.response:
                 return "response does not mention every detection"
     elif isinstance(truth, FreeText):

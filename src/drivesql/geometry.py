@@ -53,17 +53,6 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
-    def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n == 0.0:
-            raise QuaternionError("zero quaternion has no rotation")
-        if abs(n - 1.0) > UNIT_NORM_TOLERANCE:
-            raise QuaternionError(
-                f"quaternion norm {n:.6f} drifts more than "
-                f"{UNIT_NORM_TOLERANCE} from 1"
-            )
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
-
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
@@ -92,17 +81,48 @@ class Quaternion:
         return Quaternion(math.cos(half), 0.0, 0.0, math.sin(half))
 
 
+def _unit(w: float, x: float, y: float, z: float) -> tuple[float, float, float, float]:
+    """The components of ``w + xi + yj + zk`` divided by its norm."""
+    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    if n == 0.0:
+        raise QuaternionError("zero quaternion has no rotation")
+    if abs(n - 1.0) > UNIT_NORM_TOLERANCE:
+        raise QuaternionError(
+            f"quaternion norm {n:.6f} drifts more than {UNIT_NORM_TOLERANCE} from 1"
+        )
+    return w / n, x / n, y / n, z / n
+
+
+def _rotated(q: Quaternion, inverse: bool, vx: float, vy: float, vz: float) -> Vec3:
+    """``u v u*`` for ``u`` the normalized ``q``, or, when ``inverse``, the
+    normalized conjugate of the normalized ``q``, on plain floats.
+
+    The terms are the two Hamilton products ``(u * (0, v)) * u*``, in their
+    order and with their zero terms, so every bit of the result, the sign of
+    a zero included, is the one the ``Quaternion`` operators give.
+    """
+    w, x, y, z = _unit(q.w, q.x, q.y, q.z)
+    if inverse:
+        w, x, y, z = _unit(w, -x, -y, -z)
+    a = w * 0.0 - x * vx - y * vy - z * vz
+    b = w * vx + x * 0.0 + y * vz - z * vy
+    c = w * vy - x * vz + y * 0.0 + z * vx
+    d = w * vz + x * vy - y * vx + z * 0.0
+    return Vec3(
+        a * -x + b * w + c * -z - d * -y,
+        a * -y - b * -z + c * w + d * -x,
+        a * -z + b * -y - c * -x + d * w,
+    )
+
+
 def rotate(q: Quaternion, v: Vec3) -> Vec3:
     """Apply the active rotation ``q v q*``."""
-    u = q.normalized()
-    p = Quaternion(0.0, v.x, v.y, v.z)
-    r = u * p * u.conjugate()
-    return Vec3(r.x, r.y, r.z)
+    return _rotated(q, False, v.x, v.y, v.z)
 
 
 def rotate_inverse(q: Quaternion, v: Vec3) -> Vec3:
     """Apply the inverse rotation, mapping a world vector into q's frame."""
-    return rotate(q.normalized().conjugate(), v)
+    return _rotated(q, True, v.x, v.y, v.z)
 
 
 def planar_norm(v: Vec3) -> float:
@@ -116,4 +136,4 @@ def relative_motion(p_from: Vec3, r_from: Quaternion, p_to: Vec3) -> Vec3:
     Component 0 is longitudinal (forward positive) and component 1 lateral
     (left positive) with respect to the ``r_from`` orientation.
     """
-    return rotate_inverse(r_from, p_to - p_from)
+    return _rotated(r_from, True, p_to.x - p_from.x, p_to.y - p_from.y, p_to.z - p_from.z)

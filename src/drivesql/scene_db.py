@@ -42,10 +42,13 @@ class View(Enum):
     BACK_RIGHT = "back_right"
     ALL = "all"
 
-    @property
-    def phrase(self) -> str:
-        """Lowercase wording used inside rendered text."""
-        return self.value.replace("_", " ")
+    # Members are singletons, equal only to themselves, so their identity
+    # hashes them; ``Enum``'s own hash runs Python code for every lookup.
+    __hash__ = object.__hash__
+
+    def __init__(self, value: str) -> None:
+        # Lowercase wording used inside rendered text.
+        self.phrase = value.replace("_", " ")
 
 
 REAL_VIEWS: tuple[View, ...] = tuple(v for v in View if v is not View.ALL)
@@ -333,14 +336,16 @@ def _as_camera_pos(value: Any) -> dict[View, BBox2D]:
     mapping = _expect_mapping(value)
     if not mapping:
         raise AnnotationSchemaError("", "an instance must be visible in at least one view")
-    boxes: dict[str, BBox2D] = {}
+    boxes: dict[View, BBox2D] = {}
     for key, item in mapping.items():
         try:
-            _as_view(key)  # before the box, so a bad view is named first
-            boxes[key] = _as_bbox(item)
+            view = _as_view(key)  # before the box, so a bad view is named first
+            boxes[view] = _as_bbox(item)
         except AnnotationSchemaError as err:
             raise err.within(f"[{key}]")
-    return {view: boxes[key] for key, view in _BOX_VIEWS.items() if key in boxes}
+    if len(boxes) == 1:  # most rows: nothing to reorder
+        return boxes
+    return {view: boxes[view] for view in REAL_VIEWS if view in boxes}
 
 
 _as_camera_pos.save = lambda boxes: {view.value: box.as_list() for view, box in boxes.items()}

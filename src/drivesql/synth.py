@@ -5,6 +5,7 @@ the ego on a straight constant-speed path, interpolates each script at the
 keyframe times, derives local poses by the inverse ego transform, assigns
 camera boxes from the bearing of the instance, and sets the movement
 attribute from speed. Scenes are deterministic in their inputs and seed.
+``read_synth_request`` reads the request file of ``drivesql synth``.
 """
 
 from __future__ import annotations
@@ -12,12 +13,29 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any
+from pathlib import Path
+from typing import Any, Callable
 
+from .errors import AnnotationSchemaError
 from .generation import derive_scene_seed
 from .geometry import Quaternion, Vec3, planar_norm, rotate, rotate_inverse
-from .scene_db import IMAGE_HEIGHT, IMAGE_WIDTH, REAL_VIEWS, View
-from .task_sql import Subtask
+from .scene_db import (
+    IMAGE_HEIGHT,
+    IMAGE_WIDTH,
+    REAL_VIEWS,
+    View,
+    _array,
+    _as_float,
+    _as_speed,
+    _as_text,
+    _object,
+    _optional,
+    _read_fields,
+    json_bool,
+    json_int,
+    naming_file,
+)
+from .task_sql import RISK_SUBTASKS, Subtask
 
 FRAME_PERIOD_S = 0.5
 
@@ -483,3 +501,93 @@ def demo_corpus(n_random: int, seed: int, *, include_curated: bool = True) -> di
         random_scene(seed, scene_id=f"demo_{seed:04d}_{i:04d}") for i in range(n_random)
     )
     return merge_scenes(docs)
+
+
+# --------------------------------------------------------------------------
+# The request of ``drivesql synth``, declared once as field tables: a sample
+# of the demo corpus, or scripted scenes. An absent or null optional field
+# takes the default given here.
+
+
+# The largest counts a request may ask for. 10,000 random scenes hold about
+# half the instance rows of the reference scale (850 scenes, 321k rows), and
+# 1,000 keyframes are 25 times a 40-keyframe scene.
+MAX_RANDOM_SCENES = 10_000
+MAX_SCENE_FRAMES = 1_000
+
+
+def _count(low: int, high: int, too_few: str) -> Callable[[Any], int]:
+    """The check of an integer from ``low`` to ``high``; ``too_few`` words the
+    refusal of a smaller one, with ``{}`` standing for the value."""
+
+    def read_count(value: Any) -> int:
+        count = json_int(value)
+        if count < low:
+            raise AnnotationSchemaError("", too_few.format(count))
+        if count > high:
+            raise AnnotationSchemaError("", f"expected at most {high}, got {count}")
+        return count
+
+    return read_count
+
+
+_as_scene_count = _count(0, MAX_RANDOM_SCENES, "expected a non-negative count, got {}")
+_as_frame_count = _count(1, MAX_SCENE_FRAMES, "a scene needs at least one frame")
+
+
+_RISK_KINDS = {subtask.value: subtask for subtask in RISK_SUBTASKS}
+
+
+def _as_risk_kind(value: Any) -> Subtask:
+    name = _as_text(value)
+    if name not in _RISK_KINDS:
+        raise AnnotationSchemaError("", f"expected a risk kind, got {name!r}")
+    return _RISK_KINDS[name]
+
+
+def _waypoint(t: float, x: float, y: float, z: float, **rest: Any) -> Waypoint:
+    return Waypoint(t=t, pos=Vec3(x, y, z), **rest)
+
+
+_SAMPLE = _object(demo_corpus, {
+    "n_random": _optional(_as_scene_count, 20),
+    "seed": _optional(json_int, 0),
+    "include_curated": _optional(json_bool, True),
+})
+
+# Each scene reads as ``synth_scene``'s arguments; a scene without an id is
+# named by its index.
+_SCENES = _array(_object(dict, {
+    "scripts": _optional(_array(_object(ScenarioScript, {
+        "kind": _optional(_as_risk_kind),
+        "category": _optional(_as_text, "car"),
+        "lane": _optional(_as_text, "2"),
+        "waypoints": _array(_object(_waypoint, {
+            "t": _as_float,
+            "x": _as_float,
+            "y": _as_float,
+            "z": _optional(_as_float, 0.0),
+            "yaw": _optional(_as_float, 0.0),
+            "speed": _optional(_as_speed, 0.0),
+            "lane": _optional(_as_text),
+        }), non_empty=True),
+    })), ()),
+    "n_frames": _optional(_as_frame_count, 3),
+    "seed": _optional(json_int, 0),
+    "scene_id": _optional(_as_text),
+    "ego_speed": _optional(_as_speed, 5.0),
+    "ego_yaw": _optional(_as_float, 0.0),
+}), non_empty=True)
+
+
+def read_synth_request(doc: Any, path: str | Path) -> dict[str, Any]:
+    """The annotations a synth request asks for: its ``sample`` if it has
+    one, else its ``scenes``. A request holding both is refused."""
+    with naming_file(path):
+        if type(doc) is dict and "sample" in doc:
+            return _read_fields(doc, {"sample": _SAMPLE})["sample"]
+        scenes = _read_fields(doc, {"scenes": _SCENES})["scenes"]
+    for i, scene in enumerate(scenes):
+        if scene["scene_id"] is None:
+            scene["scene_id"] = f"scene_{i:04d}"
+    return merge_scenes([synth_scene(**scene) for scene in scenes])

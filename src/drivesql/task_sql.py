@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import NonConsecutiveFrames
 from .geometry import Vec3, planar_norm, relative_motion
@@ -32,6 +32,8 @@ class Task(Enum):
     PREDICTION = "prediction"
     RISK = "risk"
     PLANNING_WITH_REASONING = "planning_with_reasoning"
+
+    __hash__ = object.__hash__  # as ``View``'s
 
 
 class Subtask(Enum):
@@ -52,6 +54,8 @@ class Subtask(Enum):
     BRAKING = "braking"
     LANE_CHANGING = "lane_changing"
     PLANNING_WITH_REASONING = "planning_with_reasoning"
+
+    __hash__ = object.__hash__  # as ``View``'s
 
     @property
     def task(self) -> Task:
@@ -244,8 +248,10 @@ def _check_window(db: SceneDatabase, *frame_ids: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _RiskContext:
+class _RiskContext(NamedTuple):
+    """One row's risk predicate inputs; a tuple, as a window builds one per
+    row and a frozen dataclass takes several times longer to build."""
+
     m_prev: Vec3
     m_next: Vec3 | None
     l_i: float
@@ -395,11 +401,11 @@ class WindowContext:
 
     def risk_hits(self, kind: Subtask, thresholds: RiskThresholds) -> list[InstanceInfo]:
         """Rows matching one risk kind, in the current frame's order."""
-        predicate = _PREDICATES[kind]
+        predicate, needs_next = _PREDICATES[kind], _NEEDS_NEXT[kind]
         return [
             info
             for info, c in self.risk_rows
-            if not (_NEEDS_NEXT[kind] and c.m_next is None) and predicate(c, thresholds)
+            if not (needs_next and c.m_next is None) and predicate(c, thresholds)
         ]
 
     def plan(self, thresholds: RiskThresholds) -> PlanningResult:

@@ -325,6 +325,42 @@ def test_cli_import_leaves_out_the_reviewer_client_and_the_pools():
     assert proc.stdout.strip() == "[]"
 
 
+def test_each_stage_loads_only_the_modules_it_runs(pipeline):
+    tmp_path, ann, db, pairs = pipeline
+    preds = tmp_path / "preds.jsonl"
+    write_predictions_jsonl(predictions_from_pairs(read_pairs_jsonl(pairs)), preds)
+    stages = {
+        "build-db": ["build-db", ann, "-o", tmp_path / "again.db.json"],
+        "generate": ["generate", db, "-o", tmp_path / "again.jsonl"],
+        "verify": ["verify", pairs, "-o", tmp_path / "kept.jsonl", "--db", db],
+        "split": ["split", pairs, "-o", tmp_path / "splits"],
+        "stats": ["stats", pairs, db, "-o", tmp_path / "stats.json"],
+        "eval": ["eval", pairs, preds, "-o", tmp_path / "eval.json"],
+        "synth": ["synth", tmp_path / "scripts.json", "-o", tmp_path / "again.json"],
+    }
+    probe = (
+        "import json, sys; from drivesql.cli import run; "
+        "code = run(sys.argv[1:]); print(json.dumps([code, sorted(sys.modules)]))"
+    )
+    loaded = {}
+    for stage, argv in stages.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *map(str, argv)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, (stage, proc.stdout)
+        loaded[stage] = set(modules)
+        assert "numpy" not in loaded[stage], stage
+    unused = {f"drivesql.{name}" for name in ("evaluation", "stats", "synth")}
+    assert not loaded["build-db"] & (unused | {"drivesql.generation"})
+    assert not loaded["generate"] & unused
+    assert "drivesql.generation" in loaded["generate"]
+
+
 def _jsonl_with_bad_line_2(path, docs, bad_line):
     lines = [canonical_dumps(doc) for doc in docs]
     lines[1] = bad_line

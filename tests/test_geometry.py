@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from drivesql.errors import QuaternionError
 from drivesql.geometry import (
+    UNIT_NORM_TOLERANCE,
     Quaternion,
     Vec3,
     planar_norm,
@@ -148,3 +150,105 @@ def test_quaternion_from_yaw_matches_matrix():
         assert m[0][0] == pytest.approx(math.cos(yaw), abs=1e-12)
         assert m[1][0] == pytest.approx(math.sin(yaw), abs=1e-12)
         assert m[2][2] == pytest.approx(1.0, abs=1e-12)
+
+
+# The rotations as they were written on ``Quaternion`` objects: normalize,
+# conjugate and two Hamilton products, each a new frozen record. The float
+# helper behind ``rotate``, ``rotate_inverse`` and ``relative_motion`` must
+# give the very same bits, and refuse a quaternion with the same message.
+
+
+def _reference_normalized(q):
+    n = q.norm()
+    if n == 0.0:
+        raise QuaternionError("zero quaternion has no rotation")
+    if abs(n - 1.0) > UNIT_NORM_TOLERANCE:
+        raise QuaternionError(
+            f"quaternion norm {n:.6f} drifts more than {UNIT_NORM_TOLERANCE} from 1"
+        )
+    return Quaternion(q.w / n, q.x / n, q.y / n, q.z / n)
+
+
+def _reference_rotate(q, v):
+    u = _reference_normalized(q)
+    r = u * Quaternion(0.0, v.x, v.y, v.z) * u.conjugate()
+    return Vec3(r.x, r.y, r.z)
+
+
+def _reference_rotate_inverse(q, v):
+    return _reference_rotate(_reference_normalized(q).conjugate(), v)
+
+
+def _reference_relative_motion(p_from, r_from, p_to):
+    return _reference_rotate_inverse(r_from, p_to - p_from)
+
+
+def _bits(v):
+    """Each component with its sign, so that 0.0 and -0.0 differ."""
+    return tuple((c, math.copysign(1.0, c)) for c in (v.x, v.y, v.z))
+
+
+def _outcome(call, *args):
+    try:
+        return _bits(call(*args))
+    except QuaternionError as err:
+        return str(err)
+
+
+# Zeros of both signs, units, tiny and subnormal values, and a yaw-only
+# quaternion's exact zeros all reach the arithmetic.
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, -5e-324, 3.0)
+
+
+def _component(rng):
+    return rng.choice(_SPECIAL) if rng.random() < 0.3 else rng.gauss(0.0, 1.0)
+
+
+def _case(rng):
+    q = [_component(rng) for _ in range(4)]
+    n = math.sqrt(sum(c * c for c in q))
+    if n and rng.random() < 0.9:  # mostly unit, sometimes drifting or zero
+        q = [c / n for c in q]
+    v = [_component(rng) * rng.choice((1.0, 40.0)) for _ in range(6)]
+    return Quaternion(*q), Vec3(*v[:3]), Vec3(*v[3:])
+
+
+def test_float_rotation_matches_the_quaternion_arithmetic_bit_for_bit():
+    rng = random.Random(19)
+    cases = [_case(rng) for _ in range(3000)]
+    # Every sign pattern of zeros and units, where a dropped or reordered
+    # zero term shows as the sign of a zero in the result.
+    signed = (0.0, -0.0, 1.0, -1.0)
+    for q in itertools.product(signed, repeat=4):
+        for v in itertools.product(signed, repeat=3):
+            cases.append((Quaternion(*q), Vec3(*v), Vec3(*(-c for c in v))))
+    refused = 0
+    for q, a, b in cases:
+        for ours, reference, args in (
+            (rotate, _reference_rotate, (q, a)),
+            (rotate_inverse, _reference_rotate_inverse, (q, a)),
+            (relative_motion, _reference_relative_motion, (a, q, b)),
+        ):
+            want = _outcome(reference, *args)
+            assert _outcome(ours, *args) == want, (ours.__name__, args)
+            refused += isinstance(want, str)
+    assert refused  # the refusals were compared too
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (Quaternion(0.0, 0.0, 0.0, 0.0), "zero quaternion has no rotation"),
+        (Quaternion(-0.0, 0.0, -0.0, 0.0), "zero quaternion has no rotation"),
+        (Quaternion(1.1, 0.0, 0.0, 0.0), "quaternion norm 1.100000 drifts more than 0.001 from 1"),
+    ],
+)
+def test_float_rotation_refuses_as_the_quaternion_arithmetic(q, message):
+    v = Vec3(1.0, -0.0, 2.0)
+    for ours, reference, args in (
+        (rotate, _reference_rotate, (q, v)),
+        (rotate_inverse, _reference_rotate_inverse, (q, v)),
+        (relative_motion, _reference_relative_motion, (v, q, v)),
+    ):
+        assert _outcome(reference, *args) == message
+        assert _outcome(ours, *args) == message

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivesql import cli, evaluation, generation, scene_db
+from drivesql import evaluation, generation, scene_db, synth
 from drivesql.canonical import canonical_dumps
 from drivesql.errors import AnnotationSchemaError, DriveSqlError
 from drivesql.evaluation import (
@@ -303,7 +303,7 @@ _SYNTH_SCENES = {"scenes": [{
 
 
 def _read_synth_request(path):
-    return cli._synth_from_request(json.loads(path.read_text(encoding="utf-8")), path)
+    return synth.read_synth_request(json.loads(path.read_text(encoding="utf-8")), path)
 
 
 def test_every_declared_field_is_refused_by_its_path(workdir, line_docs, database_doc):
@@ -313,10 +313,10 @@ def test_every_declared_field_is_refused_by_its_path(workdir, line_docs, databas
         "pairs": (*line_docs["pairs"], _declared(generation._PAIR_FIELDS), ":1"),
         "predictions": (*line_docs["predictions"], _below(evaluation._PREDICTION_LINE, ()), ":1"),
         "synth-sample": (
-            _read_synth_request, [_SYNTH_SAMPLE], _below(cli._SAMPLE, ("sample",)), ""
+            _read_synth_request, [_SYNTH_SAMPLE], _below(synth._SAMPLE, ("sample",)), ""
         ),
         "synth-scenes": (
-            _read_synth_request, [_SYNTH_SCENES], _declared({"scenes": cli._SCENES}), ""
+            _read_synth_request, [_SYNTH_SCENES], _declared({"scenes": synth._SCENES}), ""
         ),
     }
     for name, (reader, docs, declared, line) in boundaries.items():

@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from drivesql import cli, synth
+from drivesql import synth
 from drivesql.canonical import canonical_dumps, write_jsonl
 from drivesql.cli import run
 from drivesql.errors import AnnotationSchemaError, DriveSqlError, RecordNotFound
@@ -544,7 +544,7 @@ def _reader_messages(reader, docs):
     request stops before any scene is synthesized."""
     path = Path("line.json")
     messages = []
-    with mock.patch.object(cli, "synth_scene", _synthesized), mock.patch.object(
+    with mock.patch.object(synth, "synth_scene", _synthesized), mock.patch.object(
         synth, "random_scene", _synthesized
     ):
         for doc in docs:

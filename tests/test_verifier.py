@@ -108,6 +108,23 @@ def test_detection_unknown_instance(demo_db, samples):
     assert "unknown instance 'ghost'" in offline_check(broken, demo_db)
 
 
+def test_detection_of_an_instance_off_the_current_frame(demo_db, demo_pairs):
+    # Risk hits are rows of the current frame; an instance seen only at
+    # another frame of the window is not one.
+    pair = _first(
+        demo_pairs,
+        lambda p: p.subtask is Subtask.CROSSING and p.frame_ids[1] == "demo_0007_0001_f003",
+    )
+    ghost = "demo_0007_0001_track00"
+    assert demo_db.instance_at_frame(ghost, pair.frame_ids[0]) is not None
+    assert demo_db.instance_at_frame(ghost, pair.frame_ids[1]) is None
+    det = dataclasses.replace(pair.ground_truth.items[0], instance_id=ghost)
+    broken = dataclasses.replace(pair, ground_truth=DetectionList((det,)))
+    assert offline_check(broken, demo_db) == (
+        f"detection references unknown instance {ghost!r} at the current frame {pair.frame_ids[1]!r}"
+    )
+
+
 def test_pair_with_a_frame_outside_the_database(demo_db, samples):
     for pair in (samples["numeric"], samples["risk_hit"]):
         broken = dataclasses.replace(pair, frame_ids=("nowhere", *pair.frame_ids[1:]))
