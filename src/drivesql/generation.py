@@ -196,7 +196,7 @@ def derive_scene_seed(master_seed: int, scene_id: str) -> int:
 def format_grounding(view: View, bbox: BBox2D) -> str:
     """Instance reference of the form ``<front, x1, y1, x2, y2>``."""
     # ``%`` formats a float as ``format(x, ".1f")`` does, in less time.
-    return "<%s, %.1f, %.1f, %.1f, %.1f>" % (view.phrase, bbox.x1, bbox.y1, bbox.x2, bbox.y2)
+    return "<%s, %.1f, %.1f, %.1f, %.1f>" % (view.phrase, *bbox)
 
 
 _VIEW_PHRASES = {

@@ -3,20 +3,24 @@
 Conventions used throughout the package: quaternions are stored as
 ``(w, x, y, z)``, the frame is right handed, and ``rotate`` applies the
 active rotation ``q v q*``. Local frames put x forward, y left, z up.
+
+``Vec3`` and ``Quaternion`` are named tuples: the database loader builds
+hundreds of thousands of them straight from checked lists. Reading a
+named-tuple field by name costs more than unpacking the tuple, so the
+per-call helpers below unpack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import QuaternionError
 
 UNIT_NORM_TOLERANCE = 1e-3
 
 
-@dataclass(frozen=True)
-class Vec3:
+class Vec3(NamedTuple):
     """A point or displacement in 3-space."""
 
     x: float
@@ -33,11 +37,11 @@ class Vec3:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
     def as_list(self) -> list[float]:
-        return [self.x, self.y, self.z]
+        x, y, z = self
+        return [x, y, z]  # sized exactly, where ``list(self)`` leaves room to grow
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(NamedTuple):
     """Unit quaternion ``w + xi + yj + zk``.
 
     Inputs may drift from unit norm by at most ``UNIT_NORM_TOLERANCE``;
@@ -58,8 +62,8 @@ class Quaternion:
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         # Hamilton product.
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
+        w1, x1, y1, z1 = self
+        w2, x2, y2, z2 = other
         return Quaternion(
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
             w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
@@ -68,7 +72,8 @@ class Quaternion:
         )
 
     def as_list(self) -> list[float]:
-        return [self.w, self.x, self.y, self.z]
+        w, x, y, z = self
+        return [w, x, y, z]
 
     @staticmethod
     def identity() -> "Quaternion":
@@ -101,7 +106,8 @@ def _rotated(q: Quaternion, inverse: bool, vx: float, vy: float, vz: float) -> V
     order and with their zero terms, so every bit of the result, the sign of
     a zero included, is the one the ``Quaternion`` operators give.
     """
-    w, x, y, z = _unit(q.w, q.x, q.y, q.z)
+    w, x, y, z = q
+    w, x, y, z = _unit(w, x, y, z)
     if inverse:
         w, x, y, z = _unit(w, -x, -y, -z)
     a = w * 0.0 - x * vx - y * vy - z * vz
@@ -117,17 +123,20 @@ def _rotated(q: Quaternion, inverse: bool, vx: float, vy: float, vz: float) -> V
 
 def rotate(q: Quaternion, v: Vec3) -> Vec3:
     """Apply the active rotation ``q v q*``."""
-    return _rotated(q, False, v.x, v.y, v.z)
+    x, y, z = v
+    return _rotated(q, False, x, y, z)
 
 
 def rotate_inverse(q: Quaternion, v: Vec3) -> Vec3:
     """Apply the inverse rotation, mapping a world vector into q's frame."""
-    return _rotated(q, True, v.x, v.y, v.z)
+    x, y, z = v
+    return _rotated(q, True, x, y, z)
 
 
 def planar_norm(v: Vec3) -> float:
     """Length of the xy projection, ignoring z."""
-    return math.hypot(v.x, v.y)
+    x, y, _ = v
+    return math.hypot(x, y)
 
 
 def relative_motion(p_from: Vec3, r_from: Quaternion, p_to: Vec3) -> Vec3:
@@ -136,4 +145,6 @@ def relative_motion(p_from: Vec3, r_from: Quaternion, p_to: Vec3) -> Vec3:
     Component 0 is longitudinal (forward positive) and component 1 lateral
     (left positive) with respect to the ``r_from`` orientation.
     """
-    return _rotated(r_from, True, p_to.x - p_from.x, p_to.y - p_from.y, p_to.z - p_from.z)
+    fx, fy, fz = p_from
+    tx, ty, tz = p_to
+    return _rotated(r_from, True, tx - fx, ty - fy, tz - fz)

@@ -5,7 +5,8 @@ instance appearance, plus an index from ``(instance_id, frame_id)`` to the
 appearance row. Construction validates the input, drops instances whose
 planar distance from the ego exceeds the importance radius, and freezes the
 result; treat a built database as immutable and share it freely across
-worker processes.
+worker processes. Every row is a named tuple, so a table whose values all
+pass the checks' exact-type shortcuts is built column by column.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ from __future__ import annotations
 import gc
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice, repeat, starmap
+from operator import itemgetter, lt
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .canonical import read_json, write_json
 from .errors import AnnotationSchemaError, RecordNotFound
@@ -54,45 +57,53 @@ class View(Enum):
 REAL_VIEWS: tuple[View, ...] = tuple(v for v in View if v is not View.ALL)
 
 
-@dataclass(frozen=True)
-class BBox2D:
-    """Axis-aligned pixel box with x1 < x2 and y1 < y2."""
-
+class _Corners(NamedTuple):
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self) -> None:
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
+
+class BBox2D(_Corners):
+    """Axis-aligned pixel box with x1 < x2 and y1 < y2. Built by name it
+    refuses any other box; the loader builds the boxes it has checked with
+    ``tuple.__new__``, past this check."""
+
+    __slots__ = ()
+
+    def __new__(cls, x1: float, y1: float, x2: float, y2: float) -> "BBox2D":
+        if not (x1 < x2 and y1 < y2):
             raise ValueError(
-                f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2}): "
-                "needs x1 < x2 and y1 < y2"
+                f"degenerate box ({x1}, {y1}, {x2}, {y2}): needs x1 < x2 and y1 < y2"
             )
+        return tuple.__new__(cls, (x1, y1, x2, y2))
 
     def as_list(self) -> list[float]:
-        return [self.x1, self.y1, self.x2, self.y2]
+        x1, y1, x2, y2 = self
+        return [x1, y1, x2, y2]
 
     def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
+        x1, y1, x2, y2 = self
+        return (x2 - x1) * (y2 - y1)
 
 
-@dataclass(frozen=True)
-class SceneRecord:
+# The records of the four tables. Each is a named tuple whose first field is
+# its row id, the first field of its table too.
+
+
+class SceneRecord(NamedTuple):
     scene_id: str
     frame_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FrameRecord:
+class FrameRecord(NamedTuple):
     frame_id: str
     ego_info_id: str
     instance_info_ids: tuple[str, ...]
     timestamp: float
 
 
-@dataclass(frozen=True)
-class EgoInfo:
+class EgoInfo(NamedTuple):
     info_id: str
     pose: Vec3
     rotation: Quaternion
@@ -101,8 +112,7 @@ class EgoInfo:
     camera_info: dict[str, str]
 
 
-@dataclass(frozen=True)
-class InstanceInfo:
+class InstanceInfo(NamedTuple):
     info_id: str
     instance_id: str
     category: str
@@ -142,9 +152,9 @@ class SceneDatabase:
 
     def instance_at_frame(self, instance_id: str, frame_id: str) -> InstanceInfo | None:
         """Appearance row of a persistent instance at one frame, if any."""
-        self.frame(frame_id)
         info_id = self.instance_frame_index.get((instance_id, frame_id))
         if info_id is None:
+            self.frame(frame_id)  # only a miss checks the frame: a hit shows it exists
             return None
         return self.instances[info_id]
 
@@ -174,8 +184,21 @@ class SceneDatabase:
 # its step in front (``[i]``, ``[key]``, `` key``, ``.field``). A check whose
 # result is not the JSON value itself carries, as ``save``, the inverse that
 # writes the result back; a value without one saves as it is.
+#
+# A check that a database table uses carries, as ``column``, its column form.
+# It reads a whole column of values with builtins, and returns their results
+# in order, or None as soon as a value leaves the check's exact-type
+# shortcut: an int for a float, a non-dict mapping, a value the check
+# refuses, or one it may refuse. It accepts only what the check accepts, as
+# the same result, and names no refusal: on None, the table is read row by
+# row, and the checks alone decide.
 
 Check = Callable[[Any], Any]
+
+
+def _of_type(values: Any, kind: type) -> bool:
+    """Whether every value of the iterable ``values`` has exactly type ``kind``."""
+    return set(map(type, values)) <= {kind}
 
 
 def _expect_mapping(value: Any) -> Mapping[str, Any]:
@@ -194,6 +217,13 @@ def _as_str(value: Any) -> str:
     if not isinstance(value, str) or not value:
         raise AnnotationSchemaError("", "expected a non-empty string")
     return value
+
+
+def _str_column(values: Sequence[Any]) -> Sequence[str] | None:
+    return values if _of_type(values, str) and all(values) else None
+
+
+_as_str.column = _str_column
 
 
 def _as_text(value: Any) -> str:
@@ -232,6 +262,15 @@ def _as_float(value: Any) -> float:
     return number
 
 
+def _float_column(values: Sequence[Any]) -> Sequence[float] | None:
+    # A sum of finite floats is finite unless it overflows, which only sends
+    # the column to the row loop.
+    return values if _of_type(values, float) and math.isfinite(sum(values)) else None
+
+
+_as_float.column = _float_column
+
+
 def _as_positive(value: Any) -> float:
     number = _as_float(value)
     if number <= 0:
@@ -246,6 +285,11 @@ def _as_speed(value: Any) -> float:
     return speed
 
 
+_as_speed.column = lambda values: (
+    values if _float_column(values) is not None and min(values, default=0.0) >= 0 else None
+)
+
+
 def _as_floats(value: Any, count: int, noun: str) -> list[float]:
     items = _expect_list(value)
     if len(items) != count:
@@ -257,11 +301,25 @@ def _as_floats(value: Any, count: int, noun: str) -> list[float]:
     return items
 
 
+def _float_lists(values: Sequence[Any], count: int) -> bool:
+    """Whether every value is a list of ``count`` finite floats: the column
+    form of ``_as_floats``, each record then built from its list as it is."""
+    return (
+        _of_type(values, list)
+        and set(map(len, values)) <= {count}
+        and _of_type(chain.from_iterable(values), float)
+        and math.isfinite(sum(chain.from_iterable(values)))
+    )
+
+
 def _as_vec3(value: Any) -> Vec3:
     return Vec3(*_as_floats(value, 3, "components"))
 
 
 _as_vec3.save = Vec3.as_list
+_as_vec3.column = lambda values: (
+    list(map(tuple.__new__, repeat(Vec3), values)) if _float_lists(values, 3) else None
+)
 
 
 def _as_quaternion(value: Any) -> Quaternion:
@@ -277,6 +335,23 @@ def _as_quaternion(value: Any) -> Quaternion:
 
 _as_quaternion.save = Quaternion.as_list
 
+# Norms the column form accepts: inside the tolerance by a margin far wider
+# than the rounding by which ``math.hypot`` and ``Quaternion.norm`` may differ.
+_SURELY_UNIT = (1.0 - UNIT_NORM_TOLERANCE + 1e-9, 1.0 + UNIT_NORM_TOLERANCE - 1e-9)
+
+
+def _quaternion_column(values: Sequence[Any]) -> list[Quaternion] | None:
+    if not _float_lists(values, 4):
+        return None
+    norms = list(starmap(math.hypot, values))
+    low, high = _SURELY_UNIT
+    if not low <= min(norms, default=1.0) <= max(norms, default=1.0) <= high:
+        return None
+    return list(map(tuple.__new__, repeat(Quaternion), values))
+
+
+_as_quaternion.column = _quaternion_column
+
 
 def _as_str_map(value: Any) -> dict[str, str]:
     mapping = _expect_mapping(value)
@@ -290,6 +365,19 @@ def _as_str_map(value: Any) -> dict[str, str]:
     return dict(mapping)
 
 
+def _str_map_column(values: Sequence[Any]) -> list[dict[str, str]] | None:
+    if (
+        _of_type(values, dict)
+        and _str_column(list(chain.from_iterable(values))) is not None
+        and _str_column(list(chain.from_iterable(map(dict.values, values)))) is not None
+    ):
+        return list(map(dict.copy, values))
+    return None
+
+
+_as_str_map.column = _str_map_column
+
+
 def _as_bbox(value: Any) -> BBox2D:
     x1, y1, x2, y2 = _as_floats(value, 4, "coordinates")
     if not (x1 < x2 and y1 < y2):
@@ -298,6 +386,18 @@ def _as_bbox(value: Any) -> BBox2D:
 
 
 _as_bbox.save = BBox2D.as_list
+
+
+def _bbox_column(values: Sequence[Any]) -> list[BBox2D] | None:
+    if not _float_lists(values, 4):
+        return None
+    x1, y1, x2, y2 = (map(itemgetter(i), values) for i in range(4))
+    if not (all(map(lt, x1, x2)) and all(map(lt, y1, y2))):
+        return None
+    return list(map(tuple.__new__, repeat(BBox2D), values))
+
+
+_as_bbox.column = _bbox_column
 
 
 _BOX_VIEWS = {view.value: view for view in REAL_VIEWS}
@@ -329,6 +429,12 @@ def _member_of(enum: type[Enum]) -> Check:
 _as_any_view = _member_of(View)
 
 
+def _in_view_order(boxes: dict[View, BBox2D]) -> dict[View, BBox2D]:
+    if len(boxes) == 1:  # most rows: nothing to reorder
+        return boxes
+    return {view: boxes[view] for view in REAL_VIEWS if view in boxes}
+
+
 def _as_camera_pos(value: Any) -> dict[View, BBox2D]:
     """An instance's boxes, checked in input order so a refusal names the
     first bad key, and held in ``View`` order: the first box is the view a
@@ -343,12 +449,27 @@ def _as_camera_pos(value: Any) -> dict[View, BBox2D]:
             boxes[view] = _as_bbox(item)
         except AnnotationSchemaError as err:
             raise err.within(f"[{key}]")
-    if len(boxes) == 1:  # most rows: nothing to reorder
-        return boxes
-    return {view: boxes[view] for view in REAL_VIEWS if view in boxes}
+    return _in_view_order(boxes)
 
 
 _as_camera_pos.save = lambda boxes: {view.value: box.as_list() for view, box in boxes.items()}
+
+
+def _camera_pos_column(values: Sequence[Any]) -> list[dict[View, BBox2D]] | None:
+    if not (_of_type(values, dict) and all(values)):
+        return None
+    names = list(chain.from_iterable(values))
+    if not set(names).issubset(_BOX_VIEWS):
+        return None
+    boxes = _bbox_column(list(chain.from_iterable(map(dict.values, values))))
+    if boxes is None:
+        return None
+    # Each row takes the next ``len(row)`` of the (view, box) pairs.
+    pairs = zip(map(_BOX_VIEWS.__getitem__, names), boxes)
+    return [_in_view_order(dict(islice(pairs, len(row)))) for row in values]
+
+
+_as_camera_pos.column = _camera_pos_column
 
 
 # --------------------------------------------------------------------------
@@ -374,6 +495,20 @@ def _array(item: Check, non_empty: bool = False) -> Check:
 
     save = getattr(item, "save", None)
     read_array.save = list if save is None else lambda items: list(map(save, items))
+    item_column = getattr(item, "column", None)
+    if item_column is not None:
+
+        def read_array_column(values: Sequence[Any]) -> list[tuple[Any, ...]] | None:
+            if not (_of_type(values, list) and (not non_empty or all(values))):
+                return None
+            items = item_column(list(chain.from_iterable(values)))
+            if items is None:
+                return None
+            # Each array takes the next ``len(array)`` of the checked items.
+            rest = iter(items)
+            return [tuple(islice(rest, n)) for n in map(len, values)]
+
+        read_array.column = read_array_column
     return read_array
 
 
@@ -510,11 +645,49 @@ _TABLES: tuple[tuple[str, type, bool, dict[str, Check]], ...] = (
 _DOCUMENT: dict[str, Check] = {key: _expect_list for key, *_ in _TABLES}
 
 
+# Rows per block of a column read: a block's values stay in the CPU cache
+# through every pass its column forms make over them.
+_BLOCK_ROWS = 1024
+
+
+def _read_columns(
+    rows: list[Any], record: type, fields: dict[str, Check]
+) -> dict[str, Any] | None:
+    """The table of ``rows`` keyed by row id, read a block of rows at a time
+    and each block column by column through the fields' column forms; or
+    None as soon as a value leaves its shortcut, a row is not a dict of
+    exactly the declared fields, or an id repeats."""
+    names = record._fields
+    if not (_of_type(rows, dict) and set(map(len, rows)) <= {len(names)}):
+        return None
+    row_values, forms = itemgetter(*names), [fields[name].column for name in names]
+    table: dict[str, Any] = {}
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        try:
+            columns = list(zip(*map(row_values, rows[start : start + _BLOCK_ROWS])))
+        except KeyError:
+            return None
+        checked = []
+        for form, column in zip(forms, columns):
+            values = form(column)
+            if values is None:
+                return None
+            checked.append(values)
+        table.update(zip(checked[0], map(tuple.__new__, repeat(record), zip(*checked))))
+    return table if len(table) == len(rows) else None
+
+
 def _parse_table(
     tables: dict[str, list[Any]], key: str, record: type, by_id: bool, fields: dict[str, Check]
 ) -> dict[str, Any]:
+    """The table ``key`` of ``tables``, read by columns when every value
+    takes its column form's shortcut, and otherwise row by row, where each
+    field's check decides what is accepted and names what is refused."""
+    table = _read_columns(tables[key], record, fields)
+    if table is not None:
+        return table
     id_name = next(iter(fields))
-    table: dict[str, Any] = {}
+    table = {}
     for i, raw in enumerate(tables[key]):
         try:
             values = _read_fields(raw, fields)
@@ -638,8 +811,8 @@ def build_database(
         if planar_norm(row.local_t) <= important_radius
     }
     filtered_frames = {
-        frame_id: replace(
-            frame, instance_info_ids=tuple(i for i in frame.instance_info_ids if i in kept)
+        frame_id: frame._replace(
+            instance_info_ids=tuple(i for i in frame.instance_info_ids if i in kept)
         )
         for frame_id, frame in frames.items()
     }

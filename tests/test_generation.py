@@ -491,3 +491,38 @@ def test_each_window_reads_and_ranks_its_current_frame_once(demo_db, monkeypatch
                 demo_db, scene.scene_id, window, GenerationConfig(), GenerationDiagnostics()
             )
             assert calls == {"read": 1, "rank": 1}, window
+
+
+def test_a_window_checks_a_frame_only_for_an_appearance_it_misses(demo_db, monkeypatch):
+    calls = Counter()
+    frame, instance_at_frame = SceneDatabase.frame, SceneDatabase.instance_at_frame
+
+    def counted_frame(self, frame_id):
+        calls["frame"] += 1
+        return frame(self, frame_id)
+
+    def counted_lookup(self, instance_id, frame_id):
+        before = calls["frame"]
+        row = instance_at_frame(self, instance_id, frame_id)
+        calls["lookup"] += 1
+        calls["miss"] += row is None
+        calls["frame in lookup"] += calls["frame"] - before
+        return row
+
+    monkeypatch.setattr(SceneDatabase, "frame", counted_frame)
+    monkeypatch.setattr(SceneDatabase, "instance_at_frame", counted_lookup)
+    config = GenerationConfig()
+    totals = Counter()
+    for scene in demo_db.scenes.values():
+        for start in range(len(scene.frame_ids) - 2):
+            window = tuple(scene.frame_ids[start : start + 3])
+            calls.clear()
+            _pairs_for_window(demo_db, scene.scene_id, window, config, GenerationDiagnostics())
+            # An index hit shows the frame exists; only a miss checks it.
+            assert calls["frame in lookup"] == calls["miss"], window
+            # The rest: the window check (three frames and their scene), the
+            # current rows, two ego rows each for the ego move and the risk
+            # sweep, and the ego row of each same-road pair.
+            assert calls["frame"] - calls["miss"] <= 9 + config.max_instances_per_subtask, window
+            totals.update(calls)
+    assert totals["lookup"] > totals["miss"] > 0  # both a hit and a miss were counted

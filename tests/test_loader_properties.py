@@ -4,12 +4,14 @@ DriveSqlError, and nothing else.
 Each boundary gets two properties: an arbitrary JSON value in place of the
 whole input, and a valid input with one node replaced by an arbitrary JSON
 value, removed, or given a key no field table declares, which reaches the
-deeper field checks.
+deeper field checks. The database gets a third: a table read column by
+column gives what the row loop alone gives, whichever row is broken.
 """
 
 import inspect
 import json
 import os
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import pytest
@@ -140,6 +142,68 @@ def _built(doc):
         return canonical_dumps(database_to_document(build_database(doc, important_radius=30.0)))
     except AnnotationSchemaError as err:
         return str(err)
+
+
+@contextmanager
+def _row_loop_only():
+    """Every column form of a database field declines its column, so each
+    table is read by the row loop alone."""
+    with ExitStack() as stack:
+        for *_, fields in scene_db._TABLES:
+            for check in fields.values():
+                stack.enter_context(mock.patch.object(check, "column", lambda values: None))
+        yield
+
+
+def _is_float_list(node):
+    return isinstance(node, list) and bool(node) and all(type(x) is float for x in node)
+
+
+def _any_row_mutations(doc):
+    """Copies of the annotations ``doc`` broken in one place in any row of
+    any table: the row, or a node below it, replaced by a JSON value or
+    removed; a float replaced by any float, its negation or a neighbour in
+    its list; a list of floats (a position, rotation or box) scaled near the
+    unit-norm tolerance; an object given an undeclared key; or the row's id
+    set to another row's id."""
+    tables = [(key, next(iter(fields))) for key, _, _, fields in scene_db._TABLES]
+    scale = st.floats(0.998, 1.002) | st.sampled_from((0.999, 1.001, 0.999 + 2e-9, 1.001 - 2e-9))
+
+    @st.composite
+    def mutated(draw):
+        key, id_name = draw(st.sampled_from(tables))
+        row = (key, draw(st.integers(0, len(doc[key]) - 1)))
+        paths = [row, *_node_paths(_node(doc, row), row)]
+        floats = [path for path in paths if type(_node(doc, path)) is float]
+        lists = [path for path in paths if _is_float_list(_node(doc, path))]
+        kind = draw(st.sampled_from(("node", "float", "scale", "undeclared", "id")))
+        if kind == "float" and floats:
+            path = draw(st.sampled_from(floats))
+            neighbours = _node(doc, path[:-1]) if isinstance(path[-1], int) else []
+            value = st.sampled_from([-_node(doc, path), *neighbours]) | st.floats()
+            return _mutated(doc, path, draw(value))
+        if kind == "scale" and lists:
+            path, factor = draw(st.sampled_from(lists)), draw(scale)
+            return _mutated(doc, path, [x * factor for x in _node(doc, path)])
+        if kind == "undeclared":
+            objects = [path for path in paths if isinstance(_node(doc, path), dict)]
+            return _mutated(doc, draw(st.sampled_from(objects)) + (_UNDECLARED,), draw(json_values))
+        if kind == "id":
+            return _mutated(doc, row + (id_name,), draw(st.sampled_from(doc[key]))[id_name])
+        value = edge_values | json_values | st.just(_REMOVE)
+        return _mutated(doc, draw(st.sampled_from(paths)), draw(value))
+
+    return mutated()
+
+
+@settings(max_examples=200 * SCALE, deadline=None)
+@given(data=st.data())
+def test_a_table_reads_by_columns_as_by_rows_whichever_row_is_broken(database_doc, data):
+    annotations = {key: rows for key, rows in database_doc.items() if key != "important_radius"}
+    doc = data.draw(_any_row_mutations(annotations))
+    by_columns = _built(doc)
+    with _row_loop_only():
+        assert _built(doc) == by_columns
 
 
 @pytest.mark.parametrize("radius", [0, 0.0, -1.5])

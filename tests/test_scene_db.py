@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from drivesql import synth
+from drivesql import scene_db, synth
 from drivesql.canonical import canonical_dumps, write_jsonl
 from drivesql.cli import run
 from drivesql.errors import AnnotationSchemaError, DriveSqlError, RecordNotFound
@@ -19,9 +19,13 @@ from drivesql.evaluation import (
     write_predictions_jsonl,
 )
 from drivesql.generation import DetectionList, pair_to_dict, read_pairs_jsonl
-from drivesql.geometry import Vec3
+from drivesql.geometry import Quaternion, Vec3
 from drivesql.scene_db import (
     BBox2D,
+    EgoInfo,
+    FrameRecord,
+    InstanceInfo,
+    SceneRecord,
     View,
     build_database,
     database_to_document,
@@ -46,6 +50,7 @@ from test_loader_properties import (
     _mutated,
     _node_paths,
     _read_synth_request,
+    _row_loop_only,
 )
 
 
@@ -269,7 +274,8 @@ def test_persistence_round_trip(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
-def test_boxes_are_held_in_view_order(tmp_path):
+def _views_shuffled():
+    """A corpus whose rows hold their boxes' views in a random order."""
     ann = random_corpus(6, seed=3)
     rng = random.Random(5)
     for row in ann["instances"]:
@@ -277,7 +283,11 @@ def test_boxes_are_held_in_view_order(tmp_path):
         rng.shuffle(keys)
         row["camera_pos"] = {key: row["camera_pos"][key] for key in keys}
     assert any(len(row["camera_pos"]) > 1 for row in ann["instances"])
-    built, path = build_database(ann), tmp_path / "db.json"
+    return ann
+
+
+def test_boxes_are_held_in_view_order(tmp_path):
+    built, path = build_database(_views_shuffled()), tmp_path / "db.json"
     save_database(built, path)
     # A saved database holds each row's boxes with their keys sorted.
     for db in (built, load_database(path)):
@@ -310,6 +320,48 @@ def test_bbox_validation():
     box = BBox2D(0, 0, 10, 5)
     assert box.area() == 50
     assert box.as_list() == [0, 0, 10, 5]
+
+
+def test_a_valid_table_reads_the_same_by_columns_and_by_rows():
+    ann = _views_shuffled()
+    for key, record, by_id, fields in scene_db._TABLES:
+        by_columns = scene_db._read_columns(ann[key], record, fields)
+        assert by_columns is not None, key
+        with _row_loop_only():
+            by_rows = scene_db._parse_table(ann, key, record, by_id, fields)
+        # The reprs show each record's type, each float's every digit and
+        # each row's views in their order.
+        assert repr(by_columns) == repr(by_rows), key
+
+
+def test_every_database_record_refuses_assignment_and_deletion(demo_annotations, tmp_path):
+    path = tmp_path / "db.json"
+    save_database(build_database(demo_annotations), path)
+    with _row_loop_only():
+        by_rows = build_database(demo_annotations)
+    for db in (build_database(demo_annotations), load_database(path), by_rows):
+        info = next(iter(db.instances.values()))
+        frame = db.frame(next(iter(db.frames)))
+        records = (
+            db.scene_of_frame(frame.frame_id),
+            frame,
+            db.ego_in_frame(frame.frame_id),
+            info,
+            next(iter(info.camera_pos.values())),
+            info.local_t,
+            info.global_r,
+        )
+        assert tuple(map(type, records)) == (
+            SceneRecord, FrameRecord, EgoInfo, InstanceInfo, BBox2D, Vec3, Quaternion
+        )
+        for record in records:
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.undeclared = 1
 
 
 def test_view_enum_contract():
