@@ -6,6 +6,7 @@ import random
 import pytest
 
 from drivesql import evaluation
+from drivesql.canonical import canonical_dumps
 from drivesql.errors import UndefinedScore
 from drivesql.evaluation import (
     DetectionPred,
@@ -532,6 +533,25 @@ def test_pooled_groups_equal_metrics_over_pooled_lists(demo_pairs):
         assert report.groups[group] == weighted / total
     assert 0.0 < report.groups["perception_acc"] < 1.0
     assert 0.0 < report.extraction_failure_rate < 1.0
+
+
+# The canonical bytes of the demo reports, on corrupted and on echoed
+# predictions; taken before the metrics tokenized each text only once.
+GOLDEN_CORRUPTED_REPORT_SHA256 = "7503e0dae0aedb0dd334291f3021f53c90bd85bf1df7cf80de855182b236bcd5"
+GOLDEN_ECHO_REPORT_SHA256 = "0bed9d4a91eda1e7924b9396c9946d1120aaf22e3b856484c72ae04a191b41d1"
+
+
+@pytest.mark.parametrize(
+    ("predict", "digest"),
+    [
+        (lambda pairs: _corrupted_predictions(pairs, seed=5), GOLDEN_CORRUPTED_REPORT_SHA256),
+        (predictions_from_pairs, GOLDEN_ECHO_REPORT_SHA256),
+    ],
+    ids=["corrupted", "echo"],
+)
+def test_demo_report_matches_golden_digest(demo_pairs, predict, digest):
+    report = canonical_dumps(evaluate(demo_pairs, predict(demo_pairs)).as_dict())
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
 
 
 def test_evaluate_scores_each_risk_kind_and_the_plans_once(demo_pairs, monkeypatch):
