@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import importlib
 import math
@@ -21,7 +22,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from .canonical import canonical_dumps, read_json, read_text, write_json
+from .canonical import canonical_dumps, collector_paused, read_json, read_text, write_json
 from .errors import DriveSqlError, RecordNotFound
 from .scene_db import (
     DEFAULT_IMPORTANT_RADIUS,
@@ -110,6 +111,17 @@ class _Stage:
         start = time.monotonic()
         yield
         self.timings[name] = round(time.monotonic() - start, 3)
+
+    @contextmanager
+    def load(self) -> Iterator[None]:
+        """Phase ``load``, run with the collector paused. What it reads lives
+        through the stage, so a load that succeeds freezes it out of the
+        collector's sight (``gc.freeze``) before the collector resumes;
+        frozen any later, it would first be walked by the collections the
+        freeze is meant to spare. ``run`` unfreezes it."""
+        with self.phase("load"), collector_paused():
+            yield
+            gc.freeze()
 
     def write_manifest(self) -> None:
         config = canonical_dumps(self.config).encode("utf-8")
@@ -236,7 +248,7 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 
 def _cmd_build_db(args: argparse.Namespace, stage: _Stage) -> int:
     src = Path(args.annotations)
-    with stage.phase("load"), naming_file(src):
+    with stage.load(), naming_file(src):
         db = build_database(read_json(src), important_radius=args.radius)
     out = Path(args.output)
     with stage.phase("write"):
@@ -272,7 +284,7 @@ def _generation_config(args: argparse.Namespace) -> GenerationConfig:
 def _cmd_generate(args: argparse.Namespace, stage: _Stage) -> int:
     src = Path(args.database)
     config = _generation_config(args)
-    with stage.phase("load"):
+    with stage.load():
         db = load_database(src)
     with stage.phase("generate"):
         pairs, diag = _lazy.generate_dataset(db, config, jobs=args.jobs)
@@ -298,7 +310,7 @@ def _cmd_generate(args: argparse.Namespace, stage: _Stage) -> int:
 
 def _cmd_verify(args: argparse.Namespace, stage: _Stage) -> int:
     src = Path(args.pairs)
-    with stage.phase("load"):
+    with stage.load():
         pairs = _lazy.read_pairs_jsonl(src)
         db = load_database(Path(args.db)) if args.db is not None else None
     with stage.phase("verify"):
@@ -334,7 +346,7 @@ def _cmd_verify(args: argparse.Namespace, stage: _Stage) -> int:
 def _cmd_split(args: argparse.Namespace, stage: _Stage) -> int:
     ratios = _parse_ratios(args.ratios)
     src = Path(args.pairs)
-    with stage.phase("load"):
+    with stage.load():
         pairs = _lazy.read_pairs_jsonl(src)
     if not pairs:
         raise CliUsageError(f"{src}: no pairs to split")
@@ -361,7 +373,7 @@ def _cmd_split(args: argparse.Namespace, stage: _Stage) -> int:
 def _cmd_stats(args: argparse.Namespace, stage: _Stage) -> int:
     pairs_path = Path(args.pairs)
     db_path = Path(args.database)
-    with stage.phase("load"):
+    with stage.load():
         pairs = _lazy.read_pairs_jsonl(pairs_path)
         db = load_database(db_path)
     with stage.phase("stats"):
@@ -387,7 +399,7 @@ def _cmd_stats(args: argparse.Namespace, stage: _Stage) -> int:
 def _cmd_eval(args: argparse.Namespace, stage: _Stage) -> int:
     pairs_path = Path(args.pairs)
     preds_path = Path(args.predictions)
-    with stage.phase("load"):
+    with stage.load():
         pairs = _lazy.read_pairs_jsonl(pairs_path)
         preds = _lazy.read_predictions_jsonl(preds_path)
     with stage.phase("eval"):
@@ -502,6 +514,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 2
+    finally:
+        # An in-process caller gets back the heap the load phase froze.
+        gc.unfreeze()
 
 
 def main() -> None:

@@ -12,14 +12,15 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, count, repeat
+from operator import sub, truediv
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .canonical import read_jsonl, write_jsonl
+from .canonical import collector_paused, read_jsonl, write_jsonl
 from .errors import UndefinedScore
 from .generation import (
     DetectionList,
-    FreeText,
     InstructionResponsePair,
     Label,
     Numeric,
@@ -98,16 +99,14 @@ def _abs_errors(
     per_pair: list[float] = []
     failed = 0
     for text, refs in zip(predictions, references):
-        refs = list(refs)
-        if not refs:
+        k = len(refs)
+        if not k:
             raise ValueError("reference value lists must be non-empty")
         found = extract_numbers(text)
-        if len(found) < len(refs) or any(not math.isfinite(v) for v in found[: len(refs)]):
+        if len(found) < k or not all(map(math.isfinite, found[:k])):
             failed += 1
             continue
-        per_pair.append(
-            sum(abs(p - r) for p, r in zip(found, refs)) / len(refs)
-        )
+        per_pair.append(sum(map(abs, map(sub, found, refs))) / k)
     return per_pair, failed
 
 
@@ -142,7 +141,8 @@ def accuracy(
     A prediction is correct when, across the candidate label set, it
     mentions exactly one label exactly once, and that label equals the
     reference. Matching is case-insensitive on whitespace-normalized
-    tokens.
+    tokens. Each candidate label is tokenized once per call, and each
+    prediction once.
     """
     if len(predictions) != len(references):
         raise ValueError("predictions and references must align one to one")
@@ -151,12 +151,16 @@ def accuracy(
     labels = {r.lower() for r in references}
     if label_set is not None:
         labels |= {l.lower() for l in label_set}
+    needles = {label: tokenize(label) for label in labels}
+    # The other labels of each reference, whose mentions make a prediction wrong.
+    others = {label: [n for other, n in needles.items() if other != label] for label in labels}
     correct = 0
     for text, ref in zip(predictions, references):
+        ref = ref.lower()
         tokens = tokenize(text)
-        mentions = {label: count_mentions(tokens, label) for label in labels}
-        total = sum(mentions.values())
-        if total == 1 and mentions.get(ref.lower(), 0) == 1:
+        if count_mentions(tokens, needles[ref]) == 1 and not any(
+            count_mentions(tokens, needle) for needle in others[ref]
+        ):
             correct += 1
     return correct / len(references)
 
@@ -168,8 +172,12 @@ def iou(a: BBox2D, b: BBox2D) -> float:
     """Intersection over union of two pixel boxes."""
     ax1, ay1, ax2, ay2 = a
     bx1, by1, bx2, by2 = b
-    ix = max(0.0, min(ax2, bx2) - max(ax1, bx1))
-    iy = max(0.0, min(ay2, by2) - max(ay1, by1))
+    # Conditional expressions rather than min and max: this runs for every
+    # detection against every reference box of its pair and view.
+    ix = (ax2 if ax2 < bx2 else bx2) - (ax1 if ax1 > bx1 else bx1)
+    iy = (ay2 if ay2 < by2 else by2) - (ay1 if ay1 > by1 else by1)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
     inter = ix * iy
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     return inter / union if union > 0 else 0.0
@@ -206,6 +214,7 @@ def average_precision(
     ranked = sorted(
         enumerate(detections), key=lambda item: (-item[1].score, item[1].pair_id, item[0])
     )
+    boxes = [ref.bbox for ref in references]
     by_group: dict[tuple[str, View], list[int]] = {}
     for idx, ref in enumerate(references):
         by_group.setdefault((ref.pair_id, ref.view), []).append(idx)
@@ -214,31 +223,24 @@ def average_precision(
     for _, det in ranked:
         best_idx = -1
         best_overlap = 0.0
-        for ref_idx in by_group.get((det.pair_id, det.view), []):
+        for ref_idx in by_group.get((det.pair_id, det.view), ()):
             if ref_idx in matched:
                 continue
-            overlap = iou(det.bbox, references[ref_idx].bbox)
+            overlap = iou(det.bbox, boxes[ref_idx])
             if overlap >= IOU_THRESHOLD and overlap > best_overlap:
                 best_idx, best_overlap = ref_idx, overlap
         if best_idx >= 0:
             matched.add(best_idx)
-            flags.append(True)
-        else:
-            flags.append(False)
-    recalls: list[float] = []
-    precisions: list[float] = []
-    tp = 0
-    for i, flag in enumerate(flags, start=1):
-        tp += int(flag)
-        recalls.append(tp / len(references))
-        precisions.append(tp / i)
-    # All-point interpolation with boundary sentinels.
-    mrec = [0.0, *recalls, 1.0]
-    mpre = [0.0, *precisions, 0.0]
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+        flags.append(best_idx >= 0)
+    # True positives after each ranked detection; all-point interpolation
+    # with boundary sentinels.
+    tps = list(accumulate(flags))
+    n_refs = len(references)
+    mrec = [0.0, *(tp / n_refs for tp in tps), 1.0]
+    mpre = [0.0, *map(truediv, tps, count(1)), 0.0]
+    mpre = list(accumulate(reversed(mpre), max))[::-1]
     return sum(
-        (mrec[i] - mrec[i - 1]) * mpre[i] for i in range(1, len(mrec)) if mrec[i] != mrec[i - 1]
+        (rec - prev) * pre for prev, rec, pre in zip(mrec, mrec[1:], mpre[1:]) if rec != prev
     )
 
 
@@ -262,21 +264,34 @@ def map_score(
 
 
 def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """The n-grams of ``tokens`` by count; unigrams are keyed by the token itself."""
+    return Counter(tokens if n == 1 else zip(*(tokens[i:] for i in range(n))))
+
+
+def _clipped_counts(
+    cand_tokens: Sequence[list[str]], ref_tokens: Sequence[list[str]], n: int
+) -> tuple[int, int]:
+    """``clipped_ngram_counts`` over texts already tokenized."""
+    matches = 0
+    total = 0
+    for cand, ref in zip(cand_tokens, ref_tokens):
+        if len(cand) < n:
+            continue
+        cand_counts = _ngram_counts(cand, n)
+        in_ref = map(_ngram_counts(ref, n).get, cand_counts, repeat(0))
+        matches += sum(map(min, cand_counts.values(), in_ref))
+        total += len(cand) - n + 1
+    return matches, total
 
 
 def clipped_ngram_counts(
     candidates: Sequence[str], references: Sequence[str], n: int
 ) -> tuple[int, int]:
-    """Corpus-level clipped n-gram matches and candidate n-gram total."""
-    matches = 0
-    total = 0
-    for cand, ref in zip(candidates, references):
-        cand_counts = _ngram_counts(tokenize(cand), n)
-        ref_counts = _ngram_counts(tokenize(ref), n)
-        matches += sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
-        total += sum(cand_counts.values())
-    return matches, total
+    """Corpus-level clipped n-gram matches and candidate n-gram total; each
+    text is tokenized once."""
+    return _clipped_counts(
+        [tokenize(c) for c in candidates], [tokenize(r) for r in references], n
+    )
 
 
 def bleu(
@@ -290,19 +305,23 @@ def bleu(
     penalty is exp(1 - r/c) when the candidate corpus is shorter, and any
     zero precision floors the score at zero unless add-one smoothing is on.
     Orders longer than every candidate are treated as perfectly matched so
-    that scoring a corpus against itself is exactly 1.
+    that scoring a corpus against itself is exactly 1. Each text is
+    tokenized once, and its lengths and every order's n-grams come from
+    that one token list.
     """
     if len(candidates) != len(references):
         raise ValueError("candidates and references must align one to one")
     if not candidates:
         raise UndefinedScore("cannot score an empty corpus")
-    cand_len = sum(len(tokenize(c)) for c in candidates)
-    ref_len = sum(len(tokenize(r)) for r in references)
+    cand_tokens = [tokenize(c) for c in candidates]
+    ref_tokens = [tokenize(r) for r in references]
+    cand_len = sum(map(len, cand_tokens))
+    ref_len = sum(map(len, ref_tokens))
     if cand_len == 0:
         return 1.0 if ref_len == 0 else 0.0
     log_sum = 0.0
     for n in range(1, BLEU_ORDER + 1):
-        matches, total = clipped_ngram_counts(candidates, references, n)
+        matches, total = _clipped_counts(cand_tokens, ref_tokens, n)
         if smooth:
             matches, total = matches + 1, total + 1
         if total == 0:
@@ -390,6 +409,7 @@ class MetricReport:
         }
 
 
+@collector_paused()
 def evaluate(
     pairs: Sequence[InstructionResponsePair],
     predictions: Sequence[Prediction],
@@ -399,9 +419,13 @@ def evaluate(
     A missing prediction counts as an extraction failure, an incorrect
     label, no detections, or an empty plan, depending on the family.
     Duplicate or unknown prediction ids, and pairs whose ground truth type
-    does not fit their subtask, are rejected.
+    does not fit their subtask, are rejected. Scoring allocates a container
+    or more per pair, none of them in a cycle, so the collector is paused.
     """
     by_id: dict[str, InstructionResponsePair] = {}
+    # Each subtask's pairs, subtasks in order of first appearance; a subtask's
+    # ground truth type, and so its metric family, is fixed.
+    by_subtask: dict[Subtask, list[InstructionResponsePair]] = {}
     for pair in pairs:
         if pair.pair_id in by_id:
             raise ValueError(f"duplicate pair id {pair.pair_id!r} in the dataset")
@@ -411,6 +435,7 @@ def evaluate(
                 f"{pair.subtask.value}"
             )
         by_id[pair.pair_id] = pair
+        by_subtask.setdefault(pair.subtask, []).append(pair)
     pred_map: dict[str, Prediction] = {}
     for pred in predictions:
         if pred.pair_id in pred_map:
@@ -424,57 +449,45 @@ def evaluate(
                 "must not carry detections"
             )
         pred_map[pred.pair_id] = pred
+    text_of = {pair_id: pred.response_text for pair_id, pred in pred_map.items()}
 
-    mae_texts: dict[Subtask, list[str]] = {}
-    mae_refs: dict[Subtask, list[list[float]]] = {}
-    acc_texts: dict[Subtask, list[str]] = {}
-    acc_refs: dict[Subtask, list[str]] = {}
-    det_preds: dict[Subtask, list[RankedDetection]] = {k: [] for k in RISK_SUBTASKS}
-    det_refs: dict[Subtask, list[ReferenceBox]] = {k: [] for k in RISK_SUBTASKS}
-    bleu_cands: list[str] = []
-    bleu_refs: list[str] = []
-
-    for pair in pairs:
-        pred = pred_map.get(pair.pair_id)
-        text = pred.response_text if pred is not None else ""
-        truth = pair.ground_truth
-        if isinstance(truth, Numeric):
-            mae_texts.setdefault(pair.subtask, []).append(text)
-            mae_refs.setdefault(pair.subtask, []).append(list(truth.values))
-        elif isinstance(truth, Label):
-            acc_texts.setdefault(pair.subtask, []).append(text)
-            acc_refs.setdefault(pair.subtask, []).append(truth.value)
-        elif isinstance(truth, DetectionList):
-            for ref in truth.items:
-                det_refs[pair.subtask].append(ReferenceBox(pair.pair_id, ref.view, ref.bbox))
-            if pred is not None and pred.detections:
-                for det in pred.detections:
-                    det_preds[pair.subtask].append(
-                        RankedDetection(pair.pair_id, det.view, det.bbox, det.score)
-                    )
-        elif isinstance(truth, FreeText):
-            bleu_cands.append(text)
-            bleu_refs.append(truth.text)
-
-    per_subtask: dict[Subtask, float] = {}
+    scores: dict[Subtask, float] = {}
     errors: dict[Subtask, list[float]] = {}
+    labelled: dict[Subtask, int] = {}
     failures = 0
-    for subtask, texts in mae_texts.items():
-        errors[subtask], failed = _abs_errors(texts, mae_refs[subtask])
-        failures += failed
-    mae_pair_count = sum(len(texts) for texts in mae_texts.values())
-
-    for subtask in Subtask:
-        if errors.get(subtask):
-            per_subtask[subtask] = sum(errors[subtask]) / len(errors[subtask])
-        if subtask in acc_texts:
-            per_subtask[subtask] = accuracy(
-                acc_texts[subtask], acc_refs[subtask], _BUILTIN_LABELS[subtask]
-            )
-        if subtask in RISK_SUBTASKS and det_refs[subtask]:
-            per_subtask[subtask] = average_precision(det_preds[subtask], det_refs[subtask])
-    if bleu_cands:
-        per_subtask[Subtask.PLANNING_WITH_REASONING] = bleu(bleu_cands, bleu_refs)
+    mae_pair_count = 0
+    for subtask, members in by_subtask.items():
+        texts = [text_of.get(pair.pair_id, "") for pair in members]
+        truths = [pair.ground_truth for pair in members]
+        family = type(truths[0])
+        if family is Numeric:
+            errs, failed = _abs_errors(texts, [truth.values for truth in truths])
+            errors[subtask] = errs
+            failures += failed
+            mae_pair_count += len(members)
+            if errs:
+                scores[subtask] = sum(errs) / len(errs)
+        elif family is Label:
+            refs = [truth.value for truth in truths]
+            scores[subtask] = accuracy(texts, refs, _BUILTIN_LABELS[subtask])
+            labelled[subtask] = len(members)
+        elif family is DetectionList:
+            boxes = [
+                ReferenceBox(pair.pair_id, ref.view, ref.bbox)
+                for pair in members
+                for ref in pair.ground_truth.items
+            ]
+            if boxes:
+                ranked = [
+                    RankedDetection(pair.pair_id, det.view, det.bbox, det.score)
+                    for pair in members
+                    if (pred := pred_map.get(pair.pair_id)) is not None and pred.detections
+                    for det in pred.detections
+                ]
+                scores[subtask] = average_precision(ranked, boxes)
+        else:  # FreeText, the plans
+            scores[subtask] = bleu(texts, [truth.text for truth in truths])
+    per_subtask = {subtask: scores[subtask] for subtask in Subtask if subtask in scores}
 
     # Groups reuse the per-subtask numbers, so each score is computed once.
     groups: dict[str, float | None] = {}
@@ -482,10 +495,10 @@ def evaluate(
         pooled = [e for s, errs in errors.items() if s.task is task for e in errs]
         groups[f"{task.value}_mae"] = sum(pooled) / len(pooled) if pooled else None
     for task in (Task.PERCEPTION, Task.PREDICTION):
-        members = [s for s in acc_texts if s.task is task]
+        members = [s for s in labelled if s.task is task]
         # Each pair is judged with its own subtask's label set, then pooled.
-        total = sum(len(acc_texts[s]) for s in members)
-        weighted = sum(per_subtask[s] * len(acc_texts[s]) for s in members)
+        total = sum(labelled[s] for s in members)
+        weighted = sum(per_subtask[s] * labelled[s] for s in members)
         groups[f"{task.value}_acc"] = weighted / total if total else None
     aps = [per_subtask[kind] for kind in RISK_SUBTASKS if kind in per_subtask]
     groups["risk_map"] = sum(aps) / len(aps) if aps else None

@@ -723,7 +723,7 @@ def offline_check(pair: InstructionResponsePair, db: SceneDatabase | None = None
     elif isinstance(truth, Label):
         if not truth.value:
             return "empty reference label"
-        mentions = count_mentions(tokenize(pair.response), truth.value)
+        mentions = count_mentions(tokenize(pair.response), tokenize(truth.value))
         if mentions != 1:
             return f"response mentions the reference label {mentions} times, needs exactly 1"
     elif isinstance(truth, DetectionList):

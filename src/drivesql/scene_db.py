@@ -11,7 +11,6 @@ pass the checks' exact-type shortcuts is built column by column.
 
 from __future__ import annotations
 
-import gc
 import math
 import sys
 from collections.abc import Mapping, Sequence
@@ -23,7 +22,7 @@ from operator import itemgetter, lt
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
 
-from .canonical import read_json, write_json
+from .canonical import collector_paused, read_json, write_json
 from .errors import AnnotationSchemaError, RecordNotFound
 from .geometry import UNIT_NORM_TOLERANCE, Quaternion, Vec3, planar_norm
 
@@ -703,21 +702,6 @@ def _parse_table(
     return table
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector in the block. Reading a database
-    allocates hundreds of thousands of containers, none of them in a cycle,
-    and the collector would walk the growing heap again and again while
-    they pile up: about a fifth of a load's time."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def build_database(
     annotations: Mapping[str, Any],
     important_radius: float = DEFAULT_IMPORTANT_RADIUS,
@@ -742,7 +726,7 @@ def build_database(
     except AnnotationSchemaError as err:
         raise err.within("annotations")
 
-    with _collector_paused():
+    with collector_paused():
         scenes, frames, ego, instances = (_parse_table(tables, *table) for table in _TABLES)
 
     # Referential integrity: every listed id resolves, every info row is
@@ -847,6 +831,7 @@ def database_to_document(db: SceneDatabase) -> dict[str, Any]:
     return doc
 
 
+@collector_paused()
 def save_database(db: SceneDatabase, path: str | Path) -> None:
     write_json(path, database_to_document(db))
 
@@ -863,7 +848,7 @@ def naming_file(path: str | Path) -> Iterator[None]:
 
 
 def load_database(path: str | Path) -> SceneDatabase:
-    with naming_file(path), _collector_paused():
+    with naming_file(path), collector_paused():
         try:
             tables = _read_fields(read_json(path), {"important_radius": _as_positive, **_DOCUMENT})
         except AnnotationSchemaError as err:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import re
+from typing import Sequence
 
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?")
-_NON_ALNUM = re.compile(r"[^0-9a-z]+")
+_TOKEN = re.compile(r"[0-9a-z]+")
 
 
 def extract_numbers(text: str) -> list[float]:
@@ -19,13 +20,14 @@ def extract_numbers(text: str) -> list[float]:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase tokens split on runs of non-alphanumeric characters."""
-    return [t for t in _NON_ALNUM.split(text.lower()) if t]
+    return _TOKEN.findall(text.lower())
 
 
-def count_mentions(tokens: list[str], label: str) -> int:
-    """Occurrences of the label's token sequence inside the token list."""
-    needle = tokenize(label)
-    if not needle or len(needle) > len(tokens):
+def count_mentions(tokens: list[str], needle: Sequence[str]) -> int:
+    """Occurrences of the token sequence ``needle``, a tokenized label, inside
+    the token list; an empty needle occurs nowhere."""
+    if not needle:
         return 0
-    n = len(needle)
-    return sum(1 for i in range(len(tokens) - n + 1) if tokens[i : i + n] == needle)
+    if len(needle) == 1:
+        return tokens.count(needle[0])
+    return list(zip(*(tokens[i:] for i in range(len(needle))))).count(tuple(needle))

@@ -324,6 +324,91 @@ def ap_oracle(detections, references, iou_threshold=0.5):
     return area
 
 
+# ------------------------------------------------------------ numbers, labels
+
+
+_ALNUM = frozenset("0123456789abcdefghijklmnopqrstuvwxyz")
+
+
+def _words(text):
+    """Lowercased runs of ASCII letters and digits, scanned one character at a time."""
+    words, current = [], ""
+    for ch in text.lower() + " ":
+        if ch in _ALNUM:
+            current += ch
+        elif current:
+            words.append(current)
+            current = ""
+    return words
+
+
+def _numbers(text):
+    """Maximal ``[sign] digits [. digits]`` substrings as floats, scanned by hand."""
+    found = []
+    i = 0
+    while i < len(text):
+        start = i
+        if text[i] in "+-" and i + 1 < len(text) and text[i + 1].isdecimal():
+            i += 1
+        if not text[i].isdecimal():
+            i = start + 1
+            continue
+        while i < len(text) and text[i].isdecimal():
+            i += 1
+        if i + 1 < len(text) and text[i] == "." and text[i + 1].isdecimal():
+            i += 1
+            while i < len(text) and text[i].isdecimal():
+                i += 1
+        found.append(float(text[start:i]))
+    return found
+
+
+def mae_oracle(predictions, references):
+    """(value, failure rate, scored, failed) of the documented MAE, value None
+    when nothing is scorable.
+
+    A pair scores when its text holds at least as many numbers as it has
+    references and the first that many are finite; its error is the mean of
+    the absolute differences, in order. The value is the mean over scored
+    pairs, the failure rate the share of pairs that did not score.
+    """
+    errors = []
+    for text, refs in zip(predictions, references):
+        nums = _numbers(text)[: len(refs)]
+        if len(nums) < len(refs) or not all(math.isfinite(v) for v in nums):
+            continue
+        errors.append(math.fsum(abs(p - r) for p, r in zip(nums, refs)) / len(refs))
+    failed = len(predictions) - len(errors)
+    value = math.fsum(errors) / len(errors) if errors else None
+    return value, failed / len(predictions), len(errors), failed
+
+
+def accuracy_oracle(predictions, references, label_set=None):
+    """The documented label accuracy, re-tokenizing every label for every
+    prediction and sliding a window over the prediction's words.
+
+    A prediction is correct when, over the candidate labels (the lowercased
+    references plus ``label_set``), it mentions exactly one label exactly
+    once and that label is its reference. A label that tokenizes to nothing
+    is never mentioned.
+    """
+    labels = {r.lower() for r in references} | {l.lower() for l in label_set or ()}
+    correct = 0
+    for text, ref in zip(predictions, references):
+        words = _words(text)
+        mentions = {}
+        for label in labels:
+            needle = _words(label)
+            mentions[label] = sum(
+                1
+                for start in range(len(words) - len(needle) + 1)
+                if needle and words[start : start + len(needle)] == needle
+            )
+        if sum(mentions.values()) == 1 and mentions[ref.lower()] == 1:
+            correct += 1
+    return correct / len(references)
+
+
 # --------------------------------------------------------------------- bleu
 
 

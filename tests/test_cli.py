@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -68,6 +69,25 @@ def test_full_pipeline_exit_codes(pipeline, capsys):
     assert "risk_map: 1.0000" in captured.out
     groups = json.loads(eval_out.read_text())["groups"]
     assert groups["reasoning_bleu"] == 1.0
+
+
+def test_a_stage_freezes_what_it_loaded_and_hands_it_back(pipeline, monkeypatch):
+    """The load phase moves what it read out of the collector's sight; the
+    run unfreezes it on return, so an in-process caller gets its heap back."""
+    from drivesql import cli
+
+    tmp_path, _, db, pairs = pipeline
+    frozen = []
+
+    def counted_stats(*args):
+        frozen.append((gc.isenabled(), gc.get_freeze_count()))
+        return compute_stats(*args)
+
+    monkeypatch.setattr(cli, "compute_stats", counted_stats, raising=False)
+    assert run(["stats", str(pairs), str(db), "-o", str(tmp_path / "stats.json")]) == 0
+    [(enabled, count)] = frozen
+    assert enabled and count > 0
+    assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
 def test_generate_is_deterministic(pipeline):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from drivesql import evaluation
+from drivesql import evaluation, textutil
 from drivesql.canonical import canonical_dumps
 from drivesql.errors import UndefinedScore
 from drivesql.evaluation import (
@@ -28,12 +28,19 @@ from drivesql.evaluation import (
     write_predictions_jsonl,
 )
 from drivesql.evaluation import _BUILTIN_LABELS
-from drivesql.generation import DetectionList, Label, Numeric
+from drivesql.generation import DetectionList, FreeText, Label, Numeric
 from drivesql.scene_db import BBox2D, View
 from drivesql.task_sql import RISK_SUBTASKS, Subtask
 from drivesql.textutil import extract_numbers
 
-from _oracles import ap_oracle, bleu_oracle, split_sizes_oracle
+from _oracles import (
+    accuracy_oracle,
+    ap_oracle,
+    bleu_oracle,
+    iou_oracle,
+    mae_oracle,
+    split_sizes_oracle,
+)
 
 
 # ------------------------------------------------------------------ numbers
@@ -92,6 +99,42 @@ def test_mae_perturbation_oracle():
     assert result.value <= 0.051
 
 
+def _random_number_text(rng):
+    """Numbers among words and punctuation: signs, fractions, exponents that
+    split, dots that end nothing, and now and then one too large for a float."""
+    parts = []
+    for _ in range(rng.randint(0, 5)):
+        parts.append(rng.choice([
+            f"{rng.uniform(-50, 50):.{rng.randint(0, 3)}f}",
+            f"+{rng.randint(0, 99)}",
+            f"{rng.randint(1, 9)}e{rng.randint(1, 5)}",
+            f"{rng.randint(0, 9)}.",
+            "-.",
+            "m/s",
+            "ahead,",
+            "9" * 400 if rng.random() < 0.1 else "(",
+        ]))
+    return rng.choice([" ", ", ", ""]).join(parts)
+
+
+def test_mae_matches_oracle():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        texts = [_random_number_text(rng) for _ in range(n)]
+        refs = [[rng.uniform(-30, 30) for _ in range(rng.randint(1, 3))] for _ in range(n)]
+        value, rate, scored, failed = mae_oracle(texts, refs)
+        if value is None:
+            with pytest.raises(UndefinedScore):
+                mae(texts, refs)
+            continue
+        result = mae(texts, refs)
+        assert result.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+        assert (result.extraction_failure_rate, result.scored, result.failed) == (
+            rate, scored, failed
+        )
+
+
 # ------------------------------------------------------------------- labels
 
 
@@ -129,6 +172,41 @@ def test_accuracy_corruption_oracle():
     assert score == (n - flipped) / n == 0.75
 
 
+# Candidate labels with several tokens, one a token prefix of another, one
+# with no token at all, and written with mixed case and punctuation.
+_LABELS = ["moving", "Stopped", "parked", "parked car", "Traffic-Cone", "cone", "yes", "no", "--"]
+
+
+def _random_response(rng):
+    words = _LABELS + ["the", "car", "is", "not", "traffic", "It", "PARKED", "cone."]
+    if rng.random() < 0.1:
+        return rng.choice(["", "...", "  "])
+    seps = [" ", ", ", "; ", "! ", " -- "]
+    return "".join(rng.choice(words) + rng.choice(seps) for _ in range(rng.randint(1, 7)))
+
+
+def test_accuracy_matches_oracle():
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        refs = [rng.choice(_LABELS + ["CAR", "traffic cone"]) for _ in range(n)]
+        preds = [_random_response(rng) for _ in range(n)]
+        # A prediction that is exactly its reference, repeated or not.
+        for i in range(n):
+            if rng.random() < 0.3:
+                preds[i] = " ".join([refs[i].upper()] * rng.choice([1, 1, 2]))
+        label_set = None if rng.random() < 0.2 else set(rng.sample(_LABELS, rng.randint(0, 5)))
+        assert accuracy(preds, refs, label_set) == accuracy_oracle(preds, refs, label_set)
+
+
+def test_accuracy_labels_with_several_tokens():
+    labels = {"parked", "parked car"}
+    assert accuracy(["A parked car."], ["parked car"], labels) == 0.0  # "parked" too
+    assert accuracy(["A PARKED-car."], ["parked car"], {"car park"}) == 1.0
+    assert accuracy(["parked car, parked car"], ["parked car"]) == 0.0
+    assert accuracy([""], ["parked car"], labels) == 0.0
+
+
 def test_accuracy_undefined_on_empty():
     with pytest.raises(UndefinedScore):
         accuracy([], [])
@@ -142,6 +220,16 @@ def test_iou_basic():
     assert iou(a, a) == 1.0
     assert iou(a, BBox2D(10, 10, 12, 12)) == 0.0
     assert iou(a, BBox2D(1, 0, 3, 2)) == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_iou_matches_oracle_on_disjoint_touching_and_nested_boxes():
+    rng = random.Random(53)
+    for _ in range(2000):
+        # Coordinates on a coarse grid, so boxes often share an edge or a corner.
+        x1, y1, x2, y2 = (rng.randint(0, 8) for _ in range(4))
+        a = BBox2D(x1, y1, x1 + rng.randint(1, 4), y1 + rng.randint(1, 4))
+        b = BBox2D(x2, y2, x2 + rng.randint(1, 4), y2 + rng.randint(1, 4))
+        assert iou(a, b) == iou_oracle(a, b) == iou(b, a)
 
 
 BOX = BBox2D(0.0, 0.0, 10.0, 10.0)
@@ -307,6 +395,23 @@ def test_bleu_matches_oracle():
         refs = _random_sentences(rng, 5)
         cands = [
             ref if rng.random() < 0.4 else " ".join(rng.sample(ref.split(), len(ref.split())))
+            for ref in refs
+        ]
+        for smooth in (False, True):
+            got = bleu(cands, refs, smooth=smooth)
+            want = bleu_oracle(cands, refs, smooth=smooth)
+            assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_bleu_matches_oracle_on_candidates_shorter_than_the_longest_order():
+    rng = random.Random(37)
+    for _ in range(60):
+        refs = _random_sentences(rng, 5)
+        # Candidates of zero to three tokens, with case and punctuation, among longer ones.
+        cands = [
+            ", ".join(rng.sample(ref.split(), rng.randint(0, 3))).upper()
+            if rng.random() < 0.7
+            else ref
             for ref in refs
         ]
         for smooth in (False, True):
@@ -533,6 +638,28 @@ def test_pooled_groups_equal_metrics_over_pooled_lists(demo_pairs):
         assert report.groups[group] == weighted / total
     assert 0.0 < report.groups["perception_acc"] < 1.0
     assert 0.0 < report.extraction_failure_rate < 1.0
+
+
+def test_evaluate_tokenizes_each_text_once(demo_pairs, monkeypatch):
+    calls = []
+    tokenize = textutil.tokenize
+
+    def counted_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(evaluation, "tokenize", counted_tokenize)
+    monkeypatch.setattr(textutil, "tokenize", counted_tokenize)
+    evaluate(demo_pairs, _corrupted_predictions(demo_pairs, seed=5))
+
+    labelled = [p for p in demo_pairs if isinstance(p.ground_truth, Label)]
+    plans = [p for p in demo_pairs if isinstance(p.ground_truth, FreeText)]
+    candidates = sum(
+        len(_BUILTIN_LABELS[s] | {p.ground_truth.value.lower() for p in labelled if p.subtask is s})
+        for s in {p.subtask for p in labelled}
+    )
+    assert labelled and plans
+    assert len(calls) <= len(labelled) + 2 * len(plans) + candidates
 
 
 # The canonical bytes of the demo reports, on corrupted and on echoed

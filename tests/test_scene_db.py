@@ -256,6 +256,31 @@ def test_loading_leaves_the_garbage_collector_as_it_found_it(small_annotations, 
         gc.enable()
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("refused", ["database", "jsonl line"])
+def test_a_refused_read_leaves_the_garbage_collector_as_it_found_it(
+    small_annotations, tmp_path, enabled, refused
+):
+    path = tmp_path / "bad"
+    if refused == "database":
+        bad = copy.deepcopy(small_annotations)
+        bad["important_radius"] = 20.0
+        del bad["frames"][0]["timestamp"]
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        read, error = (lambda: load_database(path)), AnnotationSchemaError
+    else:
+        path.write_text('{"pair_id": "a"}\n{"pair_id": 7}\n', encoding="utf-8")
+        read, error = (lambda: read_pairs_jsonl(path)), DriveSqlError
+    if not enabled:
+        gc.disable()
+    try:
+        with pytest.raises(error):
+            read()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
 def test_persistence_round_trip(tmp_path):
     ann = random_corpus(6, seed=3)
     db = build_database(ann, important_radius=17.5)
