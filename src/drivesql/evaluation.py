@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, count, repeat
 from operator import sub, truediv
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .canonical import collector_paused, read_jsonl, write_jsonl
 from .errors import UndefinedScore
@@ -82,8 +81,7 @@ _BUILTIN_LABELS: dict[Subtask, frozenset[str]] = {
 # ------------------------------------------------------------------- numbers
 
 
-@dataclass(frozen=True)
-class MaeResult:
+class MaeResult(NamedTuple):
     value: float
     extraction_failure_rate: float
     scored: int
@@ -183,16 +181,14 @@ def iou(a: BBox2D, b: BBox2D) -> float:
     return inter / union if union > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class RankedDetection:
+class RankedDetection(NamedTuple):
     pair_id: str
     view: View
     bbox: BBox2D
     score: float
 
 
-@dataclass(frozen=True)
-class ReferenceBox:
+class ReferenceBox(NamedTuple):
     pair_id: str
     view: View
     bbox: BBox2D
@@ -336,8 +332,7 @@ def bleu(
 # --------------------------------------------------------------------- split
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     train: tuple[str, ...]
     val: tuple[str, ...]
     test: tuple[str, ...]
@@ -379,15 +374,13 @@ def split_dataset(
 # ----------------------------------------------------------------- evaluate
 
 
-@dataclass(frozen=True)
-class DetectionPred:
+class DetectionPred(NamedTuple):
     view: View
     bbox: BBox2D
     score: float
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """One model answer; detections only accompany risk subtasks."""
 
     pair_id: str
@@ -395,8 +388,7 @@ class Prediction:
     detections: tuple[DetectionPred, ...] | None = None
 
 
-@dataclass
-class MetricReport:
+class MetricReport(NamedTuple):
     per_subtask: dict[Subtask, float]
     groups: dict[str, float | None]
     extraction_failure_rate: float

@@ -9,7 +9,6 @@ offline format rules and, optionally, an external reviewing service.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -17,9 +16,8 @@ import math
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 # The reviewer's HTTP client and the worker pools are imported where they are
 # used, so that a stage that needs neither does not pay to load them.
@@ -88,38 +86,35 @@ REVIEW_RETRIES = 2
 # Ground truth variants. Exactly one per metric family.
 
 
-@dataclass(frozen=True)
-class Numeric:
+class Numeric(NamedTuple):
     values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple):
     value: str
 
 
-@dataclass(frozen=True)
-class DetectionRef:
+class DetectionRef(NamedTuple):
     view: View
     bbox: BBox2D
     instance_id: str
 
 
-@dataclass(frozen=True)
-class DetectionList:
+class DetectionList(NamedTuple):
     items: tuple[DetectionRef, ...]
 
 
-@dataclass(frozen=True)
-class FreeText:
+class FreeText(NamedTuple):
     text: str
 
 
+# Named tuples of different types compare equal when their fields do, so a
+# ground truth is told apart by its type (``_FAMILY_OF_TRUTH``), never by
+# ``==`` against another variant.
 GroundTruth = Numeric | Label | DetectionList | FreeText
 
 
-@dataclass(frozen=True)
-class InstructionResponsePair:
+class InstructionResponsePair(NamedTuple):
     pair_id: str
     scene_id: str
     frame_ids: tuple[str, str, str]
@@ -135,24 +130,26 @@ class InstructionResponsePair:
         return self.subtask.task.value
 
 
-@dataclass
-class GenerationConfig:
+class GenerationConfig(NamedTuple):
     master_seed: int = 0
     windows_per_scene: int = 1
     max_instances_per_subtask: int = 3
-    thresholds: RiskThresholds = field(default_factory=RiskThresholds)
+    thresholds: RiskThresholds = RiskThresholds()
     enabled_subtasks: frozenset[Subtask] = frozenset(Subtask)
 
 
-@dataclass
 class GenerationDiagnostics:
-    eligible_scenes: int = 0
-    ineligible_scenes: int = 0
-    windows_sampled: int = 0
-    windows_unique: int = 0
-    skipped_instances: int = 0
-    pair_failures: int = 0
-    failure_messages: list[str] = field(default_factory=list)
+    """What a generation run did and skipped, counted scene by scene and
+    merged in scene order."""
+
+    def __init__(self, eligible_scenes: int = 0) -> None:
+        self.eligible_scenes = eligible_scenes
+        self.ineligible_scenes = 0
+        self.windows_sampled = 0
+        self.windows_unique = 0
+        self.skipped_instances = 0
+        self.pair_failures = 0
+        self.failure_messages: list[str] = []
 
     def merge(self, other: "GenerationDiagnostics") -> None:
         self.eligible_scenes += other.eligible_scenes
@@ -164,7 +161,7 @@ class GenerationDiagnostics:
         self.failure_messages.extend(other.failure_messages)
 
     def as_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
+        return {**vars(self), "failure_messages": list(self.failure_messages)}
 
 
 # --------------------------------------------------------------------------
@@ -392,7 +389,7 @@ def _pairs_for_window(
     ) -> None:
         response, truth = render_response(subtask, result)
         thresholds = config.thresholds if subtask in _THRESHOLD_SUBTASKS else None
-        # Positional: a frozen record's keyword call costs a microsecond more.
+        # Positional: a keyword call costs a third of a microsecond more.
         pairs.append(
             InstructionResponsePair(
                 _pair_id(scene_id, window, subtask, target),
@@ -658,15 +655,18 @@ def read_pairs_jsonl(path: str | Path) -> list[InstructionResponsePair]:
 # Verification.
 
 
-@dataclass
 class VerificationResult:
-    kept: list[InstructionResponsePair]
-    rejected: list[tuple[str, str]]
-    unverified: set[str] = field(default_factory=set)
-    revised: set[str] = field(default_factory=set)
-    # Reviewer POSTs made, and how many of them re-sent a failed one.
-    requests: int = 0
-    retries: int = 0
+    """The pairs ``verify_pairs`` kept, the ``(pair_id, reason)`` of each it
+    rejected, and the ids it kept unverified or revised. ``requests`` counts
+    the reviewer POSTs made, and ``retries`` those that re-sent a failed one."""
+
+    def __init__(self) -> None:
+        self.kept: list[InstructionResponsePair] = []
+        self.rejected: list[tuple[str, str]] = []
+        self.unverified: set[str] = set()
+        self.revised: set[str] = set()
+        self.requests = 0
+        self.retries = 0
 
 
 _FAMILY_OF_TRUTH = {
@@ -830,7 +830,7 @@ def verify_pairs(
     pair whose reply ``_REPLY`` refuses, or whose reviewer stays unreachable
     through all retries, is kept and flagged unverified.
     """
-    result = VerificationResult(kept=[], rejected=[])
+    result = VerificationResult()
     survivors: list[InstructionResponsePair] = []
     for pair in pairs:
         reason = offline_check(pair, db)
@@ -858,7 +858,7 @@ def verify_pairs(
             continue
         if verdict == "revise":
             truth = FreeText(text) if isinstance(pair.ground_truth, FreeText) else pair.ground_truth
-            pair = dataclasses.replace(pair, response=text, ground_truth=truth)
+            pair = pair._replace(response=text, ground_truth=truth)
             reason = offline_check(pair, db)
             if reason is not None:
                 result.rejected.append(

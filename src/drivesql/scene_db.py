@@ -15,7 +15,6 @@ import math
 import sys
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, repeat, starmap
 from operator import itemgetter, lt
@@ -125,8 +124,7 @@ class InstanceInfo(NamedTuple):
     camera_pos: dict[View, BBox2D]
 
 
-@dataclass(frozen=True)
-class SceneDatabase:
+class SceneDatabase(NamedTuple):
     """Immutable lookup structure over the four annotation tables."""
 
     scenes: dict[str, SceneRecord]

@@ -5,9 +5,8 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .canonical import write_atomic
 from .generation import InstructionResponsePair
@@ -31,8 +30,7 @@ def average_instances_per_keyframe(appearances: int, keyframes: int) -> float:
     return appearances / keyframes
 
 
-@dataclass(frozen=True)
-class DatasetStats:
+class DatasetStats(NamedTuple):
     pairs_total: int
     pairs_per_subtask: dict[Subtask, int]
     task_proportions: dict[Task, float]

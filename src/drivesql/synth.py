@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import AnnotationSchemaError
 from .generation import derive_scene_seed
@@ -57,8 +56,7 @@ EGO_ROAD = {"road": "main", "lane": "1"}
 MOVING_SPEED = 0.5
 
 
-@dataclass(frozen=True)
-class Waypoint:
+class Waypoint(NamedTuple):
     """State of a scripted instance at one time.
 
     ``lane`` optionally switches the road map from this waypoint onward;
@@ -72,8 +70,7 @@ class Waypoint:
     lane: str | None = None
 
 
-@dataclass(frozen=True)
-class ScenarioScript:
+class ScenarioScript(NamedTuple):
     """One instance track; ``kind`` is a risk subtask or None for benign."""
 
     kind: Subtask | None
@@ -253,8 +250,7 @@ def merge_scenes(scene_docs: list[dict[str, Any]]) -> dict[str, Any]:
 # predicate is a strict relaxation of the oncoming one.
 
 
-@dataclass(frozen=True)
-class CuratedScenario:
+class CuratedScenario(NamedTuple):
     name: str
     scripts: tuple[ScenarioScript, ...]
     expected: dict[Subtask, frozenset[str]]

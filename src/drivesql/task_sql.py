@@ -17,7 +17,6 @@ share one follower sweep (``_followers``) and one ego move (``status_ego``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -87,31 +86,44 @@ _TASK_OF = {
 }
 
 
-@dataclass(frozen=True)
-class RiskThresholds:
+class _Gates(NamedTuple):
+    dis: float
+    dis_x: float
+    dis_y: float
+    s: float
+
+
+class RiskThresholds(_Gates):
     """Distance and speed gates shared by the six risk predicates.
 
     ``dis`` bounds lateral offsets and planar ranges in meters, ``dis_x``
     and ``dis_y`` bound longitudinal and lateral displacement deltas, and
-    ``s`` splits slow from moving in meters per second.
+    ``s`` splits slow from moving in meters per second. Each gate must be
+    a positive finite int or float; any other value is refused, whether the
+    set is built by name, by ``_replace`` or by unpickling.
     """
 
-    dis: float = 20.0
-    dis_x: float = 3.0
-    dis_y: float = 3.0
-    s: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+    def __new__(
+        cls, dis: float = 20.0, dis_x: float = 3.0, dis_y: float = 3.0, s: float = 0.5
+    ) -> "RiskThresholds":
+        gates = (dis, dis_x, dis_y, s)
+        for name, value in zip(cls._fields, gates):
             if type(value) not in (int, float) or not 0 < value < math.inf:
                 raise ValueError(f"threshold {name} must be positive and finite, got {value!r}")
+        return tuple.__new__(cls, gates)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> "RiskThresholds":
+        # ``_replace`` builds through ``_make``, so the check runs there too.
+        return cls(*iterable)
 
     def as_dict(self) -> dict[str, float]:
-        return {"dis": self.dis, "dis_x": self.dis_x, "dis_y": self.dis_y, "s": self.s}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class PlanningResult:
+class PlanningResult(NamedTuple):
     """Risk summary plus the ego's own speed change and next displacement."""
 
     risks: dict[Subtask, tuple[InstanceInfo, ...]]
@@ -249,8 +261,7 @@ def _check_window(db: SceneDatabase, *frame_ids: str) -> None:
 
 
 class _RiskContext(NamedTuple):
-    """One row's risk predicate inputs; a tuple, as a window builds one per
-    row and a frozen dataclass takes several times longer to build."""
+    """One row's risk predicate inputs; a window builds one per row."""
 
     m_prev: Vec3
     m_next: Vec3 | None

@@ -212,8 +212,6 @@ def test_eval_fails_when_a_group_is_undefined(pipeline, capsys):
 
 
 def test_verify_with_db_catches_unknown_instance(pipeline):
-    import dataclasses
-
     from drivesql.generation import DetectionList, write_pairs_jsonl
 
     tmp_path, _, db, pairs_path = pipeline
@@ -221,10 +219,9 @@ def test_verify_with_db_catches_unknown_instance(pipeline):
     risky = next(
         p for p in pairs if isinstance(p.ground_truth, DetectionList) and p.ground_truth.items
     )
-    ghost = dataclasses.replace(
-        risky,
+    ghost = risky._replace(
         ground_truth=DetectionList(
-            tuple(dataclasses.replace(d, instance_id="ghost") for d in risky.ground_truth.items)
+            tuple(d._replace(instance_id="ghost") for d in risky.ground_truth.items)
         ),
     )
     tampered = tmp_path / "tampered.jsonl"
@@ -374,7 +371,9 @@ def test_each_stage_loads_only_the_modules_it_runs(pipeline):
         code, modules = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0, (stage, proc.stdout)
         loaded[stage] = set(modules)
-        assert "numpy" not in loaded[stage], stage
+        # Every record is a named tuple: ``dataclasses`` alone would pull in
+        # ``inspect`` (and ``ast``, ``dis``, ``tokenize``) at each start.
+        assert not loaded[stage] & {"numpy", "dataclasses", "inspect"}, stage
     unused = {f"drivesql.{name}" for name in ("evaluation", "stats", "synth")}
     assert not loaded["build-db"] & (unused | {"drivesql.generation"})
     assert not loaded["generate"] & unused
@@ -1049,8 +1048,6 @@ def test_verify_db_rejects_pairs_whose_frames_it_does_not_hold(pipeline):
 
 
 def test_verify_db_rejects_pairs_whose_frames_are_not_a_window_of_their_scene(pipeline):
-    import dataclasses
-
     tmp_path, _, db, pairs_path = pipeline
     pairs = read_pairs_jsonl(pairs_path)
     relabelled, reordered, foreign = [p for p in pairs if p.subtask.value == "distance"][:3]
@@ -1059,9 +1056,9 @@ def test_verify_db_rejects_pairs_whose_frames_are_not_a_window_of_their_scene(pi
     edited = tmp_path / "edited.jsonl"
     write_pairs_jsonl(
         [
-            dataclasses.replace(relabelled, scene_id=there.scene_id),
-            dataclasses.replace(reordered, frame_ids=reordered.frame_ids[::-1]),
-            dataclasses.replace(foreign, frame_ids=(first, mid, there.frame_ids[0])),
+            relabelled._replace(scene_id=there.scene_id),
+            reordered._replace(frame_ids=reordered.frame_ids[::-1]),
+            foreign._replace(frame_ids=(first, mid, there.frame_ids[0])),
         ],
         edited,
     )

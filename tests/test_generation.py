@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -31,7 +32,15 @@ from drivesql.generation import (
     write_pairs_jsonl,
 )
 from drivesql.geometry import Vec3, planar_norm, relative_motion
-from drivesql.scene_db import BBox2D, SceneDatabase, SceneRecord, View, build_database
+from drivesql.scene_db import (
+    BBox2D,
+    SceneDatabase,
+    SceneRecord,
+    View,
+    build_database,
+    load_database,
+    save_database,
+)
 from drivesql.synth import ScenarioScript, Waypoint, demo_corpus, random_corpus, synth_scene
 from drivesql.task_sql import (
     RISK_SUBTASKS,
@@ -118,34 +127,42 @@ def test_instruction_is_deterministic_and_validated():
         render_instruction(Subtask.DISTANCE, {})
 
 
+def _assert_same_truth(got, want):
+    """Named tuples of different types compare equal on equal fields, so a
+    ground truth's type is checked besides its value."""
+    assert type(got) is type(want) and got == want, (got, want)
+
+
 def test_distance_response_golden():
     text, truth = render_response(Subtask.DISTANCE, (3.0, 4.0, 5.0))
     assert text == "(3.0, 4.0)"
-    assert truth == Numeric((3.0, 4.0))
+    _assert_same_truth(truth, Numeric((3.0, 4.0)))
 
 
 def test_same_road_response_golden():
-    assert render_response(Subtask.SAME_ROAD, True) == ("Yes", Label("yes"))
-    assert render_response(Subtask.SAME_ROAD, False) == ("No", Label("no"))
+    for result, text, label in ((True, "Yes", "yes"), (False, "No", "no")):
+        got_text, truth = render_response(Subtask.SAME_ROAD, result)
+        assert got_text == text
+        _assert_same_truth(truth, Label(label))
 
 
 def test_numbers_render_one_decimal_untruncated_truth():
     text, truth = render_response(Subtask.MOTION_EGO, Vec3(1.23456, -0.98765, 0.0))
     assert text == "(1.2, -1.0)"
-    assert truth == Numeric((1.23456, -0.98765))
+    _assert_same_truth(truth, Numeric((1.23456, -0.98765)))
 
 
 def test_empty_risk_response_is_no():
     text, truth = render_response(Subtask.CROSSING, ())
     assert text == "No."
-    assert truth == DetectionList(())
+    _assert_same_truth(truth, DetectionList(()))
 
 
 def test_status_ego_threshold_rule():
     text, truth = render_response(Subtask.STATUS_EGO, (0.0, Vec3(0.4, 0.0, 0.0)))
-    assert truth == Label("stationary")
+    _assert_same_truth(truth, Label("stationary"))
     text, truth = render_response(Subtask.STATUS_EGO, (0.0, Vec3(0.0, 0.6, 0.0)))
-    assert truth == Label("moving")
+    _assert_same_truth(truth, Label("moving"))
     assert EGO_MOVING_DISPLACEMENT == 0.5
 
 
@@ -242,6 +259,34 @@ def test_pool_pickles_the_database_at_most_once_per_worker(demo_db, monkeypatch)
     assert len(demo_db.scenes) > 2
     assert len(pickles) <= 2
     assert pooled == serial
+
+
+def test_what_a_spawned_worker_receives_comes_back_equal_through_pickle(
+    tmp_path, demo_db, demo_pairs
+):
+    """A spawn pool pickles the database and the config into each worker,
+    and the pairs back."""
+    config = GenerationConfig(
+        master_seed=9,
+        windows_per_scene=4,
+        max_instances_per_subtask=2,
+        thresholds=RiskThresholds(dis=15.0, s=0.25),
+        enabled_subtasks=frozenset(RISK_SUBTASKS),
+    )
+    kinds = {type(pair.ground_truth): pair for pair in demo_pairs}
+    assert set(kinds) == {Numeric, Label, DetectionList, FreeText}
+    save_database(demo_db, tmp_path / "scene.db.json")
+    db = load_database(tmp_path / "scene.db.json")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(config, protocol))
+        assert type(back) is GenerationConfig and back == config
+        assert type(back.thresholds) is RiskThresholds
+        for pair in kinds.values():
+            back = pickle.loads(pickle.dumps(pair, protocol))
+            assert type(back) is InstructionResponsePair and back == pair
+            _assert_same_truth(back.ground_truth, pair.ground_truth)
+    back = pickle.loads(pickle.dumps(db))
+    assert type(back) is SceneDatabase and back == db == demo_db
 
 
 def test_jobs_below_one_rejected(demo_db):
@@ -371,7 +416,7 @@ def test_ground_truth_fidelity(demo_db, demo_pairs):
             got = {d.instance_id for d in pair.ground_truth.items}
             assert got == want
         else:
-            assert pair.ground_truth == want
+            _assert_same_truth(pair.ground_truth, want)
         checked[pair.subtask] += 1
     assert sum(checked.values()) > 50
     for subtask in (Subtask.DISTANCE, Subtask.MOTION_OTHERS, Subtask.STATUS_OTHERS):
@@ -401,6 +446,9 @@ def test_serialization_round_trip(tmp_path, demo_pairs):
     write_pairs_jsonl(demo_pairs, path)
     loaded = read_pairs_jsonl(path)
     assert loaded == list(demo_pairs)
+    for got, want in zip(loaded, demo_pairs):
+        _assert_same_truth(got.ground_truth, want.ground_truth)
+        assert type(got.thresholds_used) is type(want.thresholds_used)
     for pair in demo_pairs[:20]:
         doc = pair_to_dict(pair)
         assert pair_from_dict(doc) == pair

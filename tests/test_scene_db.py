@@ -439,6 +439,14 @@ def test_canonical_dumps_refuses_non_finite_numbers():
             canonical_dumps({"x": value})
 
 
+def test_canonical_dumps_writes_what_json_dumps_writes():
+    doc = {"b": [1, 2.5, -0.0, 1e300, None, True], "a": {"\u00e9": "x\"\n\u2028", "": {}}, "c": []}
+    for value in (doc, "\u00e9", 0.1, None, []):
+        assert canonical_dumps(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+
+
 def test_write_jsonl_that_fails_partway_leaves_the_old_file(tmp_path):
     path = tmp_path / "rows.jsonl"
     write_jsonl(path, [{"a": 1}])

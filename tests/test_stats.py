@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -59,7 +58,7 @@ def test_compute_stats_order_free(demo_db, demo_pairs):
 
 
 def test_compute_stats_rejects_dangling_frames(demo_db, demo_pairs):
-    broken = dataclasses.replace(demo_pairs[0], frame_ids=("ghost_a", "ghost_b", "ghost_c"))
+    broken = demo_pairs[0]._replace(frame_ids=("ghost_a", "ghost_b", "ghost_c"))
     with pytest.raises(RecordNotFound):
         compute_stats([broken], demo_db)
 

@@ -1,4 +1,6 @@
 import math
+import pickle
+import re
 
 import pytest
 
@@ -247,11 +249,20 @@ def test_planning_empty_scene():
 
 
 def test_thresholds_validation():
-    with pytest.raises(ValueError):
-        RiskThresholds(dis=-1.0)
-    with pytest.raises(ValueError):
-        RiskThresholds(s=0.0)
-    for value in (math.inf, math.nan, True):
-        with pytest.raises(ValueError, match="^threshold dis_x must be positive and finite, got "):
-            RiskThresholds(dis_x=value)
+    for value in (0, 0.0, -1.0, -3, math.nan, math.inf, -math.inf, True, "1.0"):
+        for name in RiskThresholds._fields:
+            reason = f"threshold {name} must be positive and finite, got {value!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+                RiskThresholds(**{name: value})
+            with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+                RiskThresholds()._replace(**{name: value})
     assert RiskThresholds().as_dict() == {"dis": 20.0, "dis_x": 3.0, "dis_y": 3.0, "s": 0.5}
+
+
+def test_thresholds_are_checked_again_when_unpickled():
+    thresholds = RiskThresholds(dis=12.5, s=1)
+    back = pickle.loads(pickle.dumps(thresholds))
+    assert type(back) is RiskThresholds and back == thresholds
+    forged = tuple.__new__(RiskThresholds, (20.0, 3.0, 3.0, 0.0))
+    with pytest.raises(ValueError, match="^threshold s must be positive and finite, got 0.0$"):
+        pickle.loads(pickle.dumps(forged))
