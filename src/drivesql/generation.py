@@ -16,13 +16,14 @@ import math
 import random
 import time
 from collections import deque
+from operator import attrgetter, eq
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 # The reviewer's HTTP client and the worker pools are imported where they are
 # used, so that a stage that needs neither does not pay to load them.
 
-from .canonical import _JSONL_DECODER, read_jsonl, write_jsonl
+from .canonical import decode_json, read_jsonl, write_jsonl
 from .errors import AnnotationSchemaError, TemplateError
 from .geometry import planar_norm
 from .scene_db import (
@@ -42,11 +43,13 @@ from .scene_db import (
     _as_positive,
     _as_str,
     _as_text,
+    _fields_column,
     _fields_saver,
     _member_of,
     _object,
     _optional,
     _read_fields,
+    _records,
     _tagged,
 )
 from .task_sql import (
@@ -127,7 +130,7 @@ class InstructionResponsePair(NamedTuple):
 
     @property
     def task(self) -> str:
-        return self.subtask.task.value
+        return self.subtask.task_text
 
 
 class GenerationConfig(NamedTuple):
@@ -361,7 +364,7 @@ def _render_planning(result: PlanningResult) -> tuple[str, FreeText]:
 
 
 def _pair_id(scene_id: str, window: tuple[str, str, str], subtask: Subtask, target: str) -> str:
-    key = "|".join((scene_id, *window, subtask.value, target))
+    key = "|".join((scene_id, *window, subtask.text, target))
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
@@ -635,11 +638,30 @@ def pair_from_dict(doc: Any) -> InstructionResponsePair:
     """The pair a pairs line declares; a refusal names the field by its path."""
     values = _read_fields(doc, _PAIR_FIELDS)
     task, subtask, frame_ids = values.pop("task"), values["subtask"], values["frame_ids"]
-    if task != subtask.task.value:
+    if task != subtask.task_text:
         raise AnnotationSchemaError("task", f"{task!r} does not match subtask {subtask.value}")
     if len(frame_ids) != 3:
         raise AnnotationSchemaError("frame_ids", f"expected 3 frame ids, got {len(frame_ids)}")
     return InstructionResponsePair(**values)
+
+
+_PAIR_COLUMNS = _fields_column(_PAIR_FIELDS)
+assert _PAIR_COLUMNS is not None, "every pairs field has a column form"
+
+
+def _pairs_from_dicts(docs: list[Any]) -> list[InstructionResponsePair] | None:
+    """The column form of ``pair_from_dict``, its two cross-checks included."""
+    checked = _PAIR_COLUMNS(docs)
+    if not (
+        checked is not None
+        and all(map(eq, checked["task"], map(attrgetter("task_text"), checked["subtask"])))
+        and set(map(len, checked["frame_ids"])) <= {3}
+    ):
+        return None
+    return _records(InstructionResponsePair, checked)
+
+
+pair_from_dict.column = _pairs_from_dicts
 
 
 def write_pairs_jsonl(pairs: Iterable[InstructionResponsePair], path: str | Path) -> None:
@@ -767,13 +789,13 @@ def _post_json(url: str, payload: dict[str, Any]) -> Any:
         url, data=body, headers={"Content-Type": "application/json"}, method="POST"
     )
     with urllib.request.urlopen(request, timeout=REVIEW_TIMEOUT_S) as response:
-        return _JSONL_DECODER.decode(response.read().decode("utf-8"))
+        return decode_json(response.read().decode("utf-8"))
 
 
 def _consult_external(endpoint: str, pair: InstructionResponsePair) -> tuple[Any, int]:
     """The reviewer's decoded reply, or None once every attempt failed, and
-    the number of attempts made. A reply that is not JSON, or holds ``NaN``
-    or an infinity, fails its attempt."""
+    the number of attempts made. A reply that is not JSON, holds ``NaN`` or
+    an infinity, or nests too deeply fails its attempt."""
     import http.client
     import urllib.error
 

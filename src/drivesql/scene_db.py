@@ -16,8 +16,8 @@ import sys
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from enum import Enum
-from itertools import chain, islice, repeat, starmap
-from operator import itemgetter, lt
+from itertools import chain, compress, islice, repeat, starmap
+from operator import contains, is_not, itemgetter, lt
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -182,13 +182,15 @@ class SceneDatabase(NamedTuple):
 # result is not the JSON value itself carries, as ``save``, the inverse that
 # writes the result back; a value without one saves as it is.
 #
-# A check that a database table uses carries, as ``column``, its column form.
-# It reads a whole column of values with builtins, and returns their results
-# in order, or None as soon as a value leaves the check's exact-type
-# shortcut: an int for a float, a non-dict mapping, a value the check
-# refuses, or one it may refuse. It accepts only what the check accepts, as
-# the same result, and names no refusal: on None, the table is read row by
-# row, and the checks alone decide.
+# A check that a database table or a line format uses carries, as ``column``,
+# its column form. It reads a whole column of values with builtins, and
+# returns their results in order, or None as soon as a value leaves the
+# check's exact-type shortcut: an int for a float, a non-dict mapping, a
+# value the check refuses, or one it may refuse. It accepts only what the
+# check accepts, as the same result, and names no refusal: on None, the
+# table or the block of lines is read row by row, and the checks alone
+# decide. An object's column form builds a record through the record's own
+# ``__new__`` when it has one, so a check made there runs on both paths.
 
 Check = Callable[[Any], Any]
 
@@ -228,6 +230,9 @@ def _as_text(value: Any) -> str:
     if not isinstance(value, str):
         raise AnnotationSchemaError("", f"expected a string, got {type(value).__name__}")
     return value
+
+
+_as_text.column = lambda values: values if _of_type(values, str) else None
 
 
 def json_int(value: Any) -> int:
@@ -273,6 +278,11 @@ def _as_positive(value: Any) -> float:
     if number <= 0:
         raise AnnotationSchemaError("", "expected a positive number")
     return number
+
+
+_as_positive.column = lambda values: (
+    values if _float_column(values) is not None and min(values, default=1.0) > 0 else None
+)
 
 
 def _as_speed(value: Any) -> float:
@@ -418,7 +428,14 @@ def _member_of(enum: type[Enum]) -> Check:
             return members[value]
         raise AnnotationSchemaError("", f"{value!r} is not a valid {enum.__name__}")
 
+    def read_member_column(values: Sequence[Any]) -> list[Any] | None:
+        # Strings first: a list or a dict is not a set member.
+        if _of_type(values, str) and members.keys() >= set(values):
+            return list(map(members.__getitem__, values))
+        return None
+
     read_member.save = {member: value for value, member in members.items()}.__getitem__
+    read_member.column = read_member_column
     return read_member
 
 
@@ -519,6 +536,18 @@ def _optional(kind: Check, default: Any = None) -> Check:
         return default if value is None else kind(value)
 
     read_optional.save = getattr(kind, "save", None)
+    kind_column = getattr(kind, "column", None)
+    if kind_column is not None:
+
+        def read_optional_column(values: Sequence[Any]) -> list[Any] | None:
+            held = list(map(is_not, values, repeat(None)))
+            checked = kind_column(list(compress(values, held)))
+            if checked is None:
+                return None
+            # A null takes the default, a held value the next checked one.
+            return list(map(next, map((repeat(default), iter(checked)).__getitem__, held)))
+
+        read_optional.column = read_optional_column
     return read_optional
 
 
@@ -532,6 +561,15 @@ def _object(record: Callable[..., Any], fields: dict[str, Check]) -> Check:
 
     read_object.record = record
     read_object.save = _fields_saver(fields)
+    columns = _fields_column(fields)
+    names = getattr(record, "_fields", None)  # a named tuple's, in its order
+    if columns is not None and names is not None and set(names) == fields.keys():
+
+        def read_object_column(values: Sequence[Any], keys_beside: int = 0) -> list[Any] | None:
+            checked = columns(values, keys_beside)
+            return None if checked is None else _records(record, checked)
+
+        read_object.column = read_object_column
     return read_object
 
 
@@ -558,6 +596,30 @@ def _tagged(tag: str, variants: dict[str, Check]) -> Check:
         return {tag: name, **save(record)}
 
     read_tagged.save = save_tagged
+    forms = {name: getattr(variant, "column", None) for name, variant in variants.items()}
+    if None not in forms.values():
+
+        def read_tagged_column(values: Sequence[Any]) -> list[Any] | None:
+            if not _of_type(values, dict):
+                return None
+            tags = list(map(dict.get, values, repeat(tag)))
+            # Strings first: a list or a dict is not a set member.
+            if not (_of_type(tags, str) and forms.keys() >= set(tags)):
+                return None
+            # Each variant's rows, each holding the tag beside its fields.
+            groups: dict[str, list[Any]] = {name: [] for name in tags}
+            for value, name in zip(values, tags):
+                groups[name].append(value)
+            read = {}
+            for name, rows in groups.items():
+                checked = forms[name](rows, 1)
+                if checked is None:
+                    return None
+                read[name] = iter(checked)
+            # Each row takes the next record of its variant.
+            return list(map(next, map(read.__getitem__, tags)))
+
+        read_tagged.column = read_tagged_column
     return read_tagged
 
 
@@ -582,6 +644,65 @@ def _read_fields(raw: Any, checks: dict[str, Check]) -> dict[str, Any]:
         # Quoted, a key that ``within`` would read as a step is named as it is.
         raise AnnotationSchemaError(f'"{key}"' if key[:1] in "[ " else key, "unexpected field")
     return values
+
+
+def _accepts_null(check: Check) -> bool:
+    try:
+        check(None)
+    except AnnotationSchemaError:
+        return False
+    return True
+
+
+def _fields_column(
+    checks: dict[str, Check]
+) -> Callable[[Sequence[Any], int], dict[str, Any] | None] | None:
+    """The column form of ``_read_fields(..., checks)``, if every check has
+    one. It reads objects to their checked columns by field name, or gives
+    None as soon as a value is not a dict, a field's column form declines,
+    or an object holds a key the table does not declare. ``keys_beside``
+    more keys per object, a tag that the caller has read, are allowed."""
+    forms = {name: getattr(check, "column", None) for name, check in checks.items()}
+    if None in forms.values():
+        return None
+    # The fields that may be absent: those whose check accepts null.
+    nullable = [name for name, check in checks.items() if _accepts_null(check)]
+
+    def read_fields_column(values: Sequence[Any], keys_beside: int = 0) -> dict[str, Any] | None:
+        if not _of_type(values, dict):
+            return None
+        # Every field whose form accepts its column is held by every object,
+        # unless its check accepts null. So the objects hold exactly their
+        # declared keys if they hold this many keys in all.
+        declared = (len(forms) + keys_beside) * len(values) - sum(
+            len(values) - sum(map(contains, values, repeat(name))) for name in nullable
+        )
+        if sum(map(len, values)) != declared:
+            return None
+        checked = {}
+        for name, form in forms.items():
+            # An absent field reads as null, as in ``_read_fields``.
+            column = form(list(map(dict.get, values, repeat(name))))
+            if column is None:
+                return None
+            checked[name] = column
+        return checked
+
+    return read_fields_column
+
+
+def _records(record: type, checked: dict[str, Any]) -> list[Any] | None:
+    """The named tuples ``record`` of the checked columns. A plain named
+    tuple, whose ``__new__`` checks nothing, is built past it; a subclass,
+    which may override ``__new__``, is built through it, so that its own
+    check runs, and gives None if that check refuses a row."""
+    columns = map(checked.__getitem__, record._fields)
+    if tuple in record.__bases__:
+        return list(map(tuple.__new__, repeat(record), zip(*columns)))
+    try:
+        return list(map(record, *columns))
+    except ValueError:
+        return None
 
 
 def _fields_saver(checks: dict[str, Check]) -> Callable[[Any], dict[str, Any]]:

@@ -56,9 +56,15 @@ class Subtask(Enum):
 
     __hash__ = object.__hash__  # as ``View``'s
 
-    @property
-    def task(self) -> Task:
-        return _TASK_OF[self]
+    # Plain attributes, each set once: ``Enum.value`` and a property would
+    # each run Python code on every read. ``text`` is the value, ``task`` the
+    # subtask's task and ``task_text`` that task's value.
+    text: str
+    task: Task
+    task_text: str
+
+    def __init__(self, value: str) -> None:
+        self.text = value
 
 
 RISK_SUBTASKS: tuple[Subtask, ...] = (
@@ -84,6 +90,9 @@ _TASK_OF = {
     **{kind: Task.RISK for kind in RISK_SUBTASKS},
     Subtask.PLANNING_WITH_REASONING: Task.PLANNING_WITH_REASONING,
 }
+for _subtask, _task in _TASK_OF.items():
+    _subtask.task, _subtask.task_text = _task, _task.value
+del _subtask, _task
 
 
 class _Gates(NamedTuple):

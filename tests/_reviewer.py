@@ -19,7 +19,8 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             with self.server.lock:
                 self.server.inflight -= 1
-        body = json.dumps(reply).encode("utf-8")
+        # A reply given as bytes is sent as it is, JSON or not.
+        body = reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -32,9 +33,9 @@ class _Handler(BaseHTTPRequestHandler):
 
 @contextmanager
 def mock_reviewer(route):
-    """Serve ``route(payload) -> reply`` on a free port; yields the server,
-    which records every payload and the most requests in flight at once,
-    and the endpoint URL."""
+    """Serve ``route(payload) -> reply``, a JSON value or the bytes of the
+    body, on a free port; yields the server, which records every payload and
+    the most requests in flight at once, and the endpoint URL."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.route = route
     server.requests = []

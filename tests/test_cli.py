@@ -473,6 +473,48 @@ def test_unreadable_input_file_is_named(pipeline, capsys, argv, content):
     assert not out.exists()
 
 
+# Per boundary: the command with the deep document in place of its input,
+# and what follows the document's path in the refusal.
+_DEEP_BOUNDARIES = {
+    "annotations": (lambda deep, db, pairs, out: ["build-db", deep, "-o", out], ""),
+    "database": (lambda deep, db, pairs, out: ["verify", pairs, "-o", out, "--db", deep], ""),
+    "pairs": (lambda deep, db, pairs, out: ["verify", deep, "-o", out], ":1"),
+    "predictions": (lambda deep, db, pairs, out: ["eval", pairs, deep, "-o", out], ":1"),
+    "synth-request": (lambda deep, db, pairs, out: ["synth", deep, "-o", out], ""),
+}
+
+
+@pytest.mark.parametrize("boundary", _DEEP_BOUNDARIES)
+@pytest.mark.parametrize("opening", ["[", '{"a":'])
+def test_a_document_nested_too_deeply_is_refused_naming_its_file(
+    pipeline, capsys, boundary, opening
+):
+    tmp_path, _, db, pairs = pipeline
+    deep = tmp_path / "deep.json"
+    deep.write_text(opening * 100_000 + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv, line = _DEEP_BOUNDARIES[boundary]
+    assert run([str(a) for a in argv(deep, db, pairs, out)]) == 1
+    assert capsys.readouterr().err == f"error: {deep}{line}: invalid JSON: nested too deeply\n"
+    assert not out.exists()
+
+
+def test_verify_keeps_unverified_a_pair_whose_reply_nests_too_deeply(
+    tmp_path, demo_pairs, capsys, monkeypatch
+):
+    monkeypatch.setattr(generation.time, "sleep", lambda _: None)
+    pairs = tmp_path / "pairs.jsonl"
+    write_pairs_jsonl(demo_pairs[:1], pairs)
+    kept = tmp_path / "kept.jsonl"
+    with mock_reviewer(lambda payload: b"[" * 100_000) as (server, url):
+        assert _verify_http(pairs, kept, url, capsys) == 0
+    assert kept.read_bytes() == pairs.read_bytes()
+    # Each attempt failed, so every retry was made.
+    assert len(server.requests) == generation.REVIEW_RETRIES + 1
+    report = json.loads(Path(f"{kept}.report.json").read_text())
+    assert report["unverified"] == [demo_pairs[0].pair_id]
+
+
 def test_eval_names_line_of_prediction_missing_a_field(tmp_path, demo_pairs, capsys):
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text("".join(canonical_dumps(pair_to_dict(p)) + "\n" for p in demo_pairs))

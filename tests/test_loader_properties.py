@@ -4,21 +4,24 @@ DriveSqlError, and nothing else.
 Each boundary gets two properties: an arbitrary JSON value in place of the
 whole input, and a valid input with one node replaced by an arbitrary JSON
 value, removed, or given a key no field table declares, which reaches the
-deeper field checks. The database gets a third: a table read column by
-column gives what the row loop alone gives, whichever row is broken.
+deeper field checks. The database and the two line formats get a third: a
+table read column by column gives what the row loop alone gives, and a
+pairs or predictions file read a block of lines at a time gives what its
+per-line reader alone gives, whichever row or line is broken.
 """
 
 import inspect
 import json
 import os
 from contextlib import ExitStack, contextmanager
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivesql import evaluation, generation, scene_db, synth
+from drivesql import canonical, evaluation, generation, scene_db, synth
 from drivesql.canonical import canonical_dumps
 from drivesql.errors import AnnotationSchemaError, DriveSqlError
 from drivesql.evaluation import (
@@ -33,8 +36,16 @@ from drivesql.generation import (
     pair_to_dict,
     read_pairs_jsonl,
     verify_pairs,
+    write_pairs_jsonl,
 )
-from drivesql.scene_db import SceneDatabase, build_database, database_to_document, load_database
+from drivesql.scene_db import (
+    BBox2D,
+    SceneDatabase,
+    build_database,
+    database_to_document,
+    load_database,
+)
+from drivesql.task_sql import RiskThresholds
 from drivesql.synth import demo_corpus
 
 # Each property runs SCALE times its default number of examples. The
@@ -59,7 +70,7 @@ json_values = st.recursive(
 # Values that sit on a boundary of some check, drawn more often than
 # ``json_values`` would draw them.
 edge_values = st.sampled_from(
-    [10**400, float("nan"), float("inf"), -1, 0, "", "x", None, True, [], {}, [0.0] * 5]
+    [10**400, float("nan"), float("inf"), -1, 0, 0.0, -0.0, "", "x", None, True, [], {}, [0.0] * 5]
 )
 
 _REMOVE = object()
@@ -288,6 +299,164 @@ def line_docs(demo_pairs, prediction_docs):
         "pairs": (read_pairs_jsonl, [pair_to_dict(p) for p in demo_pairs[:40]]),
         "predictions": (read_predictions_jsonl, [d for d in prediction_docs if len(d) > 2]),
     }
+
+
+@pytest.fixture(scope="module")
+def line_files(demo_pairs, prediction_docs):
+    """Lines of each format, every ground truth kind and every optional
+    field both held and absent among them, with the format's reader."""
+    return {
+        "pairs": (read_pairs_jsonl, [pair_to_dict(p) for p in demo_pairs[:40]]),
+        "predictions": (read_predictions_jsonl, prediction_docs),
+    }
+
+
+def _any_line_mutations(docs):
+    """The text of a file of ``docs``, one line a line, broken in one place
+    at any line: the line mutated as ``_mutations`` mutates one, a float in
+    it replaced by its negation, a zero or any float, its ``pair_id`` set to
+    an earlier line's, or a blank line put in front of it."""
+
+    @st.composite
+    def mutated(draw):
+        lines = [json.dumps(doc) for doc in docs]
+        at = draw(st.integers(0, len(docs) - 1))
+        floats = [path for path in _node_paths(docs[at]) if type(_node(docs[at], path)) is float]
+        kind = draw(st.sampled_from(("node", "float", "repeat", "blank")))
+        if kind == "float" and floats:
+            path = draw(st.sampled_from(floats))
+            value = st.sampled_from([-_node(docs[at], path), 0.0, -0.0]) | st.floats()
+            lines[at] = json.dumps(_mutated(docs[at], path, draw(value)))
+        elif kind == "repeat" and at:
+            earlier = docs[draw(st.integers(0, at - 1))]["pair_id"]
+            lines[at] = json.dumps({**docs[at], "pair_id": earlier})
+        elif kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t", "\r"])))
+        else:
+            lines[at] = json.dumps(draw(_mutations(docs[at])))
+        return "\n".join(lines) + "\n"
+
+    return mutated()
+
+
+def _records_or_refusal(reader, path):
+    """Each record's type and ``repr``, or the refusal."""
+    try:
+        rows = reader(path)
+    except DriveSqlError as err:
+        return str(err)
+    # The column forms build boxes past ``__new__``, and thresholds through
+    # it: each must pass the check that building it by name makes.
+    for row in rows:
+        if isinstance(row, Prediction):
+            detections = row.detections or ()
+        else:
+            detections = getattr(row.ground_truth, "items", ())
+            if row.thresholds_used is not None:
+                assert RiskThresholds(*row.thresholds_used) == row.thresholds_used
+        for detection in detections:
+            assert BBox2D(*detection.bbox) == detection.bbox
+    return [(type(row), repr(row)) for row in rows]
+
+
+@contextmanager
+def _line_by_line_only():
+    """Each line format's column form declines every block, so each line is
+    read by the format's per-line reader alone."""
+    with ExitStack() as stack:
+        for reader in (generation.pair_from_dict, evaluation._PREDICTION_LINE):
+            stack.enter_context(mock.patch.object(reader, "column", lambda docs: None))
+        yield
+
+
+@pytest.mark.parametrize("form", ["pairs", "predictions"])
+@settings(max_examples=200 * SCALE, deadline=None)
+@given(data=st.data())
+def test_a_line_file_reads_by_blocks_as_line_by_line_whichever_line_is_broken(
+    workdir, line_files, form, data
+):
+    reader, docs = line_files[form]
+    path = workdir / f"blocks.{form}.jsonl"
+    path.write_text(data.draw(_any_line_mutations(docs)), encoding="utf-8")
+    # Blocks of three lines, so a broken line falls at any place in a block
+    # and an earlier line of a repeated id in an earlier block.
+    with mock.patch.object(canonical, "_BLOCK_ROWS", 3):
+        by_blocks = _records_or_refusal(reader, path)
+        with _line_by_line_only():
+            assert _records_or_refusal(reader, path) == by_blocks
+
+
+def test_real_line_files_are_read_by_columns_alone(workdir, demo_pairs):
+    """Demo pairs and their echoed predictions never reach a per-line
+    reader: a column form that gave up on real files would fail here."""
+    pairs, preds = workdir / "real.pairs.jsonl", workdir / "real.preds.jsonl"
+    write_pairs_jsonl(demo_pairs, pairs)
+    write_predictions_jsonl(predictions_from_pairs(demo_pairs), preds)
+    read_lines = []
+
+    def counted(reader):
+        def read_line(doc):
+            read_lines.append(doc)
+            return reader(doc)
+
+        read_line.column = reader.column
+        return read_line
+
+    with mock.patch.object(generation, "pair_from_dict", counted(generation.pair_from_dict)):
+        assert read_pairs_jsonl(pairs) == demo_pairs
+    with mock.patch.object(evaluation, "_PREDICTION_LINE", counted(evaluation._PREDICTION_LINE)):
+        assert read_predictions_jsonl(preds) == predictions_from_pairs(demo_pairs)
+    assert read_lines == []
+
+
+class _Ends(NamedTuple):
+    low: float
+    high: float
+
+
+class _Ordered(_Ends):
+    """Ends put in order by ``__new__``, which refuses equal ones."""
+
+    __slots__ = ()
+
+    def __new__(cls, low: float, high: float) -> "_Ordered":
+        if low == high:
+            raise ValueError(f"equal ends {low}")
+        return tuple.__new__(cls, (min(low, high), max(low, high)))
+
+
+def test_an_object_column_builds_a_record_through_its_own_new():
+    """A record that overrides ``__new__`` is built through it by the column
+    form too: what it makes of a row shows, and a row it refuses sends the
+    block back to the per-row check, which alone names the refusal."""
+    read = scene_db._object(_Ordered, {"low": scene_db._as_float, "high": scene_db._as_float})
+    rows = [{"low": 2.0, "high": 1.0}, {"low": 0.5, "high": 3.0}]
+    assert read.column(rows) == list(map(read, rows)) == [(1.0, 2.0), (0.5, 3.0)]
+    assert all(type(row) is _Ordered for row in read.column(rows))
+    assert read.column([*rows, {"low": 1.0, "high": 1.0}]) is None
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, canonical._BLOCK_ROWS])
+def test_a_line_that_is_json_only_when_joined_to_the_next_is_refused(
+    workdir, demo_pairs, block_rows
+):
+    """A pairs line cut after the first detection of its list, the rest on
+    the next line: joined by a comma the two lines are one valid pair, but
+    each line is decoded on its own, and the first is refused by its number."""
+    pair = next(p for p in demo_pairs if len(getattr(p.ground_truth, "items", ())) > 1)
+    line = canonical_dumps(pair_to_dict(pair))
+    cut = line.index("},{", line.index('"items":[')) + 1
+    head, tail = line[:cut], line[cut + 1 :]
+    assert json.loads(f"[{head},{tail}]") == [pair_to_dict(pair)]
+    with pytest.raises(ValueError) as not_json:
+        json.loads(head)
+    others = [canonical_dumps(pair_to_dict(p)) for p in demo_pairs[:2]]
+    path = workdir / "joined.pairs.jsonl"
+    path.write_text("\n".join([others[0], head, tail, others[1]]) + "\n", encoding="utf-8")
+    with mock.patch.object(canonical, "_BLOCK_ROWS", block_rows):
+        with pytest.raises(DriveSqlError) as err:
+            read_pairs_jsonl(path)
+    assert str(err.value) == f"{path}:2: {not_json.value}"
 
 
 def _rows_or_refusal(reader, path, line):
