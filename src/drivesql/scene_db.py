@@ -5,8 +5,9 @@ instance appearance, plus an index from ``(instance_id, frame_id)`` to the
 appearance row. Construction validates the input, drops instances whose
 planar distance from the ego exceeds the importance radius, and freezes the
 result; treat a built database as immutable and share it freely across
-worker processes. Every row is a named tuple, so a table whose values all
-pass the checks' exact-type shortcuts is built column by column.
+worker processes. Every row is a named tuple. A table is read a block of
+rows at a time: a block whose values all pass the checks' exact-type
+shortcuts is built column by column, and any other block row by row.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import contains, is_not, itemgetter, lt
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
 
-from .canonical import collector_paused, read_json, write_json
+from .canonical import collector_paused, read_by_blocks, read_json, write_json
 from .errors import AnnotationSchemaError, RecordNotFound
 from .geometry import UNIT_NORM_TOLERANCE, Quaternion, Vec3, planar_norm
 
@@ -187,9 +188,10 @@ class SceneDatabase(NamedTuple):
 # returns their results in order, or None as soon as a value leaves the
 # check's exact-type shortcut: an int for a float, a non-dict mapping, a
 # value the check refuses, or one it may refuse. It accepts only what the
-# check accepts, as the same result, and names no refusal: on None, the
-# table or the block of lines is read row by row, and the checks alone
-# decide. An object's column form builds a record through the record's own
+# check accepts, as the same result, and names no refusal. Tables and line
+# files alike are read by ``canonical.read_by_blocks``: on None, that block
+# of rows or lines alone is read row by row, and the checks alone decide.
+# An object's column form builds a record through the record's own
 # ``__new__`` when it has one, so a check made there runs on both paths.
 
 Check = Callable[[Any], Any]
@@ -723,28 +725,40 @@ def _fields_saver(checks: dict[str, Check]) -> Callable[[Any], dict[str, Any]]:
 
 
 # --------------------------------------------------------------------------
-# The database format, declared once: the field tables below both load the
+# The database format, declared once: the tables below both load the
 # document and save it.
-# Per table: its key in the document and in ``SceneDatabase``, its record
-# type, whether a row's error paths name it by id once the id is read (or
-# keep its index), and its fields in check order, the row id first.
-_TABLES: tuple[tuple[str, type, bool, dict[str, Check]], ...] = (
-    ("scenes", SceneRecord, False, {"scene_id": _as_str, "frame_ids": _array(_as_str)}),
-    ("frames", FrameRecord, True, {
+
+
+class _Table(NamedTuple):
+    """A table: its key in the document and in ``SceneDatabase``, whether a
+    row's error paths name it by id once the id is read (or keep its index),
+    and its row check, an ``_object`` of its fields in check order, id first."""
+
+    key: str
+    by_id: bool
+    row: Check
+
+
+_TABLES: tuple[_Table, ...] = (
+    _Table("scenes", False, _object(SceneRecord, {
+        "scene_id": _as_str,
+        "frame_ids": _array(_as_str),
+    })),
+    _Table("frames", True, _object(FrameRecord, {
         "frame_id": _as_str,
         "ego_info_id": _as_str,
         "instance_info_ids": _array(_as_str),
         "timestamp": _as_float,
-    }),
-    ("ego", EgoInfo, True, {
+    })),
+    _Table("ego", True, _object(EgoInfo, {
         "info_id": _as_str,
         "velocity": _as_speed,
         "pose": _as_vec3,
         "rotation": _as_quaternion,
         "road_info": _as_str_map,
         "camera_info": _as_str_map,
-    }),
-    ("instances", InstanceInfo, True, {
+    })),
+    _Table("instances", True, _object(InstanceInfo, {
         "info_id": _as_str,
         "velocity": _as_speed,
         "instance_id": _as_str,
@@ -756,69 +770,34 @@ _TABLES: tuple[tuple[str, type, bool, dict[str, Check]], ...] = (
         "local_r": _as_quaternion,
         "road_info": _as_str_map,
         "camera_pos": _as_camera_pos,
-    }),
+    })),
 )
 
 # The top level of an annotations document: the four tables.
-_DOCUMENT: dict[str, Check] = {key: _expect_list for key, *_ in _TABLES}
+_DOCUMENT: dict[str, Check] = {table.key: _expect_list for table in _TABLES}
 
 
-# Rows per block of a column read: a block's values stay in the CPU cache
-# through every pass its column forms make over them.
-_BLOCK_ROWS = 1024
+def _parse_table(rows: list[Any], table: _Table) -> dict[str, Any]:
+    """The rows of ``table`` keyed by row id, read by ``read_by_blocks``. In
+    a block read row by row, each field's check decides what is accepted and
+    names what is refused."""
+    key, by_id, row = table
+    id_name = row.record._fields[0]
 
-
-def _read_columns(
-    rows: list[Any], record: type, fields: dict[str, Check]
-) -> dict[str, Any] | None:
-    """The table of ``rows`` keyed by row id, read a block of rows at a time
-    and each block column by column through the fields' column forms; or
-    None as soon as a value leaves its shortcut, a row is not a dict of
-    exactly the declared fields, or an id repeats."""
-    names = record._fields
-    if not (_of_type(rows, dict) and set(map(len, rows)) <= {len(names)}):
-        return None
-    row_values, forms = itemgetter(*names), [fields[name].column for name in names]
-    table: dict[str, Any] = {}
-    for start in range(0, len(rows), _BLOCK_ROWS):
+    def read_row(i: int, raw: Any) -> Any:
         try:
-            columns = list(zip(*map(row_values, rows[start : start + _BLOCK_ROWS])))
-        except KeyError:
-            return None
-        checked = []
-        for form, column in zip(forms, columns):
-            values = form(column)
-            if values is None:
-                return None
-            checked.append(values)
-        table.update(zip(checked[0], map(tuple.__new__, repeat(record), zip(*checked))))
-    return table if len(table) == len(rows) else None
-
-
-def _parse_table(
-    tables: dict[str, list[Any]], key: str, record: type, by_id: bool, fields: dict[str, Check]
-) -> dict[str, Any]:
-    """The table ``key`` of ``tables``, read by columns when every value
-    takes its column form's shortcut, and otherwise row by row, where each
-    field's check decides what is accepted and names what is refused."""
-    table = _read_columns(tables[key], record, fields)
-    if table is not None:
-        return table
-    id_name = next(iter(fields))
-    table = {}
-    for i, raw in enumerate(tables[key]):
-        try:
-            values = _read_fields(raw, fields)
+            return row(raw)
         except AnnotationSchemaError as err:
             # A row is named by its id once the id, its first field, is read.
             if by_id and err.path not in ("", id_name):
                 raise err.within(f"{key}[id={raw[id_name]}]")
             raise err.within(f"{key}[{i}]")
-        row_id = values[id_name]
-        if row_id in table:
-            raise AnnotationSchemaError(f"{key}[{i}]", f"duplicate id {row_id!r}")
-        table[row_id] = record(**values)
-    return table
+
+    def repeated(i: int, row_id: str, first: int) -> AnnotationSchemaError:
+        return AnnotationSchemaError(f"{key}[{i}]", f"duplicate id {row_id!r}")
+
+    records = read_by_blocks(rows, row.column, read_row, repeated)
+    return dict(zip(map(itemgetter(0), records), records))
 
 
 def build_database(
@@ -846,7 +825,7 @@ def build_database(
         raise err.within("annotations")
 
     with collector_paused():
-        scenes, frames, ego, instances = (_parse_table(tables, *table) for table in _TABLES)
+        scenes, frames, ego, instances = (_parse_table(tables[t.key], t) for t in _TABLES)
 
     # Referential integrity: every listed id resolves, every info row is
     # referenced exactly once, and every frame belongs to exactly one scene.
@@ -942,11 +921,11 @@ def build_database(
 
 def database_to_document(db: SceneDatabase) -> dict[str, Any]:
     """The saved document of ``db``: each table's rows in id order, each
-    row saved through its table's fields."""
+    row saved through its table's row check."""
     doc: dict[str, Any] = {"important_radius": db.important_radius}
-    for key, _, _, fields in _TABLES:
-        rows, save = getattr(db, key), _fields_saver(fields)
-        doc[key] = [save(rows[row_id]) for row_id in sorted(rows)]
+    for key, _, row in _TABLES:
+        rows = getattr(db, key)
+        doc[key] = [row.save(rows[row_id]) for row_id in sorted(rows)]
     return doc
 
 

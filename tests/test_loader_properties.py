@@ -5,9 +5,9 @@ Each boundary gets two properties: an arbitrary JSON value in place of the
 whole input, and a valid input with one node replaced by an arbitrary JSON
 value, removed, or given a key no field table declares, which reaches the
 deeper field checks. The database and the two line formats get a third: a
-table read column by column gives what the row loop alone gives, and a
-pairs or predictions file read a block of lines at a time gives what its
-per-line reader alone gives, whichever row or line is broken.
+table read a block of rows at a time gives what the row loop alone gives,
+and a pairs or predictions file read a block of lines at a time gives what
+its per-line reader alone gives, whichever row or line is broken.
 """
 
 import inspect
@@ -157,12 +157,12 @@ def _built(doc):
 
 @contextmanager
 def _row_loop_only():
-    """Every column form of a database field declines its column, so each
-    table is read by the row loop alone."""
+    """Each table's row check declines every block, so each table is read
+    by the row loop alone. The row check's own column form is patched: it
+    holds its fields' column forms from when it was built."""
     with ExitStack() as stack:
-        for *_, fields in scene_db._TABLES:
-            for check in fields.values():
-                stack.enter_context(mock.patch.object(check, "column", lambda values: None))
+        for table in scene_db._TABLES:
+            stack.enter_context(mock.patch.object(table.row, "column", lambda values: None))
         yield
 
 
@@ -177,7 +177,7 @@ def _any_row_mutations(doc):
     its list; a list of floats (a position, rotation or box) scaled near the
     unit-norm tolerance; an object given an undeclared key; or the row's id
     set to another row's id."""
-    tables = [(key, next(iter(fields))) for key, _, _, fields in scene_db._TABLES]
+    tables = [(table.key, table.row.record._fields[0]) for table in scene_db._TABLES]
     scale = st.floats(0.998, 1.002) | st.sampled_from((0.999, 1.001, 0.999 + 2e-9, 1.001 - 2e-9))
 
     @st.composite
@@ -212,9 +212,12 @@ def _any_row_mutations(doc):
 def test_a_table_reads_by_columns_as_by_rows_whichever_row_is_broken(database_doc, data):
     annotations = {key: rows for key, rows in database_doc.items() if key != "important_radius"}
     doc = data.draw(_any_row_mutations(annotations))
-    by_columns = _built(doc)
-    with _row_loop_only():
-        assert _built(doc) == by_columns
+    # Blocks of three rows, so a broken row falls at any place in a block
+    # and an earlier row of a repeated id in an earlier block.
+    with mock.patch.object(canonical, "_BLOCK_ROWS", 3):
+        by_blocks = _built(doc)
+        with _row_loop_only():
+            assert _built(doc) == by_blocks
 
 
 @pytest.mark.parametrize("radius", [0, 0.0, -1.5])
@@ -581,8 +584,9 @@ def test_every_declared_field_is_refused_by_its_path(workdir, line_docs, databas
     # index in ``scenes``; its top level and every row refuse an undeclared key.
     path = workdir / "declared.db.json"
     undeclared = {(_UNDECLARED,): f"database.{_UNDECLARED}"}
-    for key, _, by_id, fields in scene_db._TABLES:
-        row = f"{key}[id={database_doc[key][0][next(iter(fields))]}]" if by_id else f"{key}[0]"
+    for table in scene_db._TABLES:
+        key, first = table.key, database_doc[table.key][0]
+        row = f"{key}[id={first[table.row.record._fields[0]]}]" if table.by_id else f"{key}[0]"
         undeclared[(key, 0, _UNDECLARED)] = f"{row}.{_UNDECLARED}"
     for at, name in undeclared.items():
         path.write_text(json.dumps(_mutated(database_doc, at, 1)), encoding="utf-8")

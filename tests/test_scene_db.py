@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from drivesql import scene_db, synth
+from drivesql import canonical, scene_db, synth
 from drivesql.canonical import canonical_dumps, write_jsonl
 from drivesql.cli import run
 from drivesql.errors import AnnotationSchemaError, DriveSqlError, RecordNotFound
@@ -347,16 +347,51 @@ def test_bbox_validation():
     assert box.as_list() == [0, 0, 10, 5]
 
 
+def _counting(table, calls):
+    """``table`` with a row check that records each row it reads, and the
+    same record and column form."""
+
+    def read_row(raw):
+        calls.append(raw)
+        return table.row(raw)
+
+    read_row.record, read_row.column = table.row.record, table.row.column
+    return table._replace(row=read_row)
+
+
 def test_a_valid_table_reads_the_same_by_columns_and_by_rows():
     ann = _views_shuffled()
-    for key, record, by_id, fields in scene_db._TABLES:
-        by_columns = scene_db._read_columns(ann[key], record, fields)
-        assert by_columns is not None, key
+    for table in scene_db._TABLES:
+        calls = []
+        by_columns = scene_db._parse_table(ann[table.key], _counting(table, calls))
+        assert calls == [], table.key
         with _row_loop_only():
-            by_rows = scene_db._parse_table(ann, key, record, by_id, fields)
+            by_rows = scene_db._parse_table(ann[table.key], table)
         # The reprs show each record's type, each float's every digit and
         # each row's views in their order.
-        assert repr(by_columns) == repr(by_rows), key
+        assert repr(by_columns) == repr(by_rows), table.key
+
+
+def test_a_value_off_the_shortcut_sends_only_its_block_to_the_row_loop(
+    demo_annotations, demo_db
+):
+    """One int for a float in a kept instance row: read in blocks of three
+    rows, only that row's block reaches the per-row check, and the database
+    is the one the row loop alone builds."""
+    ann = copy.deepcopy(demo_annotations)
+    rows = ann["instances"]
+    row = next(r for r in rows[len(rows) // 2 :] if r["info_id"] in demo_db.instances)
+    row["velocity"] = int(row["velocity"])
+    calls = []
+    counted = tuple(_counting(table, calls) for table in scene_db._TABLES)
+    with mock.patch.object(canonical, "_BLOCK_ROWS", 3):
+        with mock.patch.object(scene_db, "_TABLES", counted):
+            by_blocks = build_database(ann)
+        with _row_loop_only():
+            by_rows = build_database(ann)
+    assert row in calls and len(calls) <= 3
+    assert type(by_blocks.instances[row["info_id"]].velocity) is float
+    assert repr(by_blocks) == repr(by_rows)
 
 
 def test_every_database_record_refuses_assignment_and_deletion(demo_annotations, tmp_path):
