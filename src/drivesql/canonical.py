@@ -9,7 +9,7 @@ import os
 import secrets
 from contextlib import contextmanager
 from functools import partial
-from itertools import count, repeat
+from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -88,11 +88,16 @@ def write_json(path: str | Path, doc: Any) -> None:
     write_atomic(path, (canonical_dumps(doc), "\n"))
 
 
+def jsonl_lines(rows: Iterable[Any]) -> Iterator[str]:
+    """One canonical JSON line per row, each serialized only when taken."""
+    return (canonical_dumps(row) + "\n" for row in rows)
+
+
 @collector_paused()
 def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
     """Write one canonical JSON line per row, atomically, serializing each
     row only as the file takes it."""
-    write_atomic(path, (canonical_dumps(row) + "\n" for row in rows))
+    write_atomic(path, jsonl_lines(rows))
 
 
 def read_text(path: str | Path) -> str:
@@ -151,29 +156,38 @@ def read_by_blocks(
     column: Callable[[Sequence[Any]], list[T] | None],
     read: Callable[[int, Any], T | None],
     repeated: Callable[[int, Any, int], Exception],
-) -> list[T]:
-    """The records of ``items``, tuples whose first field is their id, read
-    by ``column`` a block of ``_BLOCK_ROWS`` items at a time. A block that
-    it declines, or that repeats an id, is read again item by item by
-    ``read(i, item)``, which alone names a refusal and gives None for an
-    item that holds no record. The first repeated id raises ``repeated(i,
-    id, first)``, where ``first`` is the index of the item that held it."""
-    records: list[T] = []
-    first_at: dict[Any, int] = {}
+) -> dict[Any, T]:
+    """The records of ``items``, tuples whose first field is their id, keyed
+    by id in item order, read by ``column`` a block of ``_BLOCK_ROWS`` items
+    at a time. A block that it declines, or that repeats an id, is read
+    again item by item by ``read(i, item)``, which alone names a refusal and
+    gives None for an item that holds no record. The first repeated id
+    raises ``repeated(i, id, first)``, where ``first`` is the index of the
+    item that held it."""
+    records: dict[Any, T] = {}
+    skipped: list[int] = []  # the items that held no record, in order
     for start in range(0, len(items), _BLOCK_ROWS):
         block = items[start : start + _BLOCK_ROWS]
         if (read_block := column(block)) is not None:
-            ids = dict(zip(map(itemgetter(0), read_block), count(start)))
-            if len(ids) == len(read_block) and first_at.keys().isdisjoint(ids):
-                first_at.update(ids)
-                records += read_block
+            held = len(records)
+            records.update(zip(map(itemgetter(0), read_block), read_block))
+            if len(records) == held + len(read_block):
                 continue
+            # An id repeats. Take out the ids the block added; the item
+            # loop meets the repeat again and names it.
+            for row_id in list(records)[held:]:
+                del records[row_id]
         for i, item in enumerate(block, start):
-            if (record := read(i, item)) is not None:
-                first = first_at.setdefault(record[0], i)
-                if first != i:
-                    raise repeated(i, record[0], first)
-                records.append(record)
+            record = read(i, item)
+            if record is None:
+                skipped.append(i)
+            elif records.setdefault(record[0], record) is not record:
+                first = list(records).index(record[0])
+                for j in skipped:  # the index of the record's item
+                    if j > first:
+                        break
+                    first += 1
+                raise repeated(i, record[0], first)
     return records
 
 
@@ -222,4 +236,5 @@ def read_jsonl(path: str | Path, read: Callable[[Any], T]) -> list[T]:
         message = f"pair_id: {pair_id!r} is repeated, first on line {first + 1}"
         return DriveSqlError(f"{path}:{i + 1}: {message}")
 
-    return read_by_blocks(lines, partial(_read_block, column=read.column), read_line, repeated)
+    rows = read_by_blocks(lines, partial(_read_block, column=read.column), read_line, repeated)
+    return list(rows.values())

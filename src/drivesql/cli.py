@@ -22,7 +22,14 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from .canonical import canonical_dumps, collector_paused, read_json, read_text, write_json
+from .canonical import (
+    canonical_dumps,
+    collector_paused,
+    read_json,
+    read_text,
+    write_atomic,
+    write_json,
+)
 from .errors import DriveSqlError, RecordNotFound
 from .scene_db import (
     DEFAULT_IMPORTANT_RADIUS,
@@ -287,10 +294,10 @@ def _cmd_generate(args: argparse.Namespace, stage: _Stage) -> int:
     with stage.load():
         db = load_database(src)
     with stage.phase("generate"):
-        pairs, diag = _lazy.generate_dataset(db, config, jobs=args.jobs)
+        texts, diag = _lazy.generate_dataset(db, config, jobs=args.jobs)
     out = Path(args.output)
     with stage.phase("write"):
-        _lazy.write_pairs_jsonl(pairs, out)
+        write_atomic(out, texts)
     stage.config = {
         "seed": args.seed,
         "windows": args.windows,
@@ -301,10 +308,18 @@ def _cmd_generate(args: argparse.Namespace, stage: _Stage) -> int:
     }
     stage.inputs = [src] + ([Path(args.thresholds)] if args.thresholds is not None else [])
     stage.outputs = [out]
+    # A pairs line ends at its only newline: canonical JSON escapes the rest.
+    pairs = sum(text.count("\n") for text in texts)
     print(
-        f"generated {len(pairs)} pairs from {diag.eligible_scenes} scenes "
+        f"generated {pairs} pairs from {diag.eligible_scenes} scenes "
         f"({diag.windows_unique} windows) -> {out}"
     )
+    if diag.pair_failures:
+        print(
+            f"warning: {diag.pair_failures} of {diag.windows_unique} windows failed; "
+            f"first: {diag.failure_messages[0]}",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -10,6 +10,7 @@ offline format rules and, optionally, an external reviewing service.
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 # The reviewer's HTTP client and the worker pools are imported where they are
 # used, so that a stage that needs neither does not pay to load them.
 
-from .canonical import decode_json, read_jsonl, write_jsonl
+from .canonical import decode_json, jsonl_lines, read_jsonl, write_jsonl
 from .errors import AnnotationSchemaError, TemplateError
 from .geometry import planar_norm
 from .scene_db import (
@@ -145,8 +146,8 @@ class GenerationDiagnostics:
     """What a generation run did and skipped, counted scene by scene and
     merged in scene order."""
 
-    def __init__(self, eligible_scenes: int = 0) -> None:
-        self.eligible_scenes = eligible_scenes
+    def __init__(self) -> None:
+        self.eligible_scenes = 0
         self.ineligible_scenes = 0
         self.windows_sampled = 0
         self.windows_unique = 0
@@ -502,10 +503,12 @@ def _pairs_for_window(
     return pairs
 
 
-def _generate_scene(
-    db: SceneDatabase, scene_id: str, config: GenerationConfig
-) -> tuple[list[InstructionResponsePair], GenerationDiagnostics]:
-    diag = GenerationDiagnostics(eligible_scenes=1)
+def _window_pairs(
+    db: SceneDatabase, scene_id: str, config: GenerationConfig, diag: GenerationDiagnostics
+) -> Iterator[list[InstructionResponsePair]]:
+    """The pairs of each unique window the scene's seed samples, a window at
+    a time in sampling order. A window that raises is counted in ``diag``
+    as a failure and yields nothing."""
     scene = db.scenes[scene_id]
     rng = random.Random(derive_scene_seed(config.master_seed, scene_id))
     windows: list[tuple[str, str, str]] = []
@@ -516,75 +519,152 @@ def _generate_scene(
             windows.append(window)
     diag.windows_unique += len(windows)
 
-    pairs: list[InstructionResponsePair] = []
     for window in windows:
         try:
-            pairs.extend(_pairs_for_window(db, scene_id, window, config, diag))
+            pairs = _pairs_for_window(db, scene_id, window, config, diag)
         except Exception as exc:  # noqa: BLE001 - diagnosed, not fatal
             diag.pair_failures += 1
             diag.failure_messages.append(f"{scene_id}/{window}: {exc}")
-    return pairs, diag
+            continue
+        yield pairs
 
 
-# A pool worker's database and config, set once by ``_init_worker``.
-_worker_inputs: tuple[SceneDatabase, GenerationConfig] | None = None
+def _scene_text(
+    db: SceneDatabase, scene_id: str, config: GenerationConfig
+) -> tuple[str, GenerationDiagnostics]:
+    """One scene's pairs file text and diagnostics. Each window's records
+    are dropped once their lines are encoded, so no pair list is kept."""
+    diag = GenerationDiagnostics()
+    lines = jsonl_lines(
+        pair_to_dict(pair) for pairs in _window_pairs(db, scene_id, config, diag) for pair in pairs
+    )
+    return "".join(lines), diag
 
 
-def _init_worker(db: SceneDatabase, config: GenerationConfig) -> None:
-    global _worker_inputs
-    _worker_inputs = (db, config)
-
-
-def _worker_scene(
-    scene_id: str,
-) -> tuple[list[InstructionResponsePair], GenerationDiagnostics]:
-    db, config = _worker_inputs  # type: ignore[misc]
-    return _generate_scene(db, scene_id, config)
-
-
-def generate_dataset(
-    db: SceneDatabase, config: GenerationConfig, *, jobs: int = 1
-) -> tuple[list[InstructionResponsePair], GenerationDiagnostics]:
-    """Generate pairs for every eligible scene.
-
-    Scenes are processed independently, each from its own derived seed, so
-    any worker count yields the same pair list: scenes in sorted order,
-    windows in sampling order, subtasks in declaration order. With
-    ``jobs > 1`` a process pool receives the database once per worker
-    (inherited under ``fork``, pickled once under ``spawn``), never per scene.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+def _eligible_scenes(
+    db: SceneDatabase, config: GenerationConfig, diag: GenerationDiagnostics
+) -> list[str]:
+    """The ids of the scenes with a window, in sorted order, counted in
+    ``diag`` with the rest. The config is checked first."""
     if config.windows_per_scene < 1:
         raise ValueError("windows_per_scene must be at least 1")
     if config.max_instances_per_subtask < 1:
         raise ValueError("max_instances_per_subtask must be at least 1")
-    diag = GenerationDiagnostics()
     eligible = []
     for scene_id in sorted(db.scenes):
         if len(db.scenes[scene_id].frame_ids) >= 3:
             eligible.append(scene_id)
         else:
             diag.ineligible_scenes += 1
+    diag.eligible_scenes = len(eligible)
+    return eligible
 
-    results: list[tuple[list[InstructionResponsePair], GenerationDiagnostics]]
-    if jobs == 1 or len(eligible) <= 1:
-        results = [_generate_scene(db, scene_id, config) for scene_id in eligible]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(eligible)),
-            initializer=_init_worker,
-            initargs=(db, config),
-        ) as pool:
-            results = list(pool.map(_worker_scene, eligible))
-
-    pairs: list[InstructionResponsePair] = []
-    for scene_pairs, scene_diag in results:
-        pairs.extend(scene_pairs)
-        diag.merge(scene_diag)
+def generate_pairs(
+    db: SceneDatabase, config: GenerationConfig
+) -> tuple[list[InstructionResponsePair], GenerationDiagnostics]:
+    """Every eligible scene's pairs, in one process: scenes in sorted order,
+    windows in sampling order, subtasks in declaration order. These are the
+    records whose lines ``generate_dataset`` returns."""
+    diag = GenerationDiagnostics()
+    pairs = [
+        pair
+        for scene_id in _eligible_scenes(db, config, diag)
+        for window in _window_pairs(db, scene_id, config, diag)
+        for pair in window
+    ]
     return pairs, diag
+
+
+def _send_texts(
+    conn: Any, db: SceneDatabase, config: GenerationConfig, scene_ids: list[str]
+) -> None:
+    """A worker process: send the ``_scene_text`` of each scene through
+    ``conn``, or the exception that stopped them."""
+    # The worker's heap is the database it inherited or unpickled. Frozen,
+    # it is never walked by the worker's collections, which under ``fork``
+    # would otherwise copy every page of it they touch.
+    gc.freeze()
+    try:
+        results: Any = [_scene_text(db, scene_id, config) for scene_id in scene_ids]
+    except BaseException as exc:  # noqa: BLE001 - raised again by the parent
+        results = exc
+    conn.send(results)
+    conn.close()
+
+
+def _pooled_texts(
+    db: SceneDatabase, config: GenerationConfig, scene_ids: list[str], jobs: int
+) -> list[tuple[str, GenerationDiagnostics]]:
+    """``_scene_text`` of each scene, in order, from ``jobs`` processes: this
+    one and ``jobs - 1`` workers, the scenes dealt out to them in turn. A
+    worker's exception is raised again here; a worker that dies without
+    sending raises ``ChildProcessError``."""
+    import multiprocessing
+
+    context = multiprocessing.get_context()
+    workers = []
+    try:
+        for i in range(1, jobs):
+            reader, writer = context.Pipe(duplex=False)
+            worker = context.Process(
+                target=_send_texts, args=(writer, db, config, scene_ids[i::jobs])
+            )
+            worker.start()
+            writer.close()
+            workers.append((worker, reader))
+        results: list[Any] = [None] * len(scene_ids)
+        results[0::jobs] = [_scene_text(db, scene_id, config) for scene_id in scene_ids[0::jobs]]
+        for i, (worker, reader) in enumerate(workers, 1):
+            try:
+                sent = reader.recv()
+            except EOFError:
+                worker.join()
+                raise ChildProcessError(
+                    f"generation worker exited with code {worker.exitcode} "
+                    "before sending its scenes"
+                ) from None
+            if isinstance(sent, BaseException):
+                raise sent
+            results[i::jobs] = sent
+        return results
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, reader in workers:
+            reader.close()
+            worker.join()
+
+
+def generate_dataset(
+    db: SceneDatabase, config: GenerationConfig, *, jobs: int = 1
+) -> tuple[list[str], GenerationDiagnostics]:
+    """The pairs file text of every eligible scene, one string per scene,
+    and the run's diagnostics.
+
+    Joined in order, the texts are the canonical JSONL of
+    ``generate_pairs``, whatever ``jobs`` is: each scene is generated from
+    its own derived seed and encoded by ``_scene_text`` in the process that
+    generated it. With ``jobs > 1`` this process takes every ``jobs``-th
+    scene and ``jobs - 1`` worker processes the rest; each worker receives
+    the database once (inherited under ``fork``, pickled once under
+    ``spawn``), and sends back only its scenes' texts and diagnostics, never
+    a pair record.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    diag = GenerationDiagnostics()
+    eligible = _eligible_scenes(db, config, diag)
+    jobs = min(jobs, len(eligible))
+    if jobs <= 1:
+        results = [_scene_text(db, scene_id, config) for scene_id in eligible]
+    else:
+        results = _pooled_texts(db, config, eligible, jobs)
+    for _, scene_diag in results:
+        diag.merge(scene_diag)
+    return [text for text, _ in results], diag
 
 
 # --------------------------------------------------------------------------
@@ -715,19 +795,39 @@ def _truth_fits_subtask(pair: InstructionResponsePair) -> bool:
     return pair.subtask in _FAMILY_OF_TRUTH.get(type(pair.ground_truth), ())
 
 
-def offline_check(pair: InstructionResponsePair, db: SceneDatabase | None = None) -> str | None:
-    """Reason the pair breaks a format rule, or None when it is clean."""
+def _window_reason(db: SceneDatabase, scene_id: str, *frame_ids: str) -> str | None:
+    """Reason three frames are not a window of the scene ``scene_id`` in
+    ``db``, or None when they are."""
+    for frame_id in frame_ids:
+        if frame_id not in db.frames:
+            return f"pair references unknown frame {frame_id!r}"
+    if not db.are_consecutive(*frame_ids):
+        return "pair frames are not consecutive keyframes of one scene"
+    actual = db.scene_of_frame(frame_ids[0]).scene_id
+    if actual != scene_id:
+        return f"pair frames belong to scene {actual!r}, not {scene_id!r}"
+    return None
+
+
+def offline_check(
+    pair: InstructionResponsePair,
+    db: SceneDatabase | None = None,
+    windows: dict[tuple[str, ...], str | None] | None = None,
+) -> str | None:
+    """Reason the pair breaks a format rule, or None when it is clean.
+
+    ``windows``, if given, holds the window check against ``db`` of each
+    ``(scene_id, *frame_ids)`` already checked with it, and gains this
+    pair's, so pairs of one window share one check."""
     if len(pair.frame_ids) != 3:
         return "pair must reference exactly three frames"
     if db is not None:
-        for frame_id in pair.frame_ids:
-            if frame_id not in db.frames:
-                return f"pair references unknown frame {frame_id!r}"
-        if not db.are_consecutive(*pair.frame_ids):
-            return "pair frames are not consecutive keyframes of one scene"
-        scene_id = db.scene_of_frame(pair.frame_ids[0]).scene_id
-        if scene_id != pair.scene_id:
-            return f"pair frames belong to scene {scene_id!r}, not {pair.scene_id!r}"
+        window = (pair.scene_id, *pair.frame_ids)
+        windows = {} if windows is None else windows
+        if window not in windows:
+            windows[window] = _window_reason(db, *window)
+        if (reason := windows[window]) is not None:
+            return reason
     if not _truth_fits_subtask(pair):
         return f"ground truth type does not fit subtask {pair.subtask.value}"
     truth = pair.ground_truth
@@ -853,9 +953,10 @@ def verify_pairs(
     through all retries, is kept and flagged unverified.
     """
     result = VerificationResult()
+    windows: dict[tuple[str, ...], str | None] = {}
     survivors: list[InstructionResponsePair] = []
     for pair in pairs:
-        reason = offline_check(pair, db)
+        reason = offline_check(pair, db, windows)
         if reason is None:
             survivors.append(pair)
         else:
@@ -881,7 +982,7 @@ def verify_pairs(
         if verdict == "revise":
             truth = FreeText(text) if isinstance(pair.ground_truth, FreeText) else pair.ground_truth
             pair = pair._replace(response=text, ground_truth=truth)
-            reason = offline_check(pair, db)
+            reason = offline_check(pair, db, windows)
             if reason is not None:
                 result.rejected.append(
                     (pair.pair_id, f"format contract: revised response: {reason}")

@@ -796,8 +796,7 @@ def _parse_table(rows: list[Any], table: _Table) -> dict[str, Any]:
     def repeated(i: int, row_id: str, first: int) -> AnnotationSchemaError:
         return AnnotationSchemaError(f"{key}[{i}]", f"duplicate id {row_id!r}")
 
-    records = read_by_blocks(rows, row.column, read_row, repeated)
-    return dict(zip(map(itemgetter(0), records), records))
+    return read_by_blocks(rows, row.column, read_row, repeated)
 
 
 def build_database(

@@ -1,6 +1,6 @@
 import pytest
 
-from drivesql.generation import GenerationConfig, generate_dataset
+from drivesql.generation import GenerationConfig, generate_pairs
 from drivesql.scene_db import build_database
 from drivesql.synth import demo_corpus
 
@@ -33,7 +33,7 @@ def demo_db(demo_annotations):
 
 @pytest.fixture(scope="session")
 def demo_pairs(demo_db):
-    pairs, _ = generate_dataset(
+    pairs, _ = generate_pairs(
         demo_db, GenerationConfig(master_seed=3, windows_per_scene=2)
     )
     return pairs

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from drivesql.evaluation import (
     write_predictions_jsonl,
 )
 from drivesql.generation import DetectionList, pair_to_dict, read_pairs_jsonl, write_pairs_jsonl
+from drivesql.geometry import Vec3
 from drivesql.scene_db import build_database, save_database
 from drivesql.stats import compute_stats, view_percent_csv
 from drivesql.synth import synth_scene
@@ -97,6 +99,120 @@ def test_generate_is_deterministic(pipeline):
     assert hashlib.sha256(pairs.read_bytes()).hexdigest() == hashlib.sha256(
         again.read_bytes()
     ).hexdigest()
+
+
+def _broken_at_a_window(db, config, scene_index, **row_fields):
+    """``db`` with ``row_fields`` set on every row of the current frame of
+    the first window that ``config`` samples in the scene at
+    ``scene_index``. Only that window has that frame as its current one."""
+    scene_id = sorted(db.scenes)[scene_index]
+    pairs, _ = generation.generate_pairs(db, config)
+    current = next(p.frame_ids[1] for p in pairs if p.scene_id == scene_id)
+    rows = db.frames[current].instance_info_ids
+    instances = {**db.instances, **{i: db.instances[i]._replace(**row_fields) for i in rows}}
+    return db._replace(instances=instances), scene_id
+
+
+def test_a_failed_window_is_warned_and_written_alike_by_every_job_count(
+    pipeline, monkeypatch, capsys
+):
+    """One window raises. The broken database is built here and handed to
+    the CLI through a patched ``load_database``. The pool's workers inherit
+    it under ``fork`` and receive it pickled under ``spawn`` (macOS), so the
+    window fails in a worker under either start method; a patched function
+    would not reach a spawned worker."""
+    from drivesql import cli
+
+    tmp_path, _, db_path, _ = pipeline
+    config = generation.GenerationConfig(master_seed=3, windows_per_scene=2)
+    # Scene 1 goes to a worker at --jobs 2 and 3, not to this process.
+    broken, scene_id = _broken_at_a_window(
+        cli.load_database(db_path), config, 1, camera_pos=None
+    )
+    serial, serial_diag = generation.generate_dataset(broken, config, jobs=1)
+    pooled, pooled_diag = generation.generate_dataset(broken, config, jobs=2)
+    assert pooled == serial
+    assert pooled_diag.as_dict() == serial_diag.as_dict()
+    assert serial_diag.pair_failures == 1
+    [message] = serial_diag.failure_messages
+    assert message.startswith(f"{scene_id}/(") and "'NoneType'" in message
+
+    monkeypatch.setattr(cli, "load_database", lambda path: broken)
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"jobs{jobs}.jsonl"
+        assert run(["generate", str(db_path), "-o", str(out), "--seed", "3", "--windows", "2",
+                    "--jobs", jobs]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    assert outputs[0][0] == "".join(serial).encode("utf-8")
+    warning = (
+        f"warning: 1 of {serial_diag.windows_unique} windows failed; first: {message}\n"
+    )
+    for data, captured in outputs:
+        assert data == outputs[0][0]
+        assert captured.err == warning
+        assert f"({serial_diag.windows_unique} windows)" in captured.out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_scene_that_cannot_be_encoded_fails_the_run_in_any_process(
+    pipeline, monkeypatch, capsys, jobs
+):
+    """A non-finite value is no pairs line: the process that encodes the
+    scene raises, a worker's exception is raised again by the parent, and
+    nothing is written."""
+    from drivesql import cli
+
+    tmp_path, _, db_path, _ = pipeline
+    config = generation.GenerationConfig(master_seed=3)
+    nan = float("nan")
+    broken, _ = _broken_at_a_window(
+        cli.load_database(db_path), config, 1, local_t=Vec3(nan, nan, 0.0)
+    )
+    monkeypatch.setattr(cli, "load_database", lambda path: broken)
+    out = tmp_path / "nan.jsonl"
+    assert run(["generate", str(db_path), "-o", str(out), "--seed", "3", "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Out of range float values are not JSON compliant\n"
+    assert not out.exists()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a patch made in this process reaches a worker only under fork",
+)
+def test_a_worker_that_dies_without_sending_is_an_error(pipeline, monkeypatch, capsys):
+    tmp_path, _, db_path, _ = pipeline
+    parent, scene_text = os.getpid(), generation._scene_text
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return scene_text(*args)
+
+    monkeypatch.setattr(generation, "_scene_text", dying)
+    out = tmp_path / "died.jsonl"
+    assert run(["generate", str(db_path), "-o", str(out), "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "i/o error: generation worker exited with code 3 before sending its scenes\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subtask", list(generation.Subtask), ids=lambda s: s.value)
+def test_generate_writes_the_lines_of_the_record_path_for_every_subtask(
+    tmp_path, demo_db, subtask
+):
+    db_path, out, expected = tmp_path / "db.json", tmp_path / "cli.jsonl", tmp_path / "rec.jsonl"
+    save_database(demo_db, db_path)
+    argv = ["generate", str(db_path), "-o", str(out), "--seed", "5", "--windows", "2"]
+    assert run([*argv, "--subtasks", subtask.value, "--jobs", "2"]) == 0
+    config = generation.GenerationConfig(
+        master_seed=5, windows_per_scene=2, enabled_subtasks=frozenset({subtask})
+    )
+    pairs, _ = generation.generate_pairs(demo_db, config)
+    assert pairs
+    write_pairs_jsonl(pairs, expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_split_sizes_on_large_synthetic_corpus(tmp_path, demo_pairs):

@@ -15,12 +15,12 @@ from drivesql.generation import (
     FreeText,
     GenerationConfig,
     GenerationDiagnostics,
-    InstructionResponsePair,
     Label,
     Numeric,
     derive_scene_seed,
     format_grounding,
     generate_dataset,
+    generate_pairs,
     pair_from_dict,
     pair_to_dict,
     read_pairs_jsonl,
@@ -188,7 +188,7 @@ def test_pair_count_matches_analytic_formula():
     oracle = SceneOracle(ann)
     cap = 3
     config = GenerationConfig(master_seed=1, windows_per_scene=1, max_instances_per_subtask=cap)
-    pairs, diag = generate_dataset(db, config)
+    pairs, diag = generate_pairs(db, config)
 
     expected = 0
     for scene_id in sorted(db.scenes):
@@ -217,7 +217,7 @@ def test_only_distance_two_instances_two_pairs():
     )
     db = build_database(ann)
     config = GenerationConfig(enabled_subtasks=frozenset({Subtask.DISTANCE}))
-    pairs, _ = generate_dataset(db, config)
+    pairs, _ = generate_pairs(db, config)
     assert len(pairs) == 2
     assert {p.subtask for p in pairs} == {Subtask.DISTANCE}
 
@@ -226,14 +226,12 @@ def test_identical_seed_byte_identical_output(tmp_path, demo_db):
     config = GenerationConfig(master_seed=11, windows_per_scene=2)
     first, _ = generate_dataset(demo_db, config)
     second, _ = generate_dataset(demo_db, config)
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_pairs_jsonl(first, a)
-    write_pairs_jsonl(second, b)
-    assert a.read_bytes() == b.read_bytes()
+    assert first == second
+    a = tmp_path / "a.jsonl"
+    write_pairs_jsonl(generate_pairs(demo_db, config)[0], a)
+    assert a.read_text(encoding="utf-8") == "".join(first)
     third, _ = generate_dataset(demo_db, GenerationConfig(master_seed=12, windows_per_scene=2))
-    c = tmp_path / "c.jsonl"
-    write_pairs_jsonl(third, c)
-    assert a.read_bytes() != c.read_bytes()
+    assert "".join(first) != "".join(third)
 
 
 def test_parallel_jobs_equal_serial(demo_db):
@@ -261,11 +259,9 @@ def test_pool_pickles_the_database_at_most_once_per_worker(demo_db, monkeypatch)
     assert pooled == serial
 
 
-def test_what_a_spawned_worker_receives_comes_back_equal_through_pickle(
-    tmp_path, demo_db, demo_pairs
-):
-    """A spawn pool pickles the database and the config into each worker,
-    and the pairs back."""
+def test_what_a_spawned_worker_receives_comes_back_equal_through_pickle(tmp_path, demo_db):
+    """A spawned worker receives the database and the config pickled, and
+    sends back each scene's text and diagnostics, never a pair record."""
     config = GenerationConfig(
         master_seed=9,
         windows_per_scene=4,
@@ -273,18 +269,17 @@ def test_what_a_spawned_worker_receives_comes_back_equal_through_pickle(
         thresholds=RiskThresholds(dis=15.0, s=0.25),
         enabled_subtasks=frozenset(RISK_SUBTASKS),
     )
-    kinds = {type(pair.ground_truth): pair for pair in demo_pairs}
-    assert set(kinds) == {Numeric, Label, DetectionList, FreeText}
     save_database(demo_db, tmp_path / "scene.db.json")
     db = load_database(tmp_path / "scene.db.json")
+    scene_id = min(db.scenes)
+    sent = generation._scene_text(db, scene_id, config)
+    sent[1].pair_failures, sent[1].failure_messages = 1, [f"{scene_id}/(...): boom"]
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(config, protocol))
         assert type(back) is GenerationConfig and back == config
         assert type(back.thresholds) is RiskThresholds
-        for pair in kinds.values():
-            back = pickle.loads(pickle.dumps(pair, protocol))
-            assert type(back) is InstructionResponsePair and back == pair
-            _assert_same_truth(back.ground_truth, pair.ground_truth)
+        text, diag = pickle.loads(pickle.dumps(sent, protocol))
+        assert text == sent[0] and diag.as_dict() == sent[1].as_dict()
     back = pickle.loads(pickle.dumps(db))
     assert type(back) is SceneDatabase and back == db == demo_db
 
@@ -343,14 +338,14 @@ def test_pairs_reference_consecutive_frames(demo_db, demo_pairs):
 
 def test_enabled_subtasks_filter(demo_db):
     enabled = frozenset({Subtask.BRAKING, Subtask.MOTION_EGO})
-    pairs, _ = generate_dataset(demo_db, GenerationConfig(enabled_subtasks=enabled))
+    pairs, _ = generate_pairs(demo_db, GenerationConfig(enabled_subtasks=enabled))
     assert pairs
     assert {p.subtask for p in pairs} <= enabled
 
 
 def test_per_instance_cap_nearest_first(demo_db):
     config = GenerationConfig(master_seed=2, max_instances_per_subtask=1)
-    pairs, _ = generate_dataset(demo_db, config)
+    pairs, _ = generate_pairs(demo_db, config)
     for pair in pairs:
         if pair.subtask is not Subtask.DISTANCE:
             continue
@@ -468,7 +463,7 @@ def test_jsonl_keys_sorted(tmp_path, demo_pairs):
 
 def test_windows_deduped(demo_db):
     config = GenerationConfig(master_seed=0, windows_per_scene=50)
-    pairs, diag = generate_dataset(demo_db, config)
+    pairs, diag = generate_pairs(demo_db, config)
     assert diag.windows_sampled >= diag.windows_unique
     for scene_id in demo_db.scenes:
         n_possible = len(demo_db.scenes[scene_id].frame_ids) - 2
@@ -489,11 +484,15 @@ GOLDEN_DEMO_SHA256 = "92da29c33b3f143544dd65e16f38de9b5d87e208e5cdd7a041aa113a8e
 
 
 def test_demo_output_matches_golden_digest(demo_db):
-    pairs, diag = generate_dataset(demo_db, GenerationConfig(master_seed=3, windows_per_scene=2))
-    text = "".join(canonical_dumps(pair_to_dict(p)) + "\n" for p in pairs)
+    config = GenerationConfig(master_seed=3, windows_per_scene=2)
+    texts, diag = generate_dataset(demo_db, config)
+    text = "".join(texts)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_DEMO_SHA256
-    assert len(pairs) == 512
     assert diag.skipped_instances == 13
+    pairs, pairs_diag = generate_pairs(demo_db, config)
+    assert "".join(canonical_dumps(pair_to_dict(p)) + "\n" for p in pairs) == text
+    assert len(pairs) == text.count("\n") == 512
+    assert pairs_diag.as_dict() == diag.as_dict()
 
 
 def test_each_window_computes_each_motion_once(demo_db, monkeypatch):

@@ -10,6 +10,7 @@ and a pairs or predictions file read a block of lines at a time gives what
 its per-line reader alone gives, whichever row or line is broken.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -318,7 +319,8 @@ def _any_line_mutations(docs):
     """The text of a file of ``docs``, one line a line, broken in one place
     at any line: the line mutated as ``_mutations`` mutates one, a float in
     it replaced by its negation, a zero or any float, its ``pair_id`` set to
-    an earlier line's, or a blank line put in front of it."""
+    an earlier line's (with or without a blank line anywhere before it), or
+    a blank line put in front of it."""
 
     @st.composite
     def mutated(draw):
@@ -333,6 +335,8 @@ def _any_line_mutations(docs):
         elif kind == "repeat" and at:
             earlier = docs[draw(st.integers(0, at - 1))]["pair_id"]
             lines[at] = json.dumps({**docs[at], "pair_id": earlier})
+            if draw(st.booleans()):
+                lines.insert(draw(st.integers(0, at)), "")
         elif kind == "blank":
             lines.insert(at, draw(st.sampled_from(["", " ", "\t", "\r"])))
         else:
@@ -387,6 +391,22 @@ def test_a_line_file_reads_by_blocks_as_line_by_line_whichever_line_is_broken(
         by_blocks = _records_or_refusal(reader, path)
         with _line_by_line_only():
             assert _records_or_refusal(reader, path) == by_blocks
+    _assert_a_repeat_names_its_first_line(path, by_blocks)
+
+
+def _assert_a_repeat_names_its_first_line(path, refusal):
+    """A repeated ``pair_id`` is refused on the line that repeats it, naming
+    the first line that holds it, blank lines counted."""
+    if not isinstance(refusal, str) or " is repeated, first on line " not in refusal:
+        return
+    where, _, rest = refusal.removeprefix(f"{path}:").partition(": pair_id: ")
+    pair_id, _, first = rest.rpartition(" is repeated, first on line ")
+    lines = path.read_text(encoding="utf-8").split("\n")[: int(where)]
+    holding = [
+        n for n, line in enumerate(lines, 1)
+        if line.strip() and json.loads(line).get("pair_id") == ast.literal_eval(pair_id)
+    ]
+    assert holding[0] == int(first) and holding[1:] == [int(where)], refusal
 
 
 def test_real_line_files_are_read_by_columns_alone(workdir, demo_pairs):

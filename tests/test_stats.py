@@ -7,7 +7,7 @@ from drivesql.scene_db import REAL_VIEWS, View, build_database
 from drivesql.stats import average_instances_per_keyframe, compute_stats, view_percent_csv
 from drivesql.synth import ScenarioScript, Waypoint, synth_scene
 from drivesql.task_sql import Subtask, Task
-from drivesql.generation import GenerationConfig, generate_dataset
+from drivesql.generation import GenerationConfig, generate_pairs
 from drivesql.geometry import Vec3
 
 
@@ -67,7 +67,7 @@ def test_front_only_corpus_masses_on_front_column():
     track = tuple(Waypoint(0.5 * k, Vec3(6.0, 0.0, 0.0)) for k in range(3))
     ann = synth_scene([ScenarioScript(kind=None, waypoints=track)], n_frames=3, seed=2, scene_id="solo")
     db = build_database(ann)
-    pairs, _ = generate_dataset(db, GenerationConfig())
+    pairs, _ = generate_pairs(db, GenerationConfig())
     stats = compute_stats(pairs, db)
     for view in REAL_VIEWS:
         if view is View.FRONT:

@@ -149,6 +149,41 @@ def test_pair_whose_frames_are_not_a_window_of_its_scene(demo_db, samples):
         assert offline_check(broken, demo_db) == reason
 
 
+def test_verify_checks_each_window_once_and_keeps_every_reason(demo_db, demo_pairs, monkeypatch):
+    """One ``verify_pairs`` call checks each ``(scene_id, frame_ids)``
+    against the database once; every pair still gets the reason that
+    ``offline_check`` alone gives it, in input order."""
+    pair = demo_pairs[0]
+    there = next(s for s in demo_db.scenes.values() if s.scene_id != pair.scene_id)
+    first, mid, last = pair.frame_ids
+    broken = [
+        pair._replace(frame_ids=("nowhere", mid, last)),
+        pair._replace(frame_ids=(mid, first, last)),
+        pair._replace(scene_id=there.scene_id),
+        pair._replace(frame_ids=(first, mid, there.frame_ids[0]), response="no values here"),
+    ]
+    pairs = [p for both in zip(demo_pairs, broken * len(demo_pairs)) for p in both]
+    expected = [(p.pair_id, offline_check(p, demo_db)) for p in pairs]
+    checked = []
+    window_reason = generation._window_reason
+    monkeypatch.setattr(
+        generation,
+        "_window_reason",
+        lambda db, *window: checked.append(window) or window_reason(db, *window),
+    )
+    result = verify_pairs(pairs, db=demo_db)
+    assert len(checked) == len(set(checked)) == len({(p.scene_id, *p.frame_ids) for p in pairs})
+    assert result.kept == [p for p, (_, reason) in zip(pairs, expected) if reason is None]
+    assert result.rejected == [
+        (pid, f"format contract: {reason}") for pid, reason in expected if reason is not None
+    ]
+    assert {reason for _, reason in expected} >= {
+        "pair references unknown frame 'nowhere'",
+        "pair frames are not consecutive keyframes of one scene",
+        f"pair frames belong to scene {pair.scene_id!r}, not {there.scene_id!r}",
+    }
+
+
 def test_risk_pair_requires_thresholds(samples):
     broken = samples["risk_empty"]._replace(thresholds_used=None)
     assert "thresholds" in offline_check(broken)
