@@ -165,7 +165,6 @@ def read_by_blocks(
     raises ``repeated(i, id, first)``, where ``first`` is the index of the
     item that held it."""
     records: dict[Any, T] = {}
-    skipped: list[int] = []  # the items that held no record, in order
     for start in range(0, len(items), _BLOCK_ROWS):
         block = items[start : start + _BLOCK_ROWS]
         if (read_block := column(block)) is not None:
@@ -179,14 +178,11 @@ def read_by_blocks(
                 del records[row_id]
         for i, item in enumerate(block, start):
             record = read(i, item)
-            if record is None:
-                skipped.append(i)
-            elif records.setdefault(record[0], record) is not record:
-                first = list(records).index(record[0])
-                for j in skipped:  # the index of the record's item
-                    if j > first:
-                        break
-                    first += 1
+            if record is not None and records.setdefault(record[0], record) is not record:
+                # The first item that held the id, found by reading again the
+                # items before this one, all of which ``read`` accepts.
+                earlier = map(read, range(i), items[:i])
+                first = next(j for j, held in enumerate(earlier) if held and held[0] == record[0])
                 raise repeated(i, record[0], first)
     return records
 

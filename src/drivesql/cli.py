@@ -402,7 +402,7 @@ def _cmd_stats(args: argparse.Namespace, stage: _Stage) -> int:
     csv_path = Path(f"{out}.views.csv")
     with stage.phase("write"):
         write_json(out, stats.as_dict())
-        _lazy.view_percent_csv(stats, csv_path)
+        write_atomic(csv_path, _lazy.view_percent_csv(stats))
     stage.inputs, stage.outputs = [pairs_path, db_path], [out, csv_path]
     print(
         f"{stats.pairs_total} pairs, {stats.keyframes} keyframes, "

@@ -564,8 +564,11 @@ def generate_pairs(
     db: SceneDatabase, config: GenerationConfig
 ) -> tuple[list[InstructionResponsePair], GenerationDiagnostics]:
     """Every eligible scene's pairs, in one process: scenes in sorted order,
-    windows in sampling order, subtasks in declaration order. These are the
-    records whose lines ``generate_dataset`` returns."""
+    windows in sampling order, and a window's subtasks as ``_pairs_for_window``
+    builds them, not in ``Subtask`` order: distance, speeds, status, same_road,
+    closest, instance_number, motion_ego, motion_others, status_ego,
+    status_others, the six risk kinds, then planning. These are the records
+    whose lines ``generate_dataset`` returns."""
     diag = GenerationDiagnostics()
     pairs = [
         pair

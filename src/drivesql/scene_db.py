@@ -13,7 +13,6 @@ shortcuts is built column by column, and any other block row by row.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from enum import Enum
@@ -810,14 +809,12 @@ def build_database(
     Schema violations, dangling references, orphan rows, and duplicate
     ``(instance_id, frame_id)`` appearances are all rejected.
     """
-    if (
-        isinstance(important_radius, bool)
-        or not isinstance(important_radius, (int, float))
-        or not 0 < important_radius <= sys.float_info.max
-    ):
+    try:
+        radius = _as_positive(important_radius)
+    except AnnotationSchemaError:
         raise ValueError(
             f"important_radius must be a positive finite number, got {important_radius!r}"
-        )
+        ) from None
     try:
         tables = _read_fields(annotations, _DOCUMENT)
     except AnnotationSchemaError as err:
@@ -885,29 +882,24 @@ def build_database(
                 f"instances[id={info_id}]", "row not referenced by any frame"
             )
 
-    # Importance filter on the planar ego distance.
-    kept = {
-        info_id: row
-        for info_id, row in instances.items()
-        if planar_norm(row.local_t) <= important_radius
-    }
-    filtered_frames = {
-        frame_id: frame._replace(
-            instance_info_ids=tuple(i for i in frame.instance_info_ids if i in kept)
-        )
-        for frame_id, frame in frames.items()
-    }
-    filtered_index = {
-        key: info_id for key, info_id in index.items() if info_id in kept
-    }
+    # Importance filter on the planar ego distance. Only far rows cost a
+    # rebuild of the tables and the index that list them.
+    far = {info_id for info_id, row in instances.items() if planar_norm(row.local_t) > radius}
+    if far:
+        instances = {info_id: row for info_id, row in instances.items() if info_id not in far}
+        frames = {
+            fid: f._replace(instance_info_ids=tuple(i for i in f.instance_info_ids if i not in far))
+            for fid, f in frames.items()
+        }
+        index = {key: info_id for key, info_id in index.items() if info_id not in far}
 
     return SceneDatabase(
         scenes=scenes,
-        frames=filtered_frames,
+        frames=frames,
         ego=ego,
-        instances=kept,
-        instance_frame_index=filtered_index,
-        important_radius=float(important_radius),
+        instances=instances,
+        instance_frame_index=index,
+        important_radius=radius,
         frame_to_scene=frame_to_scene,
     )
 
@@ -945,10 +937,21 @@ def naming_file(path: str | Path) -> Iterator[None]:
 
 
 def load_database(path: str | Path) -> SceneDatabase:
+    """The database saved at ``path``, checked as ``build_database`` checks
+    annotations; the first row beyond the saved radius is refused, not
+    dropped. Its records are still young when the paused collector resumes,
+    so the first collection after walks them all: a library caller pays it,
+    a CLI stage does not, as its ``load`` phase freezes them first."""
     with naming_file(path), collector_paused():
         try:
             tables = _read_fields(read_json(path), {"important_radius": _as_positive, **_DOCUMENT})
         except AnnotationSchemaError as err:
             raise err.within("database")
         radius = tables.pop("important_radius")
-        return build_database(tables, important_radius=radius)
+        db = build_database(tables, important_radius=radius)
+        if len(db.instances) != len(rows := tables["instances"]):
+            far = next(row["info_id"] for row in rows if row["info_id"] not in db.instances)
+            raise AnnotationSchemaError(
+                f"instances[id={far}].local_t", f"lies beyond the saved important_radius {radius}"
+            )
+        return db

@@ -5,10 +5,8 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .canonical import write_atomic
 from .generation import InstructionResponsePair
 from .scene_db import REAL_VIEWS, SceneDatabase, View
 from .task_sql import Subtask, Task
@@ -112,8 +110,8 @@ def compute_stats(
     )
 
 
-def view_percent_csv(stats: DatasetStats, path: str | Path | None = None) -> str:
-    """Render the per-task view percentage matrix as CSV, optionally to disk."""
+def view_percent_csv(stats: DatasetStats) -> str:
+    """Render the per-task view percentage matrix as CSV."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["task", *[view.value for view in REAL_VIEWS]])
@@ -122,7 +120,4 @@ def view_percent_csv(stats: DatasetStats, path: str | Path | None = None) -> str
         writer.writerow(
             [task.value, *[f"{row.get(view, 0.0):.2f}" for view in REAL_VIEWS]]
         )
-    text = buffer.getvalue()
-    if path is not None:
-        write_atomic(path, text)
-    return text
+    return buffer.getvalue()

@@ -1,7 +1,10 @@
+import json
+import math
+
 import pytest
 
 from drivesql.generation import GenerationConfig, generate_pairs
-from drivesql.scene_db import build_database
+from drivesql.scene_db import build_database, save_database
 from drivesql.synth import demo_corpus
 
 
@@ -37,3 +40,17 @@ def demo_pairs(demo_db):
         demo_db, GenerationConfig(master_seed=3, windows_per_scene=2)
     )
     return pairs
+
+
+@pytest.fixture
+def lowered_radius_db(tmp_path):
+    """A saved database of ``demo_corpus(1, seed=2)`` whose radius is then
+    lowered from 20.0 to 5.0, and the id of its first row beyond 5.0."""
+    path = tmp_path / "lowered.db.json"
+    save_database(build_database(demo_corpus(1, seed=2)), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["important_radius"] = 5.0
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    far = [row["info_id"] for row in doc["instances"] if math.hypot(*row["local_t"][:2]) > 5.0]
+    assert 0 < len(far) < len(doc["instances"])
+    return path, far[0]

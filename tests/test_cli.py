@@ -24,7 +24,7 @@ from drivesql.geometry import Vec3
 from drivesql.scene_db import build_database, save_database
 from drivesql.stats import compute_stats, view_percent_csv
 from drivesql.synth import synth_scene
-from drivesql.canonical import canonical_dumps
+from drivesql.canonical import canonical_dumps, write_atomic
 
 
 def _sample_request(n_random=4, seed=9):
@@ -174,6 +174,20 @@ def test_a_scene_that_cannot_be_encoded_fails_the_run_in_any_process(
     assert run(["generate", str(db_path), "-o", str(out), "--seed", "3", "--jobs", jobs]) == 1
     err = capsys.readouterr().err
     assert err == "error: Out of range float values are not JSON compliant\n"
+    assert not out.exists()
+
+
+def test_generate_refuses_a_database_row_beyond_its_saved_radius(
+    lowered_radius_db, tmp_path, capsys
+):
+    path, far = lowered_radius_db
+    out = tmp_path / "pairs.jsonl"
+    assert run(["generate", str(path), "-o", str(out), "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {path}: instances[id={far}].local_t: "
+        "lies beyond the saved important_radius 5.0\n"
+    )
     assert not out.exists()
 
 
@@ -1105,7 +1119,7 @@ def test_eval_rejects_pair_whose_truth_does_not_fit_its_subtask(tmp_path, demo_p
     [
         lambda db, pairs, path: write_pairs_jsonl(pairs, path),
         lambda db, pairs, path: save_database(db, path),
-        lambda db, pairs, path: view_percent_csv(compute_stats(pairs, db), path),
+        lambda db, pairs, path: write_atomic(path, view_percent_csv(compute_stats(pairs, db))),
         lambda db, pairs, path: write_predictions_jsonl(predictions_from_pairs(pairs), path),
     ],
     ids=["pairs", "database", "stats_csv", "predictions"],

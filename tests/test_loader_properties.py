@@ -7,7 +7,11 @@ value, removed, or given a key no field table declares, which reaches the
 deeper field checks. The database and the two line formats get a third: a
 table read a block of rows at a time gives what the row loop alone gives,
 and a pairs or predictions file read a block of lines at a time gives what
-its per-line reader alone gives, whichever row or line is broken.
+its per-line reader alone gives, whichever row or line is broken. Two
+relations of the database close over build-db, save and load: the order of
+table rows and of ``camera_pos`` keys reaches neither the saved bytes nor
+the pairs, and save, load, save of any database the loader accepts is a
+fixed point.
 """
 
 import ast
@@ -32,8 +36,10 @@ from drivesql.evaluation import (
     write_predictions_jsonl,
 )
 from drivesql.generation import (
+    GenerationConfig,
     InstructionResponsePair,
     Numeric,
+    generate_dataset,
     pair_to_dict,
     read_pairs_jsonl,
     verify_pairs,
@@ -45,6 +51,7 @@ from drivesql.scene_db import (
     build_database,
     database_to_document,
     load_database,
+    save_database,
 )
 from drivesql.task_sql import RiskThresholds
 from drivesql.synth import demo_corpus
@@ -219,6 +226,61 @@ def test_a_table_reads_by_columns_as_by_rows_whichever_row_is_broken(database_do
         by_blocks = _built(doc)
         with _row_loop_only():
             assert _built(doc) == by_blocks
+
+
+def _saved_and_pairs(doc, path):
+    """The saved bytes of ``build_database(doc)`` and its pairs file text."""
+    db = build_database(doc)
+    save_database(db, path)
+    texts, _ = generate_dataset(db, GenerationConfig(master_seed=3, windows_per_scene=2))
+    return path.read_bytes(), "".join(texts)
+
+
+@st.composite
+def _permuted(draw, doc):
+    """A copy of ``doc`` with the rows of each table and each instance's
+    ``camera_pos`` keys in a drawn order."""
+    doc = {key: draw(st.permutations(rows)) for key, rows in doc.items()}
+    doc["instances"] = [
+        {**row, "camera_pos": dict(draw(st.permutations(list(row["camera_pos"].items()))))}
+        for row in doc["instances"]
+    ]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def in_order(workdir):
+    """Annotations in their generated order, with their saved bytes and pairs."""
+    annotations = demo_corpus(1, seed=2)
+    return annotations, _saved_and_pairs(annotations, workdir / "in-order.db.json")
+
+
+@settings(max_examples=25 * SCALE, deadline=None)
+@given(data=st.data())
+def test_row_and_view_order_reach_neither_the_saved_bytes_nor_the_pairs(workdir, in_order, data):
+    annotations, expected = in_order
+    doc = data.draw(_permuted(annotations))
+    assert _saved_and_pairs(doc, workdir / "permuted.db.json") == expected
+
+
+@settings(max_examples=100 * SCALE, deadline=None)
+@given(data=st.data())
+def test_save_load_save_is_a_fixed_point(workdir, database_doc, data):
+    doc = data.draw(
+        st.just(database_doc) | _mutations(database_doc) | _any_row_mutations(database_doc)
+    )
+    path = workdir / "fixed-point.db.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        loaded = load_database(path)
+    except DriveSqlError:
+        return
+    save_database(loaded, path)
+    saved = path.read_bytes()
+    reloaded = load_database(path)
+    assert reloaded == loaded
+    save_database(reloaded, path)
+    assert path.read_bytes() == saved
 
 
 @pytest.mark.parametrize("radius", [0, 0.0, -1.5])

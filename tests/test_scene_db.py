@@ -299,6 +299,30 @@ def test_persistence_round_trip(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+def test_a_row_beyond_the_saved_radius_is_refused_by_its_id(lowered_radius_db):
+    path, far = lowered_radius_db
+    with pytest.raises(AnnotationSchemaError) as err:
+        load_database(path)
+    assert str(err.value) == (
+        f"{path}: instances[id={far}].local_t: lies beyond the saved important_radius 5.0"
+    )
+
+
+def test_loading_builds_no_frame_record_again(tmp_path):
+    """A saved database holds only rows within its radius, so a load keeps
+    the frames, instances and index it parsed."""
+    built = build_database(demo_corpus(2, seed=2))
+    path = tmp_path / "db.json"
+    save_database(built, path)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a loaded frame was rebuilt")
+
+    with mock.patch.object(FrameRecord, "_replace", rebuilt):
+        loaded = load_database(path)
+    assert loaded == built
+
+
 def _views_shuffled():
     """A corpus whose rows hold their boxes' views in a random order."""
     ann = random_corpus(6, seed=3)

@@ -80,11 +80,9 @@ def test_front_only_corpus_masses_on_front_column():
             assert row[View.FRONT] == pytest.approx(100.0, abs=1e-9)
 
 
-def test_view_percent_csv_layout(tmp_path, demo_db, demo_pairs):
+def test_view_percent_csv_layout(demo_db, demo_pairs):
     stats = compute_stats(demo_pairs, demo_db)
-    out = tmp_path / "views.csv"
-    text = view_percent_csv(stats, out)
-    assert out.read_text(encoding="utf-8") == text
+    text = view_percent_csv(stats)
     lines = text.strip().splitlines()
     assert lines[0] == "task," + ",".join(v.value for v in REAL_VIEWS)
     assert len(lines) == 1 + len(Task)
